@@ -76,7 +76,7 @@ def _best(reports):
 
 def _serve_baseline(fib, events, probes):
     return _best(
-        serve.serve_scenario(
+        serve.serve_plane_scenario(
             REPRESENTATION,
             fib,
             events,
@@ -89,19 +89,22 @@ def _serve_baseline(fib, events, probes):
 
 
 def _serve_cluster(fib, events, probes, shards, partition):
-    return _best(
-        serve.serve_cluster_scenario(
-            REPRESENTATION,
-            fib,
-            events,
-            scenario="bgp-churn",
-            shards=shards,
-            partition=partition,
+    """One replay per repeat through a FibCluster of ``shards`` shards
+    (built directly: the plane factory serves one shard from a plain
+    FibServer, and the curve's first point is the 1-shard cluster)."""
+
+    def once():
+        with serve.FibCluster(
+            REPRESENTATION, fib, shards=shards, partition=partition,
             measure_staleness=False,
-            parity_probes=probes,
-        )
-        for _ in range(REPEAT)
-    )
+        ) as cluster:
+            cluster.replay(events)
+            cluster.quiesce()
+            return cluster.report(
+                scenario="bgp-churn", final_parity=cluster.parity_fraction(probes)
+            )
+
+    return _best(once() for _ in range(REPEAT))
 
 
 def test_cluster_scaling_curve(profile_fib, events, probes, report_writer, scale):

@@ -93,12 +93,13 @@ def test_fault_recovery_trajectory(profile_fib, events, probes, report_writer, s
     fib = profile_fib(PRIMARY_PROFILE)
     rows = {}
     for case, spec in CASES.items():
-        report = serve.serve_worker_scenario(
+        report = serve.serve_plane_scenario(
             REPRESENTATION,
             fib,
             events,
             scenario="uniform",
             workers=WORKERS,
+            window=serve.DEFAULT_WINDOW,
             parity_probes=probes,
             transport="shm",
             timeout=spec["timeout"],

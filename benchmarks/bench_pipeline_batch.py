@@ -60,7 +60,6 @@ def test_compiled_agrees_with_scalar_and_dispatch(profile_fib, addresses):
     scalar = [representation.lookup(address) for address in sample]
     assert representation.lookup_batch(sample) == scalar
     assert representation.lookup_batch_dispatch(sample) == scalar
-    assert representation.lookup_batch_shared(sample) == scalar
 
 
 def test_batch_speedup(benchmark, bench_rows, profile_fib, addresses, report_writer, scale):

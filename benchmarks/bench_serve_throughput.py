@@ -61,7 +61,7 @@ def events(profile_fib):
 
 
 def _serve_once(fib, events, batched: bool):
-    return serve.serve_scenario(
+    return serve.serve_plane_scenario(
         "prefix-dag",
         fib,
         events,
@@ -124,7 +124,7 @@ def test_obs_overhead_gate(profile_fib, events, report_writer, scale):
 
     def run(instrumented: bool) -> float:
         obs = Registry() if instrumented else NULL_REGISTRY
-        report = serve.serve_scenario(
+        report = serve.serve_plane_scenario(
             "prefix-dag",
             fib,
             events,
@@ -293,7 +293,7 @@ def test_churn_table_across_planes(profile_fib, events, report_writer, scale):
     fib = profile_fib(PRIMARY_PROFILE)
     probes = uniform_trace(2000, seed=7, width=fib.width)
     reports = [
-        serve.serve_scenario(
+        serve.serve_plane_scenario(
             name,
             fib,
             events,

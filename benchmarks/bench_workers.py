@@ -158,12 +158,13 @@ def _baseline_wall(name, fib, events, options):
 def _serve_pool(name, fib, events, probes, workers, options, transport=None):
     best = None
     for _ in range(REPEAT):
-        report = serve.serve_worker_scenario(
+        report = serve.serve_plane_scenario(
             name,
             fib,
             events,
             scenario="uniform",
             workers=workers,
+            window=serve.DEFAULT_WINDOW,
             options=options,
             parity_probes=probes,
             transport=transport or serve.DEFAULT_TRANSPORT,
@@ -329,12 +330,13 @@ def test_worker_parity(profile_fib, probes, scenario, transport):
         )
     )
     for name, options in (("prefix-dag", None), ("lc-trie", None)):
-        report = serve.serve_worker_scenario(
+        report = serve.serve_plane_scenario(
             name,
             fib,
             events,
             scenario=scenario,
             workers=PARITY_WORKERS,
+            window=serve.DEFAULT_WINDOW,
             options=options,
             parity_probes=probes,
             transport=transport,

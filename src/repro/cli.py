@@ -773,8 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="frontend LRU flow cache capacity in addresses, invalidated "
-        "on churn and generation swaps (0 = off; implies --autoscale; "
-        "in-process cluster plane)",
+        "on churn and generation swaps (0 = off; implies --autoscale)",
     )
     p.add_argument(
         "--hot-share",

@@ -201,18 +201,6 @@ class RepresentationAdapter:
             return program.lookup_batch(addresses)
         return self.lookup_batch_dispatch(addresses)
 
-    def lookup_batch_shared(self, addresses: Sequence[int]) -> List[Optional[int]]:
-        """Batched LPM through the shared-fate walk (each distinct
-        duplicate/terminal-slot cohort resolves once — see
-        :meth:`FlatProgram.lookup_batch_shared` for when that pays);
-        serves through the dispatch engine when uncompiled."""
-        if not len(addresses):
-            return []
-        program = self.flat_plane()
-        if program is not None:
-            return program.lookup_batch_shared(addresses)
-        return self.lookup_batch_dispatch(addresses)
-
     def lookup_batch_dispatch(self, addresses: Sequence[int]) -> List[Optional[int]]:
         raise NotImplementedError
 

@@ -54,20 +54,14 @@ off the lookup path, resetting the log. Compilation is therefore an
 acceleration with no correctness window: lookups always run against a
 program equivalent to the live structure.
 
-``lookup_batch`` runs the program three ways, fastest available first:
+``lookup_batch`` runs the program two ways, fastest available first:
 
 * **vectorized** — when NumPy is importable (and the address width fits
   int64), the whole batch is resolved with gather operations: one fancy
   index per level over the still-live addresses, then an object-table
   gather decodes labels to Python ints/None in C;
 * **pointer-free Python loop** — the portable fallback: a handful of
-  bytecodes per level, no attribute loads, no object dereferences;
-* **shared-fate walk** (:meth:`FlatProgram.lookup_batch_shared`) —
-  resolves each distinct fate once: duplicates and terminal-root-slot
-  cohorts share one probe (a sorted ``np.unique`` dedup on the vector
-  path, per-batch memos on the portable path). An opt-in primitive for
-  callers whose per-distinct-address cost dominates; the plain paths
-  above usually win on raw lookup throughput.
+  bytecodes per level, no attribute loads, no object dereferences.
 
 Programs support **bounded-cost in-place patching**
 (:meth:`FlatProgram.patch` / :meth:`~FlatProgram.patch_many`): a deep
@@ -995,33 +989,6 @@ class FlatProgram:
             )
         return count * 8
 
-    def lookup_batch_shared(self, addresses: Sequence[int]) -> List[Optional[int]]:
-        """Batched LPM resolving shared-fate addresses together.
-
-        Duplicate addresses resolve once, and addresses landing in the
-        same terminal root slot share one probe: on the vector path via
-        a sorted dedup (``np.unique`` + inverse gather), on the portable
-        path via per-batch slot/address memos. Measured against plain
-        :meth:`lookup_batch` this only pays off when a distinct
-        resolution costs far more than the sharing bookkeeping — very
-        deep programs, extreme duplicate ratios on the Python path, or
-        callers whose downstream work is per-distinct-address. The
-        vectorized plain path is usually faster because its gathers are
-        duplicate-insensitive; benchmark before preferring this walk.
-        """
-        if not len(addresses):
-            return []
-        if self.vectorized:
-            np = _np
-            root_ptr, root_val, cell_ptr, cell_val, decode = self._ensure_views()
-            batch = self._to_vector(np, addresses)
-            unique, inverse = np.unique(batch, return_inverse=True)
-            labels = self._resolve_vector(np, unique, root_ptr, root_val,
-                                          cell_ptr, cell_val)
-            return decode[labels[inverse]].tolist()
-        check_addresses(addresses, self.width)
-        return self._batch_python_shared(addresses)
-
     # ------------------------------------------------------ vectorized plane
 
     def _to_vector(self, np, addresses: Sequence[int]):
@@ -1219,68 +1186,6 @@ class FlatProgram:
                     label = cell_val[index]
                     append(label if label else None)
                     break
-        return out
-
-    def _batch_python_shared(self, addresses: Sequence[int]) -> List[Optional[int]]:
-        """Shared-fate walk without a sort: per-batch memos keyed by
-        terminal root slot (every address under it forwards alike) and
-        by full address (for deep regions), so each distinct fate walks
-        once. A Python sort of the batch costs more than the walk it
-        would save — measured — hence dictionaries, not ordering."""
-        root_shift = self.root_shift
-        root_ptr = self.root_ptr
-        root_val = self.root_val
-        cell_ptr = self.cell_ptr
-        cell_val = self.cell_val
-        stride_mask = STRIDE_MASK
-        stride_bits = STRIDE_BITS
-        slot_memo: dict = {}
-        addr_memo: dict = {}
-        slot_get = slot_memo.get
-        addr_get = addr_memo.get
-        missing = TERMINAL  # never a valid label object
-        out: List[Optional[int]] = []
-        append = out.append
-        overlay = self._overlay
-        overlay_get = (
-            overlay.get if overlay is not None and overlay.starts else None
-        )
-        for address in addresses:
-            slot = address >> root_shift
-            label = slot_get(slot, missing)
-            if label is not missing:
-                append(label)
-                continue
-            if overlay_get is not None:
-                value = overlay_get(slot)
-                if value is not None:
-                    label = value if value else None
-                    slot_memo[slot] = label
-                    append(label)
-                    continue
-            encoded = root_ptr[slot]
-            if encoded < 0:
-                value = root_val[slot]
-                label = value if value else None
-                slot_memo[slot] = label
-                append(label)
-                continue
-            label = addr_get(address, missing)
-            if label is missing:
-                shift = root_shift
-                while True:
-                    stride = encoded & stride_mask
-                    shift -= stride
-                    index = (encoded >> stride_bits) + (
-                        (address >> shift) & ((1 << stride) - 1)
-                    )
-                    encoded = cell_ptr[index]
-                    if encoded < 0:
-                        value = cell_val[index]
-                        label = value if value else None
-                        break
-                addr_memo[address] = label
-            append(label)
         return out
 
     # ------------------------------------------------------------ simulation

@@ -5,16 +5,17 @@ The serving layer on top of the :mod:`repro.pipeline` registry: a
 representation while an update plane applies churn — incrementally
 where the representation supports §4.3 updates, via epoch-based
 background rebuild + atomic generation swap otherwise — a scenario
-scheduler scripts reproducible mixed workloads, and a
-:class:`FibCluster` shards the whole engine across N workers with a
-coordinator staggering epoch swaps (:mod:`repro.serve.cluster`):
+scheduler scripts reproducible mixed workloads, and one sharded
+frontend (:mod:`repro.serve.cluster`) spreads the engine across N
+shards — in process (:class:`FibCluster`) or as worker processes
+(:class:`WorkerPool`) — with a coordinator staggering epoch swaps:
 
 >>> from repro.core.fib import Fib
 >>> from repro import serve
 >>> fib = Fib.from_entries([(0, 0, 1), (0b101, 3, 2)])
 >>> events = serve.build_events(
 ...     serve.scenario("uniform"), fib, lookups=64, updates=4, seed=7)
->>> report = serve.serve_scenario(
+>>> report = serve.serve_plane_scenario(
 ...     "prefix-dag", fib, events, scenario="uniform")
 >>> report.lookups, report.staleness
 (64, 0.0)
@@ -45,15 +46,15 @@ from repro.serve.scenarios import (
     scenario,
     scenario_names,
 )
-from repro.serve.server import DEFAULT_REBUILD_EVERY, FibServer, serve_scenario
+from repro.serve.server import DEFAULT_REBUILD_EVERY, FibServer
 from repro.serve.cluster import (
     DEFAULT_GRANULARITY_BITS,
     PARTITION_MODES,
     EpochCoordinator,
     FibCluster,
+    ShardedFrontend,
     ShardPlan,
     plan_cluster,
-    serve_cluster_scenario,
 )
 from repro.serve.faults import (
     FAULT_KINDS,
@@ -86,7 +87,6 @@ from repro.serve.workers import (
     AsyncFibFrontend,
     WorkerError,
     WorkerPool,
-    serve_worker_scenario,
 )
 
 __all__ = [
@@ -124,6 +124,7 @@ __all__ = [
     "FibCluster",
     "FibServer",
     "ShardPlan",
+    "ShardedFrontend",
     "ShmRing",
     "build_events",
     "leaked_segments",
@@ -133,8 +134,5 @@ __all__ = [
     "scenario",
     "scenario_names",
     "shm_available",
-    "serve_cluster_scenario",
     "serve_plane_scenario",
-    "serve_scenario",
-    "serve_worker_scenario",
 ]

@@ -23,13 +23,16 @@ loop the ROADMAP's "millions of users" item asks for:
   ``flow_cache_hits_total`` / ``flow_cache_evictions_total`` on the
   obs plane.
 
-The consumers are :class:`~repro.serve.cluster.FibCluster` and
-:class:`~repro.serve.workers.WorkerPool`; this module deliberately
-imports neither, only the planning grid constants.
+The consumer is the sharded frontend
+(:class:`~repro.serve.cluster.ShardedFrontend`) that both
+:class:`~repro.serve.cluster.FibCluster` and
+:class:`~repro.serve.workers.WorkerPool` run on; this module
+deliberately imports neither, only the planning grid constants.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -107,6 +110,16 @@ class AutoscalePolicy:
             raise ValueError("flow_cache and max_hot must be non-negative")
 
 
+def as_vector(addresses):
+    """A batch as an int64 NumPy vector: packed batches (``array('q')``,
+    int64 ndarrays) by buffer view, anything else element by element."""
+    if isinstance(addresses, _np.ndarray):
+        return addresses
+    if isinstance(addresses, array) and addresses.typecode == "q":
+        return _np.frombuffer(addresses, dtype=_np.int64)
+    return _np.fromiter(addresses, dtype=_np.int64, count=len(addresses))
+
+
 class TrafficStats:
     """Per-slot lookup counters on the planner's ``2^bits`` grid.
 
@@ -147,12 +160,9 @@ class TrafficStats:
         self._obs_observed.inc(count)
         shift = self.shift
         if self._counts is not None:
-            if isinstance(addresses, _np.ndarray):
-                batch = addresses
-            else:
-                batch = _np.fromiter(addresses, dtype=_np.int64, count=count)
             self._counts += _np.bincount(
-                batch >> _np.int64(shift), minlength=self._counts.shape[0]
+                as_vector(addresses) >> _np.int64(shift),
+                minlength=self._counts.shape[0],
             )
             return
         slots = self._slots

@@ -1,12 +1,15 @@
-"""repro.serve.cluster — sharded serving across N FibServer workers.
+"""repro.serve.cluster — sharded serving: plans, one frontend, in-process shards.
 
 One :class:`~repro.serve.server.FibServer` tops out at whatever a
 single process can push through its compiled lookup plane. This module
-is the scale-out step the ROADMAP's north star asks for: a
-:class:`FibCluster` partitions the address space across N workers,
-fans every lookup batch out to the owning shards, merges the answers
-back in input order, and routes each route update to exactly the
-shard(s) whose range its prefix covers.
+is the scale-out step: a :class:`ShardPlan` partitions the address
+space across N shards, and the :class:`ShardedFrontend` fans every
+lookup batch out to the owning shards, merges the answers back in
+input order, and routes each route update to exactly the shard(s)
+whose range its prefix covers. One frontend serves every sharded shape;
+only the shards differ. :class:`FibCluster` runs them in process (the
+deterministic reference), :class:`~repro.serve.workers.WorkerPool` as
+worker processes.
 
 **Partitioning.** Two :class:`ShardPlan` modes:
 
@@ -38,7 +41,7 @@ high-water mark stays near ``total + one shard`` instead of the
 :class:`~repro.serve.metrics.ClusterReport` records per-shard
 staleness, the staggered swap count and that aggregate peak.
 
-**Clocks.** Shards are independent workers, so the cluster charges
+**Clocks.** Shards are independent workers, so the frontend charges
 each batch the *slowest participating shard's* serving time (the
 critical path — what a deployment with one worker per shard would
 observe) while also accumulating the summed busy time; the ratio is
@@ -56,7 +59,9 @@ the report's ``parallel_efficiency``.
 
 from __future__ import annotations
 
+import threading
 import time
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -66,7 +71,6 @@ from repro.core.trie import BinaryTrie, TrieNode
 from repro.datasets.updates import UpdateOp
 from repro.obs import NULL_REGISTRY, Registry
 from repro.pipeline import registry
-from repro.pipeline.flat import have_numpy
 from repro.pipeline.shard import (
     DEFAULT_GRANULARITY_BITS,
     MAX_GRANULARITY_BITS,
@@ -76,17 +80,24 @@ from repro.pipeline.shard import (
     restrict_fib,
     shard_specs,
 )
-from repro.serve.autoscale import MISS, AutoscalePolicy, FlowCache, TrafficStats
-from repro.serve.metrics import ClusterReport
+from repro.serve.autoscale import (
+    MISS,
+    AutoscalePolicy,
+    FlowCache,
+    TrafficStats,
+    as_vector,
+)
+from repro.serve.metrics import ClusterReport, ServeReport
 from repro.serve.scenarios import ServeEvent
 from repro.serve.server import DEFAULT_REBUILD_EVERY, FibServer
 
 #: Partition modes a plan understands.
 PARTITION_MODES = ("prefix", "hash")
 
-# DEFAULT_GRANULARITY_BITS / MAX_GRANULARITY_BITS now live in
-# repro.pipeline.shard (they are properties of the cut machinery, not
-# of serving) and are re-exported here for compatibility.
+try:  # the owner split and the merge vectorize when available
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
+    _np = None
 
 _MASK64 = (1 << 64) - 1
 
@@ -254,8 +265,7 @@ class ShardPlan:
         NumPy (callers fall back to :meth:`group`) and a width the
         int64 shift can carry.
         """
-        import numpy as np
-
+        np = _np
         if self.mode == "hash":
             owners = (
                 _mix64_vector(np, batch.astype(np.uint64)) % np.uint64(self.shards)
@@ -308,7 +318,7 @@ class ShardPlan:
     @property
     def vectorized(self) -> bool:
         """True when :meth:`split_vector` is usable for this plan."""
-        return have_numpy() and self.width <= _NUMPY_MAX_WIDTH
+        return _np is not None and self.width <= _NUMPY_MAX_WIDTH
 
     def materialize(self, fib: Fib) -> List[ShardSpec]:
         """One :class:`~repro.pipeline.shard.ShardSpec` per shard of
@@ -534,66 +544,638 @@ class EpochCoordinator:
     the cluster one event at a time instead of pausing all workers on
     the same tick. Incremental shards never queue pending updates and
     the coordinator leaves them alone.
+
+    ``servers`` is one object per shard, in shard order, with a
+    ``pending`` backlog and a ``rebuild()``: a ``FibServer`` in process,
+    or a worker pool's proxy for a remote worker or its publisher.
     """
 
-    def __init__(self, shards: Sequence[ClusterShard], rebuild_every: int,
+    def __init__(self, servers: Sequence[Any], rebuild_every: int,
                  on_swap=None):
         if rebuild_every < 1:
             raise ValueError(f"rebuild_every must be positive, got {rebuild_every}")
-        self._shards = list(shards)
+        self._servers = list(servers)
         self._rebuild_every = rebuild_every
         self._cursor = 0
         self.swaps = 0
-        #: Attach-time swap hook: called with the swapped shard's index
-        #: after its ``rebuild()`` returns. The shared-memory worker
-        #: plane uses it to observe generation publishes (its "shard" is
-        #: the frontend publisher whose rebuild *is* a segment publish).
+        #: Called after each swap's ``rebuild()`` returns (the frontend
+        #: drops flow-cache entries of the old generation there).
         self._on_swap = on_swap
 
-    @property
-    def rebuild_every(self) -> int:
-        return self._rebuild_every
-
     def replace_server(self, index: int, server) -> None:
-        """Swap in a fresh server behind shard ``index`` (same range and
-        route count). The worker plane's supervisor calls this after a
-        respawn: the replacement was just rebuilt from the current
-        oracle, so its pending backlog starts empty and the coordinator
-        simply stops seeing the dead proxy."""
-        for position, shard in enumerate(self._shards):
-            if shard.index == index:
-                self._shards[position] = ClusterShard(
-                    shard.index, shard.lo, shard.hi, shard.routes, server
-                )
-                return
-        raise KeyError(f"no shard with index {index}")
+        """Put a fresh server behind shard ``index``: a re-plan's
+        replacement, or a respawned worker's proxy. It was just built
+        from the current oracle, so its backlog starts empty."""
+        self._servers[index] = server
 
     def due(self) -> List[int]:
         """Shards whose backlog reached the epoch threshold."""
         return [
-            shard.index
-            for shard in self._shards
-            if len(shard.server.pending) >= self._rebuild_every
+            index
+            for index, server in enumerate(self._servers)
+            if len(server.pending) >= self._rebuild_every
         ]
 
     def tick(self) -> Optional[int]:
         """Swap the next due shard (round-robin); returns its index, or
         None when no shard is due."""
-        count = len(self._shards)
+        count = len(self._servers)
         for step in range(count):
-            shard = self._shards[(self._cursor + step) % count]
-            if len(shard.server.pending) >= self._rebuild_every:
-                self._cursor = (shard.index + 1) % count
-                shard.server.rebuild()
+            index = (self._cursor + step) % count
+            server = self._servers[index]
+            if len(server.pending) >= self._rebuild_every:
+                self._cursor = (index + 1) % count
+                server.rebuild()
                 self.swaps += 1
                 if self._on_swap is not None:
-                    self._on_swap(shard.index)
-                return shard.index
+                    self._on_swap()
+                return index
         return None
 
 
-class FibCluster:
-    """Serve one representation from N partitioned FibServer workers.
+class _Batch:
+    """One in-flight lookup batch: the token :meth:`ShardedFrontend.
+    submit_batch` hands out and :meth:`~ShardedFrontend.merge_batch`
+    completes. With a flow cache, ``out`` already holds the hits and
+    ``positions`` maps each miss back to its place in the batch."""
+
+    __slots__ = ("parts", "misses", "out", "positions", "epoch", "started")
+
+    def __init__(self, parts, misses, out, positions, epoch, started):
+        self.parts = parts
+        self.misses = misses
+        self.out = out
+        self.positions = positions
+        self.epoch = epoch
+        self.started = started
+
+
+class ShardedFrontend:
+    """The frontend every sharded plane runs on.
+
+    :class:`FibCluster` (in-process shards) and
+    :class:`~repro.serve.workers.WorkerPool` (worker processes) share
+    everything above their shards: the control oracle and update
+    acceptance, owner routing (a pending plan's owners included), the
+    flow cache, traffic observation, the drift check, plan
+    recomputation and adoption, coordinator ticks, the counters and
+    shard rows, and report assembly. So both shapes count the same
+    traffic the same way:
+
+        lookups == sum(row lookups) + flow_cache_hits
+                   + degraded_lookups + failed_lookups
+
+    Shard rows are counted here, by shard index, for the life of the
+    plane (a re-plan keeps them). A backend supplies only what differs:
+
+    ``_dispatch(batch)`` / ``_collect(parts)``
+        How shards answer a batch's slices. ``_collect`` returns one
+        ``(shard, positions, labels, seconds)`` per answered part:
+        packed int64 labels (0 = no route), ``positions`` indexing the
+        batch (None when one part is the whole batch), and ``shard``
+        None for a part the frontend answered itself (degraded).
+    ``_deliver_update(op, owners)``
+        How an accepted update reaches shard state; returns the
+        seconds to charge the update clock.
+    ``_begin_replan()`` / ``_advance_replan(wait)``
+        How a pending plan is adopted; the backend calls
+        :meth:`_adopt_plan` once its shards serve the new plan.
+    ``_drain()``, ``_probe(shard, addresses)``, ``incremental``
+        Quiescing the update plane, the uncounted parity probe, and the
+        update-plane mode.
+
+    The backend also sets ``_coordinator``, an :class:`EpochCoordinator`
+    over whatever stands for its shards' update planes.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        fib: Fib,
+        plan: ShardPlan,
+        *,
+        rebuild_every: int,
+        autoscale: Optional[AutoscalePolicy],
+        obs: Registry,
+    ) -> None:
+        self._spec = registry.get(name)
+        self._control = fib.copy()
+        self._plan = plan
+        self._rebuild_every = rebuild_every
+        self._policy = autoscale
+        self._obs = obs
+        self._traffic: Optional[TrafficStats] = None
+        self._flow_cache: Optional[FlowCache] = None
+        if autoscale is not None:
+            self._traffic = TrafficStats(fib.width, autoscale.granularity, obs=obs)
+            if autoscale.flow_cache:
+                self._flow_cache = FlowCache(autoscale.flow_cache, obs=obs)
+        self._pending_plan: Optional[ShardPlan] = None
+        self._closed = False
+        # Serializes oracle edits against topology changes (re-plans;
+        # on a pool also publishes, respawns, degraded serving, close).
+        # Re-entrant: a respawn replays the update delta by publishing.
+        self._lock = threading.RLock()
+        # Merges may run on executor threads (the async frontend's
+        # window), so counter folding and the flow cache take locks.
+        self._account_lock = threading.Lock()
+        self._cache_lock = threading.Lock()
+        self._lookups = 0
+        self._batches = 0
+        self._updates_applied = 0
+        self._updates_skipped = 0
+        self._fanout_total = 0
+        self._lookup_seconds = 0.0       # critical path: slowest shard per batch
+        self._busy_lookup_seconds = 0.0  # summed shard serving time
+        self._update_seconds = 0.0
+        self._replan_seconds = 0.0
+        self._row_lookups = [0] * plan.shards
+        self._row_seconds = [0.0] * plan.shards
+        self._degraded_lookups = 0
+        self._failed_lookups = 0
+        self._replans = 0
+        self._lookups_during_replan = 0
+        self._last_replan_lookups = 0
+        self._obs_replans = obs.counter(
+            "autoscale_replans_total", "completed live traffic re-plans"
+        )
+        self._obs_imbalance = obs.gauge(
+            "autoscale_lookup_imbalance",
+            "observed lookup imbalance at the last drift check",
+        )
+        self._obs_fanout = obs.histogram(
+            "cluster_fanout_seconds",
+            "whole-batch fan-out + merge wall time (submit to merged)",
+        )
+        busy = obs.gauge(
+            "cluster_shard_busy_seconds",
+            "cumulative per-shard lookup busy time",
+            labelnames=("shard",),
+        )
+        self._obs_shard_busy = [busy.labels(index) for index in range(plan.shards)]
+
+    # ------------------------------------------------------------- properties
+
+    @property
+    def name(self) -> str:
+        return self._spec.name
+
+    @property
+    def plan(self) -> ShardPlan:
+        return self._plan
+
+    @property
+    def control(self) -> Fib:
+        """The plane-wide continuously-updated tabular oracle."""
+        return self._control
+
+    @property
+    def coordinator(self) -> EpochCoordinator:
+        return self._coordinator
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Release the plane (idempotent; in process nothing OS-level
+        is held)."""
+        self._closed = True
+
+    def settle(self, timeout: Optional[float] = None) -> bool:
+        """Block until no shard is down-but-recoverable; in-process
+        shards never are."""
+        return True
+
+    # ---------------------------------------------------------------- lookups
+
+    def lookup(self, address: int) -> Optional[int]:
+        """Serve one address through its owning shard."""
+        return self.lookup_batch([address])[0]
+
+    def lookup_batch(self, addresses: Sequence[int]) -> List[Optional[int]]:
+        """Serve one batch synchronously: fan out, wait, merge in input
+        order."""
+        token, count = self.submit_batch(addresses)
+        return self.merge_batch(token, count)
+
+    def lookup_batch_packed(self, addresses: Sequence[int]) -> bytes:
+        """Serve one batch as packed native int64 labels (0 = no route),
+        the zero-boxing :class:`~repro.serve.plane.ServingPlane` surface."""
+        token, count = self.submit_batch(addresses)
+        if not count:
+            return b""
+        return self.merge_batch(token, count, decode=False).tobytes()
+
+    def submit_batch(self, addresses: Sequence[int]):
+        """Fan one batch out to its owning shards, without waiting.
+
+        The coordinator gets its per-event tick first, then the control
+        loop its step (fold the batch into the traffic grid, advance an
+        in-flight re-plan, or check drift). Flow-cache hits are answered
+        here and charge no shard; the misses go out. Returns the
+        in-flight token ``(batch, count)`` that :meth:`merge_batch`
+        completes.
+        """
+        self._tick()
+        self._batches += 1
+        count = len(addresses)
+        if not count:
+            return None, 0
+        if self._traffic is not None:
+            self._traffic.observe(addresses)
+            self._autoscale_step(count)
+        # The fan-out clock starts after the control-loop step, so a
+        # re-plan's replacement builds never land on a batch's latency.
+        started = time.perf_counter()
+        cache = self._flow_cache
+        misses, out, positions, epoch = addresses, None, None, 0
+        if cache is not None:
+            misses, out, positions = [], [None] * count, []
+            with self._cache_lock:
+                epoch = cache.invalidations
+                get = cache.get
+                for position, address in enumerate(addresses):
+                    label = get(address)
+                    if label is MISS:
+                        misses.append(address)
+                        positions.append(position)
+                    else:
+                        out[position] = label
+        self._lookups += count
+        try:
+            parts = self._dispatch(misses) if len(misses) else ()
+        except Exception:
+            # Offered but never answered: that is what availability
+            # counts (a dead shard with no recovery path, a bad batch).
+            with self._account_lock:
+                self._failed_lookups += len(misses)
+            raise
+        return _Batch(parts, misses, out, positions, epoch, started), count
+
+    def merge_batch(self, token, count: int, decode: bool = True):
+        """Await every shard's part and merge in input order.
+
+        ``decode=False`` keeps the merged labels packed (an int64 array,
+        0 = no route): a serving frontend forwards labels rather than
+        boxing them. A flow-cache fill is dropped when the cache was
+        invalidated after this batch was submitted (its answers may
+        describe an older generation).
+        """
+        if not count:
+            return []
+        try:
+            answered = self._collect(token.parts) if token.parts else ()
+        except Exception:
+            with self._account_lock:
+                self._failed_lookups += len(token.misses)
+            raise
+        self._account(answered)
+        merged = _merge(answered, len(token.misses))
+        out = token.out
+        if out is not None:
+            if len(token.misses):
+                cache = self._flow_cache
+                with self._cache_lock:
+                    fill = cache.put if cache.invalidations == token.epoch else None
+                    for position, address, label in zip(
+                        token.positions, token.misses, merged.tolist()
+                    ):
+                        label = label or None
+                        out[position] = label
+                        if fill is not None:
+                            fill(address, label)
+            merged = out if decode else array("q", [label or 0 for label in out])
+        elif decode:
+            merged = [label if label else None for label in merged.tolist()]
+        with self._account_lock:
+            self._obs_fanout.observe(time.perf_counter() - token.started)
+        return merged
+
+    def _split(self, batch):
+        """Owner split -> ``[(shard, positions, slice)]``; ``positions``
+        index the batch (None: one shard takes it whole). Vectorized
+        (:meth:`ShardPlan.split_vector`) where the plan allows it, the
+        portable :meth:`ShardPlan.group` otherwise."""
+        plan = self._plan
+        if plan.shards == 1:
+            return [(0, None, batch)]
+        if plan.vectorized:
+            groups = plan.split_vector(as_vector(batch))
+        else:
+            groups = plan.group(batch)
+        return [(shard, positions, part) for shard, (positions, part) in groups.items()]
+
+    def _account(self, answered) -> None:
+        """Fold one batch's answered parts into the shard rows and the
+        clocks: the batch is charged its slowest shard (the critical
+        path a one-worker-per-shard deployment observes), while the
+        summed busy time feeds ``parallel_efficiency``."""
+        critical = busy = 0.0
+        with self._account_lock:
+            for shard, _, labels, seconds in answered:
+                served = len(labels) // 8
+                if shard is None:
+                    self._degraded_lookups += served
+                    continue
+                self._row_lookups[shard] += served
+                self._row_seconds[shard] += seconds
+                self._obs_shard_busy[shard].add(seconds)
+                busy += seconds
+                if seconds > critical:
+                    critical = seconds
+            self._busy_lookup_seconds += busy
+            self._lookup_seconds += critical
+
+    # ---------------------------------------------------------------- updates
+
+    def apply_update(self, op: UpdateOp) -> bool:
+        """Apply one operation to the oracle, then route it to every
+        shard covering its prefix.
+
+        Bogus withdrawals are skipped plane-wide, so no shard ever sees
+        them. While a re-plan is in flight the pending plan's owners get
+        the operation too: a shard already serving (or built for) its
+        new range must not miss churn there. Extra deliveries are
+        harmless — a restricted shard absorbs an out-of-range announce
+        and skips a withdrawal of a route it never held.
+        """
+        started = time.perf_counter()
+        with self._lock:
+            try:
+                self._control.update(op.prefix, op.length, op.label)
+            except KeyError:
+                self._updates_skipped += 1
+                with self._account_lock:
+                    self._update_seconds += time.perf_counter() - started
+                return False
+            owners = self._plan.owners(op.prefix, op.length)
+            if self._pending_plan is not None:
+                pending = self._pending_plan.owners(op.prefix, op.length)
+                owners = tuple(sorted(set(owners) | set(pending)))
+            spent = time.perf_counter() - started
+            spent += self._deliver_update(op, owners)
+        with self._account_lock:
+            self._update_seconds += spent
+        self._invalidate_flow_cache()
+        self._updates_applied += 1
+        self._fanout_total += len(owners)
+        self._tick()
+        if self._pending_plan is not None:
+            self._advance_replan()
+        return True
+
+    def apply_updates(self, ops: Sequence[UpdateOp]) -> int:
+        """Apply a sequence of operations; returns how many were
+        accepted (the :class:`~repro.serve.plane.ServingPlane` batch
+        update surface)."""
+        return sum(1 for op in ops if self.apply_update(op))
+
+    def quiesce(self) -> None:
+        """Drain the update plane, completing an in-flight re-plan
+        first, so a quiesced plane serves exactly its reported plan."""
+        self.settle()
+        while self._pending_plan is not None and not self._closed:
+            self._advance_replan(wait=True)
+        self._drain()
+
+    def _invalidate_flow_cache(self) -> None:
+        """Drop every cached label: an accepted update, a generation
+        swap or a plan adoption may have changed the answers."""
+        if self._flow_cache is not None:
+            with self._cache_lock:
+                self._flow_cache.invalidate()
+
+    def _tick(self) -> None:
+        """The coordinator's per-event chance to stagger one swap."""
+        if self._coordinator.due():
+            self._coordinator.tick()
+
+    # -------------------------------------------------------------- autoscale
+
+    def _autoscale_step(self, batch_size: int) -> None:
+        """One control-loop step per lookup batch: advance an in-flight
+        re-plan, or check drift at the policy cadence. The gates —
+        cadence, observation window, post-replan cooldown — keep the
+        O(2^G) imbalance computation off the common path."""
+        if self._pending_plan is not None:
+            self._lookups_during_replan += batch_size
+            self._advance_replan()
+            return
+        policy = self._policy
+        if (
+            self._plan.mode != "prefix"
+            or self._plan.shards < 2
+            or self._batches % policy.check_every
+            or self._traffic.total < policy.min_window
+            or self._lookups - self._last_replan_lookups < policy.cooldown
+        ):
+            return
+        imbalance = self._traffic.imbalance(self._plan)
+        self._obs_imbalance.set(imbalance)
+        if imbalance <= policy.imbalance_threshold:
+            return
+        with self._lock:
+            if self._closed or self._pending_plan is not None:
+                return
+            plan = plan_cluster(
+                self._control,
+                self._plan.shards,
+                mode="prefix",
+                traffic=self._traffic.snapshot(),
+                hot_share=policy.hot_share,
+                max_hot=policy.max_hot,
+                spray_seed=policy.spray_seed,
+            )
+            if plan.bounds == self._plan.bounds and plan.hot == self._plan.hot:
+                # The observed skew already matches the serving plan as
+                # well as the grid can: start a fresh window instead of
+                # churning.
+                self._restart_window()
+                return
+            self._pending_plan = plan
+            self._begin_replan()
+        if self._pending_plan is not None:
+            self._lookups_during_replan += batch_size
+
+    def _restart_window(self) -> None:
+        self._traffic.reset()
+        self._last_replan_lookups = self._lookups
+
+    def _abort_replan(self) -> None:
+        """Walk back a re-plan that lost a shard mid-adoption; the drift
+        check re-triggers once traffic re-accumulates."""
+        self._pending_plan = None
+        self._restart_window()
+
+    def _adopt_plan(self) -> None:
+        """The pending plan takes over (the backend's shards serve it)."""
+        self._plan = self._pending_plan
+        self._pending_plan = None
+        self._replans += 1
+        self._obs_replans.inc()
+        self._restart_window()
+        self._invalidate_flow_cache()
+
+    # ----------------------------------------------------------------- replay
+
+    def replay(self, events: Sequence[ServeEvent]) -> None:
+        """Run one scenario script (see :mod:`repro.serve.scenarios`)."""
+        for event in events:
+            if event.is_lookup:
+                token, count = self.submit_batch(event.addresses)
+                self.merge_batch(token, count, decode=False)
+            else:
+                self.apply_update(event.op)
+
+    def parity_fraction(self, addresses: Sequence[int]) -> float:
+        """Fraction of probe addresses agreeing with the oracle, each
+        served by its owning shard over the uncounted probe path."""
+        if not addresses:
+            return 1.0
+        self.settle()
+        oracle = self._control.lookup
+        agreed = 0
+        for shard, (_, part) in self._plan.group(list(addresses)).items():
+            served = self._probe(shard, part)
+            agreed += sum(
+                1 for address, label in zip(part, served)
+                if (label or None) == oracle(address)
+            )
+        return agreed / len(addresses)
+
+    # ---------------------------------------------------------------- metrics
+
+    @property
+    def replicated_routes(self) -> int:
+        """Routes currently present in more than one shard, from the
+        live control FIB (churn can announce or withdraw
+        boundary-spanning routes, so this is recomputed, not cached)."""
+        plan = self._plan
+        if plan.shards == 1:
+            return 0
+        if plan.mode == "hash":
+            return len(self._control)
+        crossing = {
+            (route.prefix, route.length)
+            for route in boundary_routes(self._control, plan.bounds)
+        }
+        if plan.hot:
+            # Hot-range routes replicate into every shard by design.
+            for route in self._control:
+                span_lo, span_hi = prefix_span(route.prefix, route.length, plan.width)
+                if any(span_lo < hi and lo < span_hi for lo, hi in plan.hot):
+                    crossing.add((route.prefix, route.length))
+        return len(crossing)
+
+    def _report_fields(
+        self, scenario: str, final_parity: Optional[float], rows: Sequence[dict]
+    ) -> Dict[str, Any]:
+        """The report fields every sharded shape counts the same way.
+        ``rows`` holds one dict of backend-owned fields per shard."""
+        applied = self._updates_applied
+        cache = self._flow_cache
+        shard_rows = []
+        for index, extra in enumerate(rows):
+            lo, hi = self._plan.shard_range(index)
+            shard_rows.append({
+                "shard": index,
+                "lo": lo,
+                "hi": hi,
+                "lookups": self._row_lookups[index],
+                "lookup_seconds": self._row_seconds[index],
+                **extra,
+            })
+        return dict(
+            name=self.name,
+            title=self._spec.title,
+            scenario=scenario,
+            incremental=self.incremental,
+            lookups=self._lookups,
+            batches=self._batches,
+            updates_applied=applied,
+            updates_skipped=self._updates_skipped,
+            lookup_seconds=self._lookup_seconds,
+            final_parity=final_parity,
+            shards=self._plan.shards,
+            partition=self._plan.mode,
+            replicated_routes=self.replicated_routes,
+            update_fanout=(self._fanout_total / applied) if applied else 0.0,
+            busy_lookup_seconds=self._busy_lookup_seconds,
+            coordinator_swaps=self._coordinator.swaps,
+            shard_rows=tuple(shard_rows),
+            replans=self._replans,
+            lookups_during_replan=self._lookups_during_replan,
+            hot_ranges=len(self._plan.hot),
+            # ``is not None``: FlowCache has __len__, so a freshly
+            # invalidated (empty) cache is falsy.
+            flow_cache_lookups=cache.lookups if cache is not None else 0,
+            flow_cache_hits=cache.hits if cache is not None else 0,
+            flow_cache_evictions=cache.evictions if cache is not None else 0,
+            degraded_lookups=self._degraded_lookups,
+            failed_lookups=self._failed_lookups,
+        )
+
+
+def shard_row_fields(record: ServeReport) -> Dict[str, Any]:
+    """The update-plane fields of one shard row, from that shard's
+    :class:`~repro.serve.metrics.ServeReport`."""
+    return {
+        "staleness": record.staleness,
+        "rebuilds": record.rebuilds,
+        "generation": record.generation,
+        "size_bits": record.size_bits,
+        "peak_size_bits": record.peak_size_bits,
+    }
+
+
+def plane_totals(records: Sequence[ServeReport]) -> Dict[str, Any]:
+    """Update-plane report totals summed over per-shard reports."""
+    return {
+        field: sum(getattr(record, field) for record in records)
+        for field in (
+            "rebuilds", "generation", "pending_updates", "stale_lookups",
+            "label_mismatches", "update_seconds", "rebuild_seconds",
+            "size_bits", "peak_size_bits", "rebuild_cycles",
+        )
+    }
+
+
+def _merge(answered, count: int):
+    """Scatter the parts' packed labels into one int64 vector (0 = no
+    route) in input order."""
+    if len(answered) == 1 and answered[0][1] is None:  # one part, whole batch
+        labels = answered[0][2]
+        return _np.frombuffer(labels, dtype=_np.int64) if _np is not None else unpack(labels)
+    if _np is not None:
+        merged = _np.empty(count, dtype=_np.int64)
+        for _, positions, labels, _ in answered:
+            if isinstance(positions, (bytes, bytearray)):
+                positions = _np.frombuffer(positions, dtype=_np.int64)
+            merged[positions] = _np.frombuffer(labels, dtype=_np.int64)
+        return merged
+    merged = array("q", bytes(8 * count))
+    for _, positions, labels, _ in answered:
+        if isinstance(positions, (bytes, bytearray)):
+            positions = unpack(positions)
+        for position, label in zip(positions, unpack(labels)):
+            merged[position] = label
+    return merged
+
+
+def unpack(payload: bytes) -> array:
+    """Packed int64 bytes -> ``array('q')``."""
+    values = array("q")
+    values.frombytes(payload)
+    return values
+
+
+class FibCluster(ShardedFrontend):
+    """Serve one representation from N partitioned in-process
+    FibServer shards — the deterministic reference shape of the
+    sharded frontend.
 
     Parameters mirror :class:`~repro.serve.server.FibServer`, plus:
 
@@ -612,10 +1194,10 @@ class FibCluster:
         drifts past the policy threshold. The re-plan is **live**: one
         replacement shard is built per served event off the lookup
         path (the epoch coordinator's staggering, applied to whole
-        shards), the old plan keeps serving throughout, and the flip
-        is a single reference swap — no global pause, oracle parity
-        held. The policy's ``flow_cache`` adds a generation-invalidated
-        frontend LRU in front of the fan-out.
+        shards) with later updates teed in, the old plan keeps serving
+        throughout, and the flip is a single reference swap — no global
+        pause, oracle parity held. The policy's ``flow_cache`` adds a
+        generation-invalidated frontend LRU in front of the fan-out.
     """
 
     def __init__(
@@ -633,107 +1215,50 @@ class FibCluster:
         autoscale: Optional[AutoscalePolicy] = None,
         obs: Registry = NULL_REGISTRY,
     ):
-        self._plan = plan_cluster(fib, shards, mode=partition, granularity=granularity)
-        self._spec = registry.get(name)
+        plan = plan_cluster(fib, shards, mode=partition, granularity=granularity)
+        super().__init__(
+            name, fib, plan, rebuild_every=rebuild_every, autoscale=autoscale, obs=obs
+        )
         self._options = dict(options or {})
-        self._rebuild_every = rebuild_every
         self._batched = batched
         self._measure_staleness = measure_staleness
-        self._control = fib.copy()
-        self._shards: List[ClusterShard] = []
-        for spec in self._plan.materialize(fib):
-            server = FibServer(
-                name,
-                spec.fib,
-                options=self._options,
-                rebuild_every=rebuild_every,
-                batched=batched,
-                measure_staleness=measure_staleness,
-                auto_rebuild=False,  # the coordinator owns epoch swaps
-                # One shared registry: shard servers are threads of the
-                # same process, so their serve_* series aggregate.
-                obs=obs,
+        self._shards = [
+            ClusterShard(
+                spec.index, spec.lo, spec.hi, spec.routes, self._build_server(spec.fib)
             )
-            self._shards.append(
-                ClusterShard(spec.index, spec.lo, spec.hi, spec.routes, server)
-            )
-        self._coordinator = EpochCoordinator(
-            self._shards, rebuild_every, on_swap=self._on_generation_swap
-        )
-        self._obs = obs
-        self._policy = autoscale
-        self._traffic: Optional[TrafficStats] = None
-        self._flow_cache: Optional[FlowCache] = None
-        if autoscale is not None:
-            self._traffic = TrafficStats(
-                fib.width, autoscale.granularity, obs=obs
-            )
-            if autoscale.flow_cache:
-                self._flow_cache = FlowCache(autoscale.flow_cache, obs=obs)
-        self._pending_plan: Optional[ShardPlan] = None
-        self._pending_built: List[Optional[FibServer]] = []
-        self._replans = 0
-        self._lookups_during_replan = 0
-        self._replan_seconds = 0.0
-        self._last_replan_lookups = 0
-        self._obs_replans = obs.counter(
-            "autoscale_replans_total", "completed live traffic re-plans"
-        )
-        self._obs_imbalance = obs.gauge(
-            "autoscale_lookup_imbalance",
-            "observed lookup imbalance at the last drift check",
-        )
-        self._obs_fanout = obs.histogram(
-            "cluster_fanout_seconds",
-            "whole-batch fan-out + merge wall time (critical path and "
-            "frontend merge work included)",
-        )
-        self._obs_shard_busy = [
-            obs.gauge(
-                "cluster_shard_busy_seconds",
-                "cumulative per-shard lookup busy time",
-                labelnames=("shard",),
-            ).labels(shard.index)
-            for shard in self._shards
+            for spec in plan.materialize(fib)
         ]
-        self._lookups = 0
-        self._batches = 0
-        self._updates_applied = 0
-        self._updates_skipped = 0
-        self._fanout_total = 0
-        self._lookup_seconds = 0.0
-        self._busy_lookup_seconds = 0.0
-        self._update_seconds = 0.0
+        self._coordinator = EpochCoordinator(
+            [shard.server for shard in self._shards],
+            rebuild_every,
+            on_swap=self._invalidate_flow_cache,
+        )
+        self._pending_built: List[Optional[FibServer]] = []
         self._peak_size_bits = self._total_size_bits()
 
-    # ------------------------------------------------------------- properties
-
-    @property
-    def name(self) -> str:
-        return self._spec.name
-
-    @property
-    def plan(self) -> ShardPlan:
-        return self._plan
+    def _build_server(self, fib: Fib) -> FibServer:
+        return FibServer(
+            self.name,
+            fib,
+            options=self._options,
+            rebuild_every=self._rebuild_every,
+            batched=self._batched,
+            measure_staleness=self._measure_staleness,
+            auto_rebuild=False,  # the coordinator owns epoch swaps
+            # One shared registry: shard servers are threads of the
+            # same process, so their serve_* series aggregate.
+            obs=self._obs,
+        )
 
     @property
     def shards(self) -> Tuple[ClusterShard, ...]:
         return tuple(self._shards)
 
     @property
-    def control(self) -> Fib:
-        """The cluster-wide continuously-updated tabular oracle."""
-        return self._control
-
-    @property
     def incremental(self) -> bool:
         """True when shard updates land in serving structures directly
         (all shards host the same representation, so they agree)."""
         return self._shards[0].server.incremental
-
-    @property
-    def coordinator(self) -> EpochCoordinator:
-        return self._coordinator
 
     @property
     def is_stale(self) -> bool:
@@ -747,325 +1272,107 @@ class FibCluster:
             f"plane={'incremental' if self.incremental else 'rebuild'})"
         )
 
-    # ---------------------------------------------------------------- lookups
-
-    def lookup(self, address: int) -> Optional[int]:
-        """Serve one address through its owning shard."""
-        return self.lookup_batch([address])[0]
-
-    def lookup_batch(self, addresses: Sequence[int]) -> List[Optional[int]]:
-        """Fan a batch out to the owning shards, merge in input order.
-
-        The coordinator gets its per-event tick first (a due shard swaps
-        off the lookup path, charged to its rebuild clock), then the
-        autoscaler gets its step — fold the batch into the traffic
-        grid, advance an in-flight re-plan by one shard, or check for
-        drift. The batch is then charged the slowest shard's serving
-        time — the critical path a one-worker-per-shard deployment
-        would observe — while the summed busy time feeds
-        ``parallel_efficiency``. Flow-cache hits short-circuit at the
-        frontend and charge no shard at all.
-        """
-        self._tick()
-        self._batches += 1
-        if not len(addresses):
-            return []
-        if self._traffic is not None:
-            self._traffic.observe(addresses)
-            self._autoscale_step(len(addresses))
-        fanout_started = time.perf_counter()
-        out: List[Optional[int]] = [None] * len(addresses)
-        cache = self._flow_cache
-        if cache is None:
-            misses = addresses
-            miss_positions: Optional[List[int]] = None
-        else:
-            misses = []
-            miss_positions = []
-            get = cache.get
-            for position, address in enumerate(addresses):
-                label = get(address)
-                if label is MISS:
-                    misses.append(address)
-                    miss_positions.append(position)
-                else:
-                    out[position] = label
-        critical = 0.0
-        if len(misses):
-            for index, (positions, slice_) in self._plan.group(misses).items():
-                server = self._shards[index].server
-                lookup_before = server.lookup_seconds
-                update_before = server.update_seconds
-                labels = server.lookup_batch(slice_)
-                spent = server.lookup_seconds - lookup_before
-                # Patch-log drains inside the shard are churn-induced work.
-                self._update_seconds += server.update_seconds - update_before
-                self._busy_lookup_seconds += spent
-                self._obs_shard_busy[index].add(spent)
-                if spent > critical:
-                    critical = spent
-                if miss_positions is None:
-                    for position, label in zip(positions, labels):
-                        out[position] = label
-                else:
-                    put = cache.put
-                    for position, address, label in zip(
-                        positions, slice_, labels
-                    ):
-                        out[miss_positions[position]] = label
-                        put(address, label)
-        self._lookup_seconds += critical
-        self._lookups += len(addresses)
-        self._obs_fanout.observe(time.perf_counter() - fanout_started)
-        return out
-
     def lookup_batch_packed(self, addresses: Sequence[int]) -> bytes:
         """Packed-label twin of :meth:`lookup_batch` (native int64 with
-        0 = no route), matching the single-server wire shape."""
-        from array import array
-
+        0 = no route), served through it."""
         return array(
             "q", [label if label else 0 for label in self.lookup_batch(addresses)]
         ).tobytes()
 
-    # ---------------------------------------------------------------- updates
+    # ---------------------------------------------------------------- backend
 
-    def apply_update(self, op: UpdateOp) -> bool:
-        """Route one operation to every shard covering its prefix.
+    def _dispatch(self, batch):
+        """In-process shards answer their slices right away."""
+        parts = []
+        for shard, positions, part in self._split(batch):
+            server = self._shards[shard].server
+            lookup_before = server.lookup_seconds
+            update_before = server.update_seconds
+            labels = server.lookup_batch_packed(part)
+            # Patch-log drains inside the shard are churn-induced work.
+            self._update_seconds += server.update_seconds - update_before
+            parts.append(
+                (shard, positions, labels, server.lookup_seconds - lookup_before)
+            )
+        return parts
 
-        The cluster oracle applies the operation first (bogus
-        withdrawals are skipped cluster-wide, so no shard ever sees
-        them); accepted operations then fan out to the owning shard(s)
-        — one in the common case, several when the prefix spans a cut,
-        all of them under hash partitioning. The fan-out is charged the
-        slowest shard's update time (the shards apply concurrently in a
-        deployment) plus the oracle edit.
-        """
-        started = time.perf_counter()
-        try:
-            self._control.update(op.prefix, op.length, op.label)
-        except KeyError:
-            self._updates_skipped += 1
-            self._update_seconds += time.perf_counter() - started
-            return False
-        self._update_seconds += time.perf_counter() - started
-        owners = self._plan.owners(op.prefix, op.length)
+    def _collect(self, parts):
+        return parts
+
+    def _probe(self, shard: int, addresses: Sequence[int]):
+        return self._shards[shard].server.representation.lookup_batch(addresses)
+
+    def _deliver_update(self, op: UpdateOp, owners: Sequence[int]) -> float:
+        """Apply to every owning shard — and to the replacement shards
+        an in-flight re-plan already built from an older oracle
+        snapshot, or the flip would time-travel. Charged the slowest
+        shard (the shards apply concurrently in a deployment)."""
         critical = 0.0
         for index in owners:
             server = self._shards[index].server
             update_before = server.update_seconds
             server.apply_update(op)
-            spent = server.update_seconds - update_before
-            if spent > critical:
-                critical = spent
-        self._update_seconds += critical
-        if self._pending_plan is not None:
-            # Replacement shards already built from an older control
-            # snapshot must see this update too, or the flip would
-            # time-travel. Restricted servers absorb out-of-range ops
-            # harmlessly (withdrawals of absent routes are skipped).
-            for server in self._pending_built:
-                if server is not None:
-                    server.apply_update(op)
-        if self._flow_cache is not None:
-            self._flow_cache.invalidate()
-        self._updates_applied += 1
-        self._fanout_total += len(owners)
-        self._tick()
-        if self._pending_plan is not None:
-            self._advance_replan()
-        if self._updates_applied % self._coordinator.rebuild_every == 0:
+            critical = max(critical, server.update_seconds - update_before)
+            if self._pending_built and self._pending_built[index] is not None:
+                self._pending_built[index].apply_update(op)
+        if self._updates_applied % self._rebuild_every == 0:
             self._sample_size()
-        return True
-
-    def quiesce(self) -> None:
-        """Drain every shard's update plane (still one swap at a time),
-        completing any in-flight re-plan first so the flipped shards
-        are the ones drained."""
-        while self._pending_plan is not None:
-            self._advance_replan()
-        for shard in self._shards:
-            if shard.server.pending:
-                self._swap(shard)
-
-    # -------------------------------------------------------------- autoscale
-
-    def _autoscale_step(self, batch_size: int) -> None:
-        """One control-loop step per lookup batch: advance an in-flight
-        re-plan by one shard, or check drift at the policy cadence."""
-        if self._pending_plan is not None:
-            self._lookups_during_replan += batch_size
-            self._advance_replan()
-            return
-        policy = self._policy
-        if (
-            self._plan.mode != "prefix"
-            or self._plan.shards < 2
-            or self._batches % policy.check_every
-            or self._traffic.total < policy.min_window
-            or self._lookups - self._last_replan_lookups < policy.cooldown
-        ):
-            return
-        imbalance = self._traffic.imbalance(self._plan)
-        self._obs_imbalance.set(imbalance)
-        if imbalance <= policy.imbalance_threshold:
-            return
-        plan = plan_cluster(
-            self._control,
-            self._plan.shards,
-            mode="prefix",
-            traffic=self._traffic.snapshot(),
-            hot_share=policy.hot_share,
-            max_hot=policy.max_hot,
-            spray_seed=policy.spray_seed,
-        )
-        if plan.bounds == self._plan.bounds and plan.hot == self._plan.hot:
-            # The observed skew already matches the serving plan as well
-            # as the grid can: start a fresh window instead of churning.
-            self._traffic.reset()
-            self._last_replan_lookups = self._lookups
-            return
-        self._pending_plan = plan
-        self._pending_built = [None] * plan.shards
-        self._lookups_during_replan += batch_size
-
-    def _advance_replan(self) -> None:
-        """Build ONE replacement shard off the lookup path (the epoch
-        coordinator's staggering applied to whole shards); flip the
-        plan atomically once the last one stands. The old plan serves
-        every batch in between — a re-plan never pauses the cluster."""
-        plan = self._pending_plan
-        built = self._pending_built
-        try:
-            index = built.index(None)
-        except ValueError:  # pragma: no cover - flip happens on last build
-            index = -1
-        if index >= 0:
-            started = time.perf_counter()
-            lo, hi = plan.bounds[index], plan.bounds[index + 1]
-            total_before = self._total_size_bits() + sum(
-                server.representation.size_bits()
-                for server in built
-                if server is not None
-            )
-            restricted = (
-                self._control.copy()
-                if (lo, hi) == (0, 1 << plan.width)
-                else restrict_fib(self._control, lo, hi, extra=plan.hot)
-            )
-            server = FibServer(
-                self.name,
-                restricted,
-                options=self._options,
-                rebuild_every=self._rebuild_every,
-                batched=self._batched,
-                measure_staleness=self._measure_staleness,
-                auto_rebuild=False,
-                obs=self._obs,
-            )
-            built[index] = server
-            self._replan_seconds += time.perf_counter() - started
-            # Both generations overlap while the re-plan is in flight.
-            self._note_peak(total_before + server.representation.size_bits())
-        if all(server is not None for server in built):
-            self._finish_replan()
-
-    def _finish_replan(self) -> None:
-        plan = self._pending_plan
-        shards = [
-            ClusterShard(
-                index,
-                plan.bounds[index],
-                plan.bounds[index + 1],
-                len(server.control),
-                server,
-            )
-            for index, server in enumerate(self._pending_built)
-        ]
-        self._plan = plan
-        self._shards = shards
-        self._coordinator = EpochCoordinator(
-            shards, self._rebuild_every, on_swap=self._on_generation_swap
-        )
-        self._pending_plan = None
-        self._pending_built = []
-        self._replans += 1
-        self._obs_replans.inc()
-        self._last_replan_lookups = self._lookups
-        if self._traffic is not None:
-            self._traffic.reset()
-        if self._flow_cache is not None:
-            self._flow_cache.invalidate()
-
-    def _on_generation_swap(self, index: int) -> None:
-        """Epoch-swap hook: a shard just rolled a new generation, so any
-        frontend-cached labels may describe the old one."""
-        if self._flow_cache is not None:
-            self._flow_cache.invalidate()
-
-    # ------------------------------------------------------------ coordinator
+        return critical
 
     def _tick(self) -> None:
-        """Give the coordinator its per-event chance to stagger a swap,
-        and account the epoch overlap into the cluster memory peak."""
+        """The coordinator's per-event chance to stagger a swap, with
+        the epoch overlap accounted into the cluster memory peak."""
         if not self._coordinator.due():
             return
         total_before = self._total_size_bits()
         index = self._coordinator.tick()
-        if index is None:  # pragma: no cover - due() just said otherwise
-            return
-        fresh = self._shards[index].server.representation.size_bits()
         # Only this one shard held two generations during the swap.
-        self._note_peak(total_before + fresh)
+        self._note_peak(
+            total_before + self._shards[index].server.representation.size_bits()
+        )
 
-    def _swap(self, shard: ClusterShard) -> None:
-        total_before = self._total_size_bits()
-        shard.server.rebuild()
-        fresh = shard.server.representation.size_bits()
-        self._note_peak(total_before + fresh)
-        self._on_generation_swap(shard.index)
+    def _drain(self) -> None:
+        for shard in self._shards:
+            if shard.server.pending:
+                total_before = self._total_size_bits()
+                shard.server.rebuild()
+                self._note_peak(total_before + shard.server.representation.size_bits())
+                self._invalidate_flow_cache()
 
-    # ----------------------------------------------------------------- replay
+    def _begin_replan(self) -> None:
+        self._pending_built = [None] * self._pending_plan.shards
 
-    def apply_updates(self, ops: Sequence[UpdateOp]) -> int:
-        """Apply a sequence of operations; returns how many were
-        accepted (the :class:`~repro.serve.plane.ServingPlane` batch
-        update surface)."""
-        return sum(1 for op in ops if self.apply_update(op))
-
-    def close(self) -> None:
-        """Release the shards (in-process: nothing OS-level to tear
-        down; idempotent, for :class:`~repro.serve.plane.ServingPlane`
-        symmetry with the worker pool)."""
-        self._shards = list(self._shards)  # no-op; keeps reports valid
-
-    def __enter__(self) -> "FibCluster":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def replay(self, events: Sequence[ServeEvent]) -> None:
-        """Run one scenario script (see :mod:`repro.serve.scenarios`)."""
-        for event in events:
-            if event.is_lookup:
-                self.lookup_batch(event.addresses)
-            else:
-                self.apply_update(event.op)
-
-    def parity_fraction(self, addresses: Sequence[int]) -> float:
-        """Fraction of probe addresses agreeing with the cluster oracle
-        (route each probe to its owning shard, compare labels)."""
-        if not addresses:
-            return 1.0
-        oracle = self._control.lookup
-        agreed = 0
-        for index, (positions, slice_) in self._plan.group(addresses).items():
-            served = self._shards[index].server.representation.lookup_batch(slice_)
-            agreed += sum(
-                1 for address, label in zip(slice_, served) if label == oracle(address)
-            )
-        return agreed / len(addresses)
+    def _advance_replan(self, wait: bool = False) -> None:
+        """Build ONE replacement shard off the lookup path; flip the
+        plan once the last one stands. The old plan serves every batch
+        in between — a re-plan never pauses the cluster."""
+        plan = self._pending_plan
+        built = self._pending_built
+        index = built.index(None)
+        started = time.perf_counter()
+        lo, hi = plan.shard_range(index)
+        total_before = self._total_size_bits() + sum(
+            server.representation.size_bits() for server in built if server is not None
+        )
+        restricted = (
+            self._control.copy()
+            if (lo, hi) == (0, 1 << plan.width)
+            else restrict_fib(self._control, lo, hi, extra=plan.hot)
+        )
+        server = built[index] = self._build_server(restricted)
+        self._replan_seconds += time.perf_counter() - started
+        # Both generations overlap while the re-plan is in flight.
+        self._note_peak(total_before + server.representation.size_bits())
+        if index + 1 < len(built):
+            return
+        self._shards = [
+            ClusterShard(index, *plan.shard_range(index), len(server.control), server)
+            for index, server in enumerate(built)
+        ]
+        for index, server in enumerate(built):
+            self._coordinator.replace_server(index, server)
+        self._pending_built = []
+        self._adopt_plan()
 
     # ---------------------------------------------------------------- metrics
 
@@ -1081,148 +1388,22 @@ class FibCluster:
     def _sample_size(self) -> None:
         self._note_peak(self._total_size_bits())
 
-    @property
-    def replicated_routes(self) -> int:
-        """Routes currently present in more than one shard, from the
-        live control FIB (churn can announce or withdraw
-        boundary-spanning routes, so this is recomputed, not cached)."""
-        if self._plan.shards == 1:
-            return 0
-        if self._plan.mode == "hash":
-            return len(self._control)
-        crossing = {
-            (route.prefix, route.length)
-            for route in boundary_routes(self._control, self._plan.bounds)
-        }
-        if self._plan.hot:
-            width = self._plan.width
-            hot = self._plan.hot
-            for route in self._control:
-                span_lo, span_hi = prefix_span(route.prefix, route.length, width)
-                if any(span_lo < hi and lo < span_hi for lo, hi in hot):
-                    crossing.add((route.prefix, route.length))
-        return len(crossing)
-
     def report(
         self, scenario: str = "", final_parity: Optional[float] = None
     ) -> ClusterReport:
         """Aggregate the shard counters into a :class:`ClusterReport`."""
         self._sample_size()
-        shard_rows: List[dict] = []
-        stale = mismatches = rebuilds = generation = pending = size = 0
-        rebuild_seconds = 0.0
-        rebuild_cycles = 0.0
-        for shard in self._shards:
-            record = shard.server.report(scenario=scenario)
-            stale += record.stale_lookups
-            mismatches += record.label_mismatches
-            rebuilds += record.rebuilds
-            generation += record.generation
-            pending += record.pending_updates
-            size += record.size_bits
-            rebuild_seconds += record.rebuild_seconds
-            rebuild_cycles += record.rebuild_cycles
-            shard_rows.append(
-                {
-                    "shard": shard.index,
-                    "lo": shard.lo,
-                    "hi": shard.hi,
-                    "routes": len(shard.server.control),  # live, post-churn
-                    "lookups": record.lookups,
-                    "lookup_seconds": record.lookup_seconds,
-                    "staleness": record.staleness,
-                    "rebuilds": record.rebuilds,
-                    "generation": record.generation,
-                    "size_bits": record.size_bits,
-                    "peak_size_bits": record.peak_size_bits,
-                }
-            )
-        applied = self._updates_applied
+        records = [shard.server.report(scenario=scenario) for shard in self._shards]
+        rows = [
+            {"routes": len(shard.server.control), **shard_row_fields(record)}
+            for shard, record in zip(self._shards, records)
+        ]
+        totals = plane_totals(records)
+        totals["update_seconds"] = self._update_seconds
+        totals["rebuild_seconds"] += self._replan_seconds
+        totals["peak_size_bits"] = max(self._peak_size_bits, totals["size_bits"])
         return ClusterReport(
-            name=self.name,
-            title=self._spec.title,
-            scenario=scenario,
-            incremental=self.incremental,
-            lookups=self._lookups,
-            batches=self._batches,
-            updates_applied=applied,
-            updates_skipped=self._updates_skipped,
-            rebuilds=rebuilds,
-            generation=generation,
-            pending_updates=pending,
-            stale_lookups=stale,
-            label_mismatches=mismatches,
-            lookup_seconds=self._lookup_seconds,
-            update_seconds=self._update_seconds,
-            rebuild_seconds=rebuild_seconds + self._replan_seconds,
-            size_bits=size,
-            peak_size_bits=max(self._peak_size_bits, size),
-            rebuild_cycles=rebuild_cycles,
-            final_parity=final_parity,
-            shards=self._plan.shards,
-            partition=self._plan.mode,
-            replicated_routes=self.replicated_routes,
-            update_fanout=(self._fanout_total / applied) if applied else 0.0,
-            busy_lookup_seconds=self._busy_lookup_seconds,
-            coordinator_swaps=self._coordinator.swaps,
-            shard_rows=tuple(shard_rows),
-            replans=self._replans,
-            lookups_during_replan=self._lookups_during_replan,
-            hot_ranges=len(self._plan.hot),
-            # ``is not None``: FlowCache has __len__, so a freshly
-            # invalidated (empty) cache is falsy and would zero these.
-            flow_cache_lookups=(
-                self._flow_cache.lookups if self._flow_cache is not None else 0
-            ),
-            flow_cache_hits=(
-                self._flow_cache.hits if self._flow_cache is not None else 0
-            ),
-            flow_cache_evictions=(
-                self._flow_cache.evictions
-                if self._flow_cache is not None
-                else 0
-            ),
+            **self._report_fields(scenario, final_parity, rows),
+            **totals,
             obs=self._obs.snapshot() if self._obs.enabled else None,
         )
-
-
-def serve_cluster_scenario(
-    name: str,
-    fib: Fib,
-    events: Sequence[ServeEvent],
-    *,
-    scenario: str = "",
-    shards: int = 2,
-    partition: str = "prefix",
-    options: Optional[Dict[str, Any]] = None,
-    rebuild_every: int = DEFAULT_REBUILD_EVERY,
-    batched: bool = True,
-    measure_staleness: bool = True,
-    parity_probes: Sequence[int] = (),
-    granularity: Optional[int] = None,
-    autoscale: Optional[AutoscalePolicy] = None,
-    obs: Registry = NULL_REGISTRY,
-) -> ClusterReport:
-    """Replay one script through one sharded cluster, end to end.
-
-    The cluster twin of :func:`~repro.serve.server.serve_scenario`:
-    build the cluster, replay the script, quiesce every shard, run the
-    post-quiescence parity probes against the cluster oracle, report.
-    """
-    cluster = FibCluster(
-        name,
-        fib,
-        shards=shards,
-        partition=partition,
-        options=options,
-        rebuild_every=rebuild_every,
-        batched=batched,
-        measure_staleness=measure_staleness,
-        granularity=granularity,
-        autoscale=autoscale,
-        obs=obs,
-    )
-    cluster.replay(events)
-    cluster.quiesce()
-    parity = cluster.parity_fraction(parity_probes) if parity_probes else None
-    return cluster.report(scenario=scenario, final_parity=parity)

@@ -203,6 +203,12 @@ class ClusterReport(ServeReport):
     flow_cache_hits: int = 0
     #: LRU evictions from the flow cache.
     flow_cache_evictions: int = 0
+    #: Lookups the frontend answered itself while a shard was down
+    #: (worker pools under supervision; 0 in process).
+    degraded_lookups: int = 0
+    #: Lookups offered but never answered: a shard failed with no
+    #: recovery path (no supervision, or its restart budget was spent).
+    failed_lookups: int = 0
 
     @property
     def flow_cache_hit_rate(self) -> float:
@@ -222,11 +228,15 @@ class ClusterReport(ServeReport):
 
     @property
     def lookup_imbalance(self) -> float:
-        """Largest shard's lookup share over the fair 1/shards share."""
-        if not self.lookups or not self.shard_rows:
+        """Largest shard's lookup share over the fair 1/shards share of
+        the lookups the shards served (flow-cache hits and degraded or
+        failed lookups never reach a shard): 1.0 is perfect balance,
+        ``shards`` means one shard served everything."""
+        served = sum(row.get("lookups", 0) for row in self.shard_rows)
+        if not served:
             return 0.0
         largest = max(row.get("lookups", 0) for row in self.shard_rows)
-        return largest * self.shards / self.lookups
+        return largest * self.shards / served
 
     @property
     def max_shard_staleness(self) -> float:
@@ -290,12 +300,6 @@ class WorkerReport(ClusterReport):
     #: Data-plane payload bytes the workers moved back (labels and
     #: broadcast positions; probes excluded).
     bytes_rx: int = 0
-    #: Lookups the frontend answered itself (publisher on shm, control
-    #: oracle on pipe) while a supervised shard was down.
-    degraded_lookups: int = 0
-    #: Lookups lost to a worker failure with no recovery path (no
-    #: supervision, or the shard's restart budget was spent).
-    failed_lookups: int = 0
     #: In-flight batch parts transparently re-served by a respawned
     #: worker after its predecessor died mid-batch.
     retried_batches: int = 0

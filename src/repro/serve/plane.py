@@ -127,7 +127,6 @@ def open_plane(
     autoscale: Optional[AutoscalePolicy] = None,
     measure_staleness: bool = True,
     start_method: str = DEFAULT_START_METHOD,
-    fanout: str = "auto",
     timeout: float = DEFAULT_TIMEOUT,
     control_timeout: float = DEFAULT_CONTROL_TIMEOUT,
     ring_bytes: int = DEFAULT_RING_BYTES,
@@ -150,11 +149,11 @@ def open_plane(
 
     ``autoscale`` hands any sharded plane an
     :class:`~repro.serve.autoscale.AutoscalePolicy` (traffic-driven
-    live re-planning; the flow-cache tier applies to the in-process
-    cluster). Arguments that do not apply to the selected shape are
-    validated where meaningful and otherwise ignored, so callers can
-    thread one uniform configuration record through — exactly what
-    ``repro-fib serve`` does.
+    live re-planning and the flow-cache tier: one sharded frontend
+    serves every sharded shape). Arguments that do not apply to the
+    selected shape are validated where meaningful and otherwise
+    ignored, so callers can thread one uniform configuration record
+    through — exactly what ``repro-fib serve`` does.
     """
     if workers < 0 or shards < 0 or window < 0:
         raise ValueError("workers, shards and window must be non-negative")
@@ -174,7 +173,6 @@ def open_plane(
             batched=batched,
             granularity=granularity,
             start_method=start_method,
-            fanout=fanout,
             timeout=timeout,
             control_timeout=control_timeout,
             transport=transport,
@@ -227,12 +225,10 @@ def serve_plane_scenario(
     parity_probes: Sequence[int] = (),
     **plane_kwargs,
 ) -> ServeReport:
-    """Replay one scenario script through any plane the factory opens.
-
-    The plane-agnostic superset of ``serve_scenario`` /
-    ``serve_cluster_scenario`` / ``serve_worker_scenario``: open, replay
-    (pipelined when the plane is asynchronous), quiesce, parity-probe
-    against the control oracle, report, and always tear down.
+    """Replay one scenario script through any plane the factory opens:
+    open, replay (pipelined when the plane is asynchronous), quiesce,
+    parity-probe against the control oracle, report, and always tear
+    down. The one end-to-end runner for every deployment shape.
     """
     plane = open_plane(name, fib, **plane_kwargs)
     try:

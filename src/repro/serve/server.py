@@ -360,12 +360,18 @@ class FibServer:
         behave identically: the patch-log drain lands on the update
         clock, the timed region covers only the resolve, and a stale
         window counts (and, when auditing, compares) every address.
+        The batch may itself be packed (``array('q')`` or an int64
+        NumPy vector, as a sharded frontend's owner split hands out).
         """
         program = self._drain_patches()
         started = time.perf_counter()
         if program is not None:
             payload = program.lookup_batch_packed(addresses)
         else:  # no compiled plane: decode through the dispatch engine
+            if hasattr(addresses, "tolist"):
+                # The engine takes Python ints (and tests a batch for
+                # truth, which an ndarray refuses).
+                addresses = addresses.tolist()
             labels = (
                 self._representation.lookup_batch(addresses)
                 if self._batched
@@ -531,35 +537,3 @@ class FibServer:
         unless a live registry was passed at construction)."""
         return self._obs
 
-
-def serve_scenario(
-    name: str,
-    fib: Fib,
-    events: Sequence[ServeEvent],
-    *,
-    scenario: str = "",
-    options: Optional[Dict[str, Any]] = None,
-    rebuild_every: int = DEFAULT_REBUILD_EVERY,
-    batched: bool = True,
-    measure_staleness: bool = True,
-    parity_probes: Sequence[int] = (),
-    obs: Registry = NULL_REGISTRY,
-) -> ServeReport:
-    """Replay one script through one representation, end to end.
-
-    Convenience wrapper for the CLI/benchmarks: build the server, replay
-    the script, quiesce, run the post-quiescence parity probes, report.
-    """
-    server = FibServer(
-        name,
-        fib,
-        options=options,
-        rebuild_every=rebuild_every,
-        batched=batched,
-        measure_staleness=measure_staleness,
-        obs=obs,
-    )
-    server.replay(events)
-    server.quiesce()
-    parity = server.parity_fraction(parity_probes) if parity_probes else None
-    return server.report(scenario=scenario, final_parity=parity)

@@ -1,15 +1,17 @@
-"""repro.serve.workers — true multi-process serving workers.
+"""repro.serve.workers — the sharded frontend over worker processes.
 
-:mod:`repro.serve.cluster` proves the sharding design on a simulated
-clock: one process hosts every shard and *charges* each batch the
-slowest shard's time. This module runs the deployment the simulation
-models. Each shard of the same :class:`~repro.serve.cluster.ShardPlan`
-becomes a real worker **process** (``spawn``-safe, shared-nothing): the
-frontend pickles the shard's restricted :class:`~repro.core.fib.Fib`
-across the pipe at start-up, and the worker builds its own
-representation and compiles its own
-:class:`~repro.pipeline.flat.FlatProgram` locally — no live structure
-ever crosses a process boundary.
+:class:`~repro.serve.cluster.FibCluster` runs every shard in the
+frontend's process. A :class:`WorkerPool` runs the same
+:class:`~repro.serve.cluster.ShardedFrontend` — routing, flow cache,
+control loop, counters and reports are that one implementation — over
+shards that are real worker **processes** (``spawn``-safe,
+shared-nothing): the frontend pickles a shard's restricted
+:class:`~repro.core.fib.Fib` across the pipe at start-up, or publishes
+a compiled program segment for it to attach, and no live structure
+ever crosses a process boundary. This module holds what differs: how a
+worker answers a slice, how an accepted update reaches it, how it
+adopts a new plan, and the transports, supervision, respawn, degraded
+serving and fault injection around that.
 
 **Transports.** The pool serves over one of two data planes
 (``transport=``). The default, ``"shm"``, is the zero-copy plane from
@@ -24,10 +26,10 @@ pickled. Epoch swaps publish a fresh segment generation and walk the
 workers onto it through their request rings (``OP_ATTACH``), FIFO with
 the data they serve. The pipe remains connected but carries only the
 low-rate control plane: readiness, ``report``, ``shutdown`` — and its
-EOF is still how a worker death is detected. ``"pipe"`` is the PR 5
-wire protocol below, kept for unbatched serving, representations with
-no compiled plane, and hosts without POSIX shared memory; ``"shm"``
-falls back to it cleanly in those cases.
+EOF is still how a worker death is detected. ``"pipe"`` is the wire
+protocol below, kept for unbatched serving, representations with no
+compiled plane, and hosts without POSIX shared memory; ``"shm"`` falls
+back to it cleanly in those cases.
 
 **The pipe wire protocol.** One full-duplex ``multiprocessing`` pipe
 per worker carries pickled tuples; bulk payloads travel as packed int64
@@ -49,13 +51,13 @@ per-address Python conversion loop::
     ("report", seq, scenario)               ("ok", seq, ServeReport)
     ("shutdown",)                           (worker exits)
 
-Lookups fan out in one of two modes (``fanout=``): **broadcast** (the
-default wherever the plan vectorizes) ships the packed batch whole to
+Lookups **broadcast** where they can (NumPy, a vectorizable plan, more
+than one worker, no autoscale policy): the packed batch goes whole to
 every worker, which filters the addresses its partition owns with two
 C compares and answers with their input positions — the owner split
-runs in parallel on the workers; **split** owner-groups at the
-frontend (``ShardPlan.group`` / ``split_vector``) and ships each
-worker only its slice.
+runs in parallel on the workers. Otherwise the frontend owner-splits
+(``ShardPlan.group`` / ``split_vector``) and ships each worker only its
+slice.
 
 A failing handler answers ``("err", seq, message)``; a worker that dies
 closes the pipe, which the frontend's reader thread turns into a
@@ -63,10 +65,8 @@ closes the pipe, which the frontend's reader thread turns into a
 exception, never a hang.
 
 **Update feed and epochs.** Updates are serialized down each owning
-worker's pipe (fire-and-forget; per-worker FIFO ordering is the pipe's).
-The frontend keeps the cluster-wide control oracle, so bogus
-withdrawals are filtered before they fan out — exactly the
-:class:`~repro.serve.cluster.FibCluster` discipline. Epoch swaps reuse
+worker's pipe (fire-and-forget; per-worker FIFO ordering is the pipe's)
+once the frontend's control oracle has accepted them. Epoch swaps reuse
 the :class:`~repro.serve.cluster.EpochCoordinator` *unchanged* across
 the process boundary: each worker is wrapped in a proxy that quacks
 like a ``FibServer`` (a ``pending`` backlog the frontend tracks, and a
@@ -79,12 +79,10 @@ already in that worker's pipe, the acked generation is never stale.
 fan-out: scripted lookup batches are submitted in event order but up to
 ``window`` batches stay in flight, so the frontend's serial work (owner
 split, packing, merge) overlaps the workers' parallel lookups instead
-of alternating with them. :class:`WorkerPool` is the synchronous core —
-usable directly when pipelining is not wanted — and
-:func:`serve_worker_scenario` is the CLI/benchmark entry point that
-replays a scenario through the async front-end and reports a
-:class:`~repro.serve.metrics.WorkerReport` with measured wall-clock
-throughput next to the critical-path model's prediction.
+of alternating with them. :func:`~repro.serve.plane.serve_plane_scenario`
+with ``workers`` and ``window`` set replays a scenario through it and
+reports a :class:`~repro.serve.metrics.WorkerReport` with measured
+wall-clock throughput next to the critical-path model's prediction.
 """
 
 from __future__ import annotations
@@ -102,15 +100,17 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.core.fib import Fib
 from repro.datasets.updates import UpdateOp
 from repro.obs import NULL_REGISTRY, Registry, VisibilityTracker, now_ns
-from repro.pipeline import registry
 from repro.pipeline.shard import ShardSpec, restrict_fib
-from repro.serve.autoscale import AutoscalePolicy, TrafficStats
+from repro.serve.autoscale import AutoscalePolicy
 from repro.serve.cluster import (
-    ClusterShard,
     EpochCoordinator,
+    ShardedFrontend,
     _mix64,
     _mix64_vector,
     plan_cluster,
+    plane_totals,
+    shard_row_fields,
+    unpack,
 )
 from repro.serve.faults import (
     FaultPlan,
@@ -231,12 +231,6 @@ def _pack_labels(labels: Sequence[Optional[int]]) -> bytes:
     return array("q", [label or 0 for label in labels]).tobytes()
 
 
-def _unpack(payload: bytes) -> array:
-    values = array("q")
-    values.frombytes(payload)
-    return values
-
-
 def pack_events(events: Sequence[ServeEvent]) -> List[ServeEvent]:
     """Re-script lookup events with wire-ready packed address batches.
 
@@ -283,7 +277,7 @@ def _owned_slice(payload: bytes, filter_spec):
         owned = array("q")
         owned.frombytes(batch[positions].tobytes())
         return positions.tobytes(), owned
-    values = _unpack(payload)
+    values = unpack(payload)
     positions = array("q")
     owned = array("q")
     if filter_spec[0] == "prefix":
@@ -350,7 +344,7 @@ def worker_main(
                 seq, payload = message[1], message[2]
                 try:
                     faults.on_batch()
-                    addresses = _unpack(payload)
+                    addresses = unpack(payload)
                     lookup_before = server.lookup_seconds
                     update_before = server.update_seconds
                     labels = server.lookup_batch_packed(addresses)
@@ -400,7 +394,7 @@ def worker_main(
             elif kind == "probe":
                 seq, payload = message[1], message[2]
                 try:
-                    labels = server.representation.lookup_batch(_unpack(payload))
+                    labels = server.representation.lookup_batch(unpack(payload))
                     conn.send(("ok", seq, _pack_labels(labels)))
                 except Exception:  # noqa: BLE001
                     conn.send(("err", seq, traceback.format_exc()))
@@ -505,7 +499,6 @@ def shm_worker_main(conn, spec) -> None:
     filter_spec = spec["filter"]
     parent = multiprocessing.parent_process()
     alive = parent.is_alive if parent is not None else (lambda: True)
-    lookups = batches = lookup_ns = 0
     spent = [0]  # written by the fill closures below
     # Worker-side telemetry: a local registry whose snapshot rides home
     # in the report reply; the frontend merges every worker's into its
@@ -541,9 +534,6 @@ def shm_worker_main(conn, spec) -> None:
                     message = conn.recv()
                     if message[0] == "report":
                         conn.send(("ok", message[1], {
-                            "lookups": lookups,
-                            "batches": batches,
-                            "lookup_seconds": lookup_ns / 1e9,
                             "size_bits": program.size_in_bits(),
                             "generation": generation,
                             "attach_seconds": attach_seconds,
@@ -580,9 +570,6 @@ def shm_worker_main(conn, spec) -> None:
                         len(addresses) * 8, fill, seq=record.seq, alive=alive,
                     )
                     if op == OP_LOOKUP:
-                        lookups += len(addresses)
-                        batches += 1
-                        lookup_ns += spent[0]
                         obs_latency.observe(spent[0] / 1e9)
                         obs_batch_size.observe(len(addresses))
                         obs_lookups.inc(len(addresses))
@@ -605,9 +592,6 @@ def shm_worker_main(conn, spec) -> None:
                         OP_POSITIONS, len(positions) + 8 * len(owned), fill,
                         seq=record.seq, alive=alive,
                     )
-                    lookups += len(owned)
-                    batches += 1
-                    lookup_ns += spent[0]
                     obs_latency.observe(spent[0] / 1e9)
                     obs_batch_size.observe(len(owned))
                     obs_lookups.inc(len(owned))
@@ -690,8 +674,6 @@ class _WorkerHandle:
 
     __slots__ = (
         "index",
-        "lo",
-        "hi",
         "routes",
         "process",
         "conn",
@@ -711,10 +693,8 @@ class _WorkerHandle:
         "on_fail",
     )
 
-    def __init__(self, index: int, lo: int, hi: int, routes: int, process, conn):
+    def __init__(self, index: int, routes: int, process, conn, incarnation: int):
         self.index = index
-        self.lo = lo
-        self.hi = hi
         self.routes = routes
         self.process = process
         self.conn = conn
@@ -732,7 +712,7 @@ class _WorkerHandle:
         self.req_ring: Optional[ShmRing] = None  # shm transport only
         self.res_ring: Optional[ShmRing] = None
         self.attach_seconds = 0.0
-        self.incarnation = 0   # bumped per supervisor respawn
+        self.incarnation = incarnation  # bumped per supervisor respawn
         self.reaped = False    # OS resources retired exactly once
         self.on_fail = None    # supervisor notification hook
 
@@ -767,36 +747,59 @@ class _WorkerHandle:
         if not already and self.on_fail is not None:
             self.on_fail(self.index, reason, op or "died")
 
+    def register(self, op: str):
+        """Allocate the next request's sequence number and reply future
+        (race-free against the reader thread declaring the worker
+        dead); returns ``(seq, future)``."""
+        with self.lock:
+            if self.dead:
+                raise self.error(op=op)
+            self.seq += 1
+            future = self.pending[self.seq] = Future()
+            return self.seq, future
+
+    def start_reader(self) -> Future:
+        """Install the readiness-ack future (seq 0), then start the reply
+        pump; returns that future. Callers must keep this reference: a
+        fast child's ack can be popped off ``pending`` before they look."""
+        ready = self.pending[0] = Future()
+        self.reader = threading.Thread(target=_reader_loop, args=(self,), daemon=True)
+        self.reader.start()
+        return ready
+
 
 def _reader_loop(handle: _WorkerHandle) -> None:
     """Per-worker reply pump: resolve futures, turn EOF into failures."""
-    try:
-        while True:
+    while True:
+        try:
             status, seq, payload = handle.conn.recv()
-            if seq is None:
-                handle.fail(f"worker {handle.index} failed: {payload}")
-                return
-            with handle.lock:
-                future = handle.pending.pop(seq, None)
-            if future is None:
-                continue  # reply for a caller that already timed out
-            if status == "ok":
-                future.set_result(payload)
-            else:
-                future.set_exception(
-                    WorkerError(f"worker {handle.index} failed: {payload}")
-                )
-    except (EOFError, OSError):
-        handle.fail(f"worker {handle.index} (pid {handle.process.pid}) died")
+        except (EOFError, OSError, TypeError):
+            # TypeError: close() reaped the connection under a blocking
+            # recv (its handle is gone mid-read) — the same end as EOF.
+            handle.fail(f"worker {handle.index} (pid {handle.process.pid}) died")
+            return
+        if seq is None:
+            handle.fail(f"worker {handle.index} failed: {payload}")
+            return
+        with handle.lock:
+            future = handle.pending.pop(seq, None)
+        if future is None:
+            continue  # reply for a caller that already timed out
+        if status == "ok":
+            future.set_result(payload)
+        else:
+            future.set_exception(
+                WorkerError(f"worker {handle.index} failed: {payload}")
+            )
 
 
 class _ProxyServer:
     """Duck-typed FibServer facade over a remote worker, so the
-    cluster's :class:`~repro.serve.cluster.EpochCoordinator` staggers
-    swaps across process boundaries without modification: ``pending``
-    is the frontend-tracked backlog of updates routed to the worker
-    since its last swap, and ``rebuild()`` is a synchronous
-    swap-and-ack over the control channel."""
+    :class:`~repro.serve.cluster.EpochCoordinator` staggers swaps
+    across process boundaries without modification: ``pending`` is the
+    frontend-tracked backlog of updates routed to the worker since its
+    last swap, and ``rebuild()`` is a synchronous swap-and-ack over the
+    control channel."""
 
     __slots__ = ("_pool", "_handle", "pending")
 
@@ -804,10 +807,6 @@ class _ProxyServer:
         self._pool = pool
         self._handle = handle
         self.pending: List[UpdateOp] = []
-
-    @property
-    def is_stale(self) -> bool:
-        return bool(self.pending)
 
     def rebuild(self) -> None:
         self._pool._swap(self._handle, self)
@@ -823,9 +822,7 @@ class _PublishProxy:
     applied since the last published generation, incremental planes
     included: patches mutate the publisher's live program immediately,
     but the workers' mapped images only change when a generation
-    ships. Wrapping the publisher this way lets the unmodified
-    :class:`~repro.serve.cluster.EpochCoordinator` pace publishes
-    exactly as it paces per-worker swaps on the pipe transport.
+    ships.
     """
 
     __slots__ = ("_pool", "pending")
@@ -834,29 +831,25 @@ class _PublishProxy:
         self._pool = pool
         self.pending: List[UpdateOp] = []
 
-    @property
-    def is_stale(self) -> bool:
-        return bool(self.pending)
-
     def rebuild(self) -> None:
         self._pool._publish()
 
 
-class WorkerPool:
-    """N shard-restricted FibServers, each a real OS process.
+def _owned_filter(plan, index: int):
+    """The broadcast ownership filter of shard ``index`` of ``plan``."""
+    if plan.mode == "hash":
+        return ("hash", plan.shards, index)
+    return ("prefix",) + plan.shard_range(index)
+
+
+class WorkerPool(ShardedFrontend):
+    """N shard-restricted FibServers, each a real OS process, behind the
+    sharded frontend (:class:`~repro.serve.cluster.ShardedFrontend`).
 
     Parameters mirror :class:`~repro.serve.cluster.FibCluster`, plus:
 
     start_method:
         ``"spawn"`` (default, portable) or ``"fork"`` where available.
-    fanout:
-        ``"broadcast"`` ships every batch whole to every worker, which
-        filters its owned slice in C and answers with positions — the
-        owner split runs *in parallel on the workers* instead of on the
-        frontend's serial path. ``"split"`` groups by owner at the
-        frontend and ships each worker only its slice (less pipe
-        bandwidth, more frontend CPU). ``"auto"`` (default) broadcasts
-        when the plan can vectorize, splits otherwise.
     timeout:
         Seconds to wait on any single worker reply before declaring the
         worker lost (belt under the reader thread's EOF detection).
@@ -898,19 +891,22 @@ class WorkerPool:
         sampled there too. Disabled (the default) costs nothing.
     autoscale:
         An :class:`~repro.serve.autoscale.AutoscalePolicy` turning on
-        the traffic-adaptive control loop: the frontend folds every
-        batch into per-slot counters and, when the observed
-        ``lookup_imbalance`` drifts past the threshold, re-plans the
-        partition live. On the shm transport workers map the *full*
-        published program, so adopting a new plan is a frontend-only
-        owner-split flip; on the pipe transport the pool walks one
-        worker at a time onto a union-restricted snapshot (old range ∪
-        new range ∪ hot ranges) while the old plan keeps serving — no
-        global pause, and parity holds throughout because every worker
-        can answer both plans until the flip. Forces split fan-out.
-        The frontend flow-cache tier (``policy.flow_cache``) is the
-        in-process :class:`~repro.serve.cluster.FibCluster`'s; the
-        pool ignores it.
+        the frontend's traffic control loop and, with
+        ``policy.flow_cache``, its flow cache — the cluster's, exactly.
+        On the shm transport workers map the *full* published program,
+        so adopting a new plan is a frontend-only owner-split flip; on
+        the pipe transport the pool walks one worker at a time onto a
+        union-restricted snapshot (old range ∪ new range ∪ hot ranges)
+        while the old plan keeps serving — no global pause, and parity
+        holds throughout because every worker can answer both plans
+        until the flip.
+
+    Lookups **broadcast** — the packed batch whole to every worker,
+    which filters the addresses it owns in C, so the owner split runs
+    in parallel on the workers — when NumPy is present, the plan
+    vectorizes, there is more than one worker and no autoscale policy
+    (a re-plan would move the fixed per-worker filters). Otherwise the
+    frontend owner-splits and ships each worker only its slice.
     """
 
     def __init__(
@@ -925,7 +921,6 @@ class WorkerPool:
         batched: bool = True,
         granularity: Optional[int] = None,
         start_method: str = DEFAULT_START_METHOD,
-        fanout: str = "auto",
         timeout: float = DEFAULT_TIMEOUT,
         control_timeout: float = DEFAULT_CONTROL_TIMEOUT,
         transport: str = DEFAULT_TRANSPORT,
@@ -949,77 +944,39 @@ class WorkerPool:
                 f"unknown transport {transport!r}; "
                 f"choose one of {', '.join(TRANSPORTS)}"
             )
-        self._plan = plan_cluster(fib, workers, mode=partition, granularity=granularity)
-        self._spec = registry.get(name)
-        self._rep_name = name
-        self._options = dict(options or {})
-        self._control = fib.copy()
-        self._timeout = timeout
         if control_timeout <= 0:
             raise ValueError(
                 f"control_timeout must be positive, got {control_timeout}"
             )
+        plan = plan_cluster(fib, workers, mode=partition, granularity=granularity)
+        super().__init__(
+            name, fib, plan, rebuild_every=rebuild_every, autoscale=autoscale, obs=obs
+        )
+        self._options = dict(options or {})
+        self._timeout = timeout
         self._control_timeout = control_timeout
         self._start_method = start_method
-        self._rebuild_every = rebuild_every
         self._batched = batched
         self._ring_bytes = ring_bytes
-        self._faults = (
-            faults.resolve(self._plan.shards) if faults is not None and faults
-            else None
-        )
+        self._faults = faults.resolve(plan.shards) if faults else None
         self._max_restarts = max_restarts
-        self._restart_window = restart_window
         self._supervisor: Optional[Supervisor] = None
-        # Serializes topology changes — publishes, respawns, updates,
-        # degraded serving and close — against each other. Re-entrant:
-        # a respawn replays the update delta by publishing.
-        self._pool_lock = threading.RLock()
-        if fanout not in ("auto", "split", "broadcast"):
-            raise ValueError(
-                f"unknown fanout {fanout!r}; choose auto, split or broadcast"
-            )
-        self._broadcast = self._plan.shards > 1 and (
-            fanout == "broadcast"
-            or (fanout == "auto" and _np is not None and self._plan.vectorized)
-        )
-        self._autoscale = autoscale
-        if autoscale is not None:
-            # Re-planning moves shard boundaries out from under the
-            # fixed per-worker broadcast filters, so the autoscaled
-            # pool always owner-splits at the frontend.
-            self._broadcast = False
-        self._traffic = (
-            TrafficStats(fib.width, autoscale.granularity, obs=obs)
-            if autoscale is not None
-            else None
-        )
-        # -------------------------------------------------- re-plan state
-        self._replans = 0
-        self._lookups_during_replan = 0
-        self._last_replan_lookups = 0
-        self._replan_seconds = 0.0
-        self._pending_plan = None
+        self._broadcast = plan.shards > 1 and plan.vectorized and autoscale is None
+        # Pipe re-plan walk: specs sent so far, the next worker, and the
+        # reshard reply in flight.
         self._reshard_specs: List[ShardSpec] = []
         self._reshard_next = 0
         self._reshard_inflight: Optional[tuple] = None
-        self._obs_replans = obs.counter(
-            "autoscale_replans_total", "live traffic-driven re-plans"
-        )
-        self._obs_imbalance = obs.gauge(
-            "autoscale_lookup_imbalance",
-            "observed lookup imbalance at the last drift check",
-        )
-        self._closed = False
-        self._obs = obs
         self._vis_ingress_ns: Optional[int] = None  # oldest unpublished update
         # shm-plane state exists in every mode so close() is always safe.
         self._publisher: Optional[FibServer] = None
         self._publish_proxy: Optional[_PublishProxy] = None
+        self._proxies: List[_ProxyServer] = []
         self._program_segment = None
         self._segments: List[Any] = []   # frontend-owned program segments
         self._rings: List[ShmRing] = []  # frontend-owned rings (both ends')
         self._ring_reader: Optional[threading.Thread] = None
+        self._handles: List[_WorkerHandle] = []
         self._generation = 0
         self._publishes = 0
         self._delta_publishes = 0
@@ -1033,6 +990,25 @@ class WorkerPool:
         self._stale_lookups = 0
         self._bytes_tx = 0
         self._bytes_rx = 0
+        self._rebuild_seconds = 0.0      # acked swap / publish costs
+        self._inflight = 0               # lookup batches currently in flight
+        self._inflight_lock = threading.Lock()
+        self._inflight_started = 0.0
+        self._wall_lookup_seconds = 0.0
+        self._restarts = 0
+        self._retried_batches = 0
+        self._recovery_seconds = 0.0
+        self._obs_restarts = obs.counter(
+            "worker_restarts_total", "supervisor respawns by failure kind",
+            ("reason",),
+        )
+        self._obs_degraded = obs.counter(
+            "degraded_lookups_total",
+            "lookups the frontend answered itself while a shard was down",
+        )
+        self._obs_recovery = obs.histogram(
+            "recovery_seconds", "shard failure detection to re-admission"
+        )
         started = time.perf_counter()
         self._transport = "pipe"
         if transport == "shm" and batched and shm_available():
@@ -1057,35 +1033,24 @@ class WorkerPool:
             # else: no compiled plane to publish (e.g. compiled=False);
             # the pickled-pipe transport serves instead.
         context = multiprocessing.get_context(start_method)
-        self._handles: List[_WorkerHandle] = []
         ready: List[Future] = []
         try:
             if self._transport == "shm":
                 self._generation = 1
                 program = self._publisher.serving_program()
-                self._program_segment = publish_program(
-                    program, self._generation
-                )
+                self._program_segment = publish_program(program, self._generation)
                 self._published_program = program
                 program.take_patch_delta()  # image is current: drop journal
                 self._segments.append(self._program_segment)
-                for index in range(self._plan.shards):
-                    handle = self._spawn_shm_worker(
-                        context, index, len(fib), incarnation=0
-                    )
-                    ready.append(handle.pending[0])
+                for index in range(plan.shards):
+                    handle, ack = self._spawn_shm_worker(context, index, len(fib), 0)
                     self._handles.append(handle)
+                    ready.append(ack)
             else:
-                for spec in self._plan.materialize(fib):
-                    handle = self._spawn_pipe_worker(
-                        context, spec, incarnation=0
-                    )
-                    ready.append(handle.pending[0])
+                for spec in plan.materialize(fib):
+                    handle, ack = self._spawn_pipe_worker(context, spec, 0)
                     self._handles.append(handle)
-            if self._transport == "shm":
-                self._proxies = []
-            else:
-                self._proxies = [_ProxyServer(self, h) for h in self._handles]
+                    ready.append(ack)
             acks = [
                 self._await(future, handle=handle, op="ready")
                 for handle, future in zip(self._handles, ready)
@@ -1099,63 +1064,16 @@ class WorkerPool:
                 handle.attach_seconds = ack[1]
             self._attach_seconds = max(h.attach_seconds for h in self._handles)
             self._publish_proxy = _PublishProxy(self)
-            self._coordinator = EpochCoordinator(
-                [
-                    ClusterShard(
-                        0, 0, 1 << self._plan.width, len(fib), self._publish_proxy
-                    )
-                ],
-                rebuild_every,
-            )
+            self._coordinator = EpochCoordinator([self._publish_proxy], rebuild_every)
             self._ring_reader = threading.Thread(
                 target=self._shm_reader_loop, daemon=True
             )
             self._ring_reader.start()
         else:
             self._incremental = bool(acks[0][1])
-            self._coordinator = EpochCoordinator(
-                [
-                    ClusterShard(h.index, h.lo, h.hi, h.routes, proxy)
-                    for h, proxy in zip(self._handles, self._proxies)
-                ],
-                rebuild_every,
-            )
+            self._proxies = [_ProxyServer(self, h) for h in self._handles]
+            self._coordinator = EpochCoordinator(self._proxies, rebuild_every)
         self._spawn_seconds = time.perf_counter() - started
-        # ------------------------------------------------- serving counters
-        self._lookups = 0
-        self._batches = 0
-        self._updates_applied = 0
-        self._updates_skipped = 0
-        self._fanout_total = 0
-        self._lookup_seconds = 0.0       # critical-path model clock
-        self._busy_lookup_seconds = 0.0  # summed worker-reported time
-        self._update_seconds = 0.0       # oracle edits + worker patch drains
-        self._rebuild_seconds = 0.0      # acked swap costs
-        self._swaps = 0
-        self._inflight = 0               # lookup batches currently in flight
-        self._inflight_lock = threading.Lock()
-        self._inflight_started = 0.0
-        self._wall_lookup_seconds = 0.0
-        # Merges may run on executor threads concurrently (the async
-        # front-end's window), so clock folding takes this lock.
-        self._account_lock = threading.Lock()
-        # --------------------------------------------------- supervision
-        self._restarts = 0
-        self._degraded_lookups = 0
-        self._failed_lookups = 0
-        self._retried_batches = 0
-        self._recovery_seconds = 0.0
-        self._obs_restarts = obs.counter(
-            "worker_restarts_total", "supervisor respawns by failure kind",
-            ("reason",),
-        )
-        self._obs_degraded = obs.counter(
-            "degraded_lookups_total",
-            "lookups the frontend answered itself while a shard was down",
-        )
-        self._obs_recovery = obs.histogram(
-            "recovery_seconds", "shard failure detection to re-admission"
-        )
         if max_restarts > 0:
             self._supervisor = Supervisor(
                 self._respawn,
@@ -1170,29 +1088,12 @@ class WorkerPool:
     # ------------------------------------------------------------- properties
 
     @property
-    def name(self) -> str:
-        return self._spec.name
-
-    @property
-    def plan(self):
-        return self._plan
-
-    @property
     def workers(self) -> int:
         return self._plan.shards
 
     @property
-    def control(self) -> Fib:
-        """The pool-wide continuously-updated tabular oracle."""
-        return self._control
-
-    @property
     def incremental(self) -> bool:
         return self._incremental
-
-    @property
-    def coordinator(self) -> EpochCoordinator:
-        return self._coordinator
 
     @property
     def start_method(self) -> str:
@@ -1219,32 +1120,16 @@ class WorkerPool:
             f"transport={self._transport!r})"
         )
 
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # --------------------------------------------------------------- spawning
-
-    def _filter_spec(self, index: int):
-        """The broadcast ownership filter of one shard."""
-        if self._plan.mode == "hash":
-            return ("hash", self._plan.shards, index)
-        lo, hi = self._plan.shard_range(index)
-        return ("prefix", lo, hi)
 
     def _fault_payload(self, index: int, incarnation: int):
         if self._faults is None:
             return ()
         return self._faults.worker_payload(index, incarnation)
 
-    def _spawn_shm_worker(
-        self, context, index: int, routes: int, incarnation: int
-    ) -> _WorkerHandle:
+    def _spawn_shm_worker(self, context, index: int, routes: int, incarnation: int):
         """Start one shm-transport worker process against the currently
-        published program segment; its readiness ack is pending[0]."""
-        lo, hi = self._plan.shard_range(index)
+        published program segment; returns ``(handle, ready future)``."""
         req_ring = ShmRing.create(self._ring_bytes)
         self._rings.append(req_ring)
         res_ring = ShmRing.create(self._ring_bytes)
@@ -1258,7 +1143,7 @@ class WorkerPool:
                     "request": req_ring.name,
                     "response": res_ring.name,
                     "program": self._program_segment.name,
-                    "filter": self._filter_spec(index),
+                    "filter": _owned_filter(self._plan, index),
                     "index": index,
                     "obs": self._obs.enabled,
                     "faults": self._fault_payload(index, incarnation),
@@ -1269,31 +1154,25 @@ class WorkerPool:
         )
         process.start()
         child_conn.close()  # the child owns its end now
-        handle = _WorkerHandle(index, lo, hi, routes, process, parent_conn)
-        handle.incarnation = incarnation
+        handle = _WorkerHandle(index, routes, process, parent_conn, incarnation)
         handle.req_ring = req_ring
         handle.res_ring = res_ring
-        handle.pending[0] = Future()  # the readiness ack (seq 0)
-        handle.reader = threading.Thread(
-            target=_reader_loop, args=(handle,), daemon=True
-        )
-        handle.reader.start()
-        return handle
+        return handle, handle.start_reader()
 
-    def _spawn_pipe_worker(self, context, spec, incarnation: int) -> _WorkerHandle:
+    def _spawn_pipe_worker(self, context, spec, incarnation: int):
         """Start one pipe-transport worker process from a shard spec
-        (the pickled restricted FIB); its readiness ack is pending[0]."""
+        (the pickled restricted FIB); returns ``(handle, ready future)``."""
         parent_conn, child_conn = context.Pipe(duplex=True)
         process = context.Process(
             target=worker_main,
             args=(
                 child_conn,
-                self._rep_name,
+                self.name,
                 spec.fib,
                 self._options,
                 self._rebuild_every,
                 self._batched,
-                self._filter_spec(spec.index),
+                _owned_filter(self._plan, spec.index),
                 self._obs.enabled,
                 self._fault_payload(spec.index, incarnation),
             ),
@@ -1302,16 +1181,8 @@ class WorkerPool:
         )
         process.start()
         child_conn.close()  # the child owns its end now
-        handle = _WorkerHandle(
-            spec.index, spec.lo, spec.hi, spec.routes, process, parent_conn
-        )
-        handle.incarnation = incarnation
-        handle.pending[0] = Future()  # the readiness ack (seq 0)
-        handle.reader = threading.Thread(
-            target=_reader_loop, args=(handle,), daemon=True
-        )
-        handle.reader.start()
-        return handle
+        handle = _WorkerHandle(spec.index, spec.routes, process, parent_conn, incarnation)
+        return handle, handle.start_reader()
 
     # ------------------------------------------------------------ supervision
 
@@ -1359,7 +1230,7 @@ class WorkerPool:
         image to attach."""
         if self._transport != "shm" or self._closed:
             return
-        with self._pool_lock:
+        with self._lock:
             self._publish(force_full=True)
 
     def _reap(self, handle: _WorkerHandle, join_timeout: float = 5.0) -> None:
@@ -1398,7 +1269,7 @@ class WorkerPool:
         on the control deadline, replays the post-crash update delta,
         and installs the new handle. Runs under the pool lock, so it
         is serialized against publishes, updates and close."""
-        with self._pool_lock:
+        with self._lock:
             if self._closed:
                 raise WorkerError("pool is closed", worker_index=index)
             if self._pending_plan is not None:
@@ -1411,26 +1282,24 @@ class WorkerPool:
             incarnation = old.incarnation + 1
             context = multiprocessing.get_context(self._start_method)
             if self._transport == "shm":
-                handle = self._spawn_shm_worker(
+                handle, ready = self._spawn_shm_worker(
                     context, index, old.routes, incarnation
                 )
             else:
                 spec = self._plan.materialize(self._control)[index]
-                handle = self._spawn_pipe_worker(context, spec, incarnation)
+                handle, ready = self._spawn_pipe_worker(context, spec, incarnation)
             try:
                 ack = self._await(
-                    handle.pending[0], handle=handle, op="ready",
-                    timeout=self._control_timeout,
+                    ready, handle=handle, op="ready", timeout=self._control_timeout
                 )
             except WorkerError:
                 self._reap(handle)
                 raise
-            if self._transport == "shm":
-                handle.attach_seconds = ack[1]
             if self._supervisor is not None:
                 handle.on_fail = self._supervisor.notify
             self._handles[index] = handle
             if self._transport == "shm":
+                handle.attach_seconds = ack[1]
                 if self._publish_proxy.pending or self._deltas_since_image:
                     # Replay the delta: the fresh worker attached the
                     # last *imaged* generation; everything newer lives
@@ -1449,15 +1318,9 @@ class WorkerPool:
     # -------------------------------------------------------------- messaging
 
     def _submit(self, handle: _WorkerHandle, kind: str, *payload) -> Future:
-        """Send one request, registering its reply future (race-free
-        against the reader thread declaring the worker dead)."""
-        with handle.lock:
-            if handle.dead:
-                raise handle.error(op=kind)
-            handle.seq += 1
-            seq = handle.seq
-            future: Future = Future()
-            handle.pending[seq] = future
+        """Send one request down the worker's pipe; returns its reply
+        future."""
+        seq, future = handle.register(kind)
         try:
             with handle.send_lock:
                 handle.conn.send((kind,) + (seq,) + payload)
@@ -1478,13 +1341,7 @@ class WorkerPool:
         backpressure with the worker's liveness as the escape hatch, so
         a dead consumer is a :class:`WorkerError`, never a hang."""
         op_name = _OP_NAMES.get(op, str(op))
-        with handle.lock:
-            if handle.dead:
-                raise handle.error(op=op_name)
-            handle.seq += 1
-            seq = handle.seq
-            future: Future = Future()
-            handle.pending[seq] = future
+        seq, future = handle.register(op_name)
         try:
             with handle.send_lock:
                 handle.req_ring.send(
@@ -1644,9 +1501,7 @@ class WorkerPool:
             )
         elif op == OP_PROBED:
             future.set_result(payload)
-        elif op == OP_ATTACHED:
-            future.set_result(record.aux1 / 1e9)
-        elif op == OP_DELTAED:
+        elif op in (OP_ATTACHED, OP_DELTAED):
             future.set_result(record.aux1 / 1e9)
         else:  # pragma: no cover - protocol drift
             future.set_exception(
@@ -1654,33 +1509,6 @@ class WorkerPool:
             )
 
     # ---------------------------------------------------------------- lookups
-
-    def _split(self, addresses: Sequence[int]):
-        """Owner split -> [(handle, positions, packed_addresses)].
-
-        Vectorized (``ShardPlan.split_vector``: searchsorted + per-shard
-        masks over an int64 view) when NumPy is available; the portable
-        path reuses ``ShardPlan.group``.
-        """
-        if self._plan.shards == 1:
-            return [(self._handles[0], None, _pack_addresses(addresses))]
-        if _np is not None and self._plan.vectorized:
-            if isinstance(addresses, _np.ndarray):
-                batch = addresses
-            elif isinstance(addresses, array) and addresses.typecode == "q":
-                batch = _np.frombuffer(addresses, dtype=_np.int64)
-            else:
-                batch = _np.fromiter(
-                    addresses, dtype=_np.int64, count=len(addresses)
-                )
-            return [
-                (self._handles[shard], positions, slice_.tobytes())
-                for shard, (positions, slice_) in self._plan.split_vector(batch).items()
-            ]
-        return [
-            (self._handles[shard], positions, _pack_addresses(slice_))
-            for shard, (positions, slice_) in self._plan.group(addresses).items()
-        ]
 
     def _enter_flight(self) -> None:
         with self._inflight_lock:
@@ -1697,170 +1525,89 @@ class WorkerPool:
                 )
 
     def submit_batch(self, addresses: Sequence[int]):
-        """Fan one batch out to the workers, without waiting.
+        """:meth:`ShardedFrontend.submit_batch`, counting staleness: on
+        shm, a batch submitted before the accepted updates are published
+        is served against an older generation (the analogue of a stale
+        rebuild), flow-cache hits included — the cache refilled from
+        that generation after the updates invalidated it."""
+        token, count = super().submit_batch(addresses)
+        if self._publish_proxy is not None and self._publish_proxy.pending:
+            self._stale_lookups += count
+        return token, count
 
-        Returns the in-flight token ``(parts, count)`` that
-        :meth:`merge_batch` (or the async front-end) completes. The
-        coordinator gets its per-event tick first, exactly like the
-        simulated cluster. Broadcast mode sends the packed batch whole
-        to every worker (one ``bytes`` pickled N times at memcpy
-        speed); split mode owner-groups here and ships slices.
-        """
-        self._tick()
-        self._batches += 1
-        count = len(addresses)
-        if not count:
-            return [], 0
-        if self._traffic is not None:
-            self._traffic.observe(addresses)
-            self._autoscale_step(count)
+    def _dispatch(self, batch):
+        """Ship a batch to the workers without waiting: whole to every
+        worker (broadcast, one ``bytes`` sent N times) or owner-split
+        into per-worker slices. The measured wall clock opens here and
+        closes after the merge, so it prices fan-out, waiting AND
+        merge."""
         self._enter_flight()
         try:
             if self._broadcast:
-                packed = _pack_addresses(addresses)
+                packed = _pack_addresses(batch)
                 sent = len(packed) * len(self._handles)
                 parts = [
-                    (
-                        handle, None,
-                        self._request_or_defer(handle, "bcast", packed),
-                        "bcast", packed,
-                    )
+                    (handle, None, self._request_or_defer(handle, "bcast", packed),
+                     "bcast", packed)
                     for handle in self._handles
                 ]
             else:
-                split = self._split(addresses)
-                sent = sum(len(packed) for _, _, packed in split)
-                parts = [
-                    (
-                        handle, positions,
-                        self._request_or_defer(handle, "lookup", packed),
-                        "lookup", packed,
+                parts = []
+                sent = 0
+                for shard, positions, part in self._split(batch):
+                    handle = self._handles[shard]
+                    packed = _pack_addresses(part)
+                    sent += len(packed)
+                    parts.append(
+                        (handle, positions,
+                         self._request_or_defer(handle, "lookup", packed),
+                         "lookup", packed)
                     )
-                    for handle, positions, packed in split
-                ]
-        except WorkerError:
-            # Rejected up front (the shard is dead with no budget left):
-            # the whole batch is offered-but-unanswered, which is what
-            # ``availability`` measures.
-            self._leave_flight()
-            self._lookups += count
-            with self._account_lock:
-                self._failed_lookups += count
-            raise
         except Exception:
-            # Any failure here (dead worker, malformed batch) must not
-            # leak the in-flight counter, or the wall clock never folds
-            # again for the rest of the run.
+            # Never leak the in-flight counter, or the wall clock never
+            # folds again for the rest of the run.
             self._leave_flight()
             raise
-        self._lookups += count
         with self._account_lock:
             self._bytes_tx += sent
-        if self._publish_proxy is not None and self._publish_proxy.pending:
-            # Served against a generation older than the accepted
-            # updates — the shm plane's analogue of a stale rebuild.
-            self._stale_lookups += count
-        return parts, count
+        return parts
 
-    def _account_batch(self, replies) -> float:
-        """Fold one batch's worker-reported lookup clocks into the
-        counters; returns the critical path (the slowest worker's
-        serving time). The per-reply update delta (the patch-log drain
-        at the top of the worker's batch) is deliberately *not* folded
-        here: every drain second is already inside the worker's own
-        update clock, which :meth:`report` aggregates — folding it
-        again would double-count it."""
-        critical = 0.0
-        busy = 0.0
-        for _, lookup_spent, _update_spent in replies:
-            busy += lookup_spent
-            if lookup_spent > critical:
-                critical = lookup_spent
-        with self._account_lock:
-            self._busy_lookup_seconds += busy
-            self._lookup_seconds += critical
-        return critical
-
-    def merge_batch(self, parts, count: int, decode: bool = True):
-        """Await every worker's slice and merge in input order.
-
-        ``decode=False`` keeps the merged labels packed (an int64 array
-        with 0 = no route) — the replay loop uses it, since a serving
-        frontend forwards labels rather than boxing them into Python
-        objects; :meth:`lookup_batch` decodes for the public API.
-        """
-        if not count:
-            return []
+    def _collect(self, parts):
+        """Await every worker's part. A part whose worker died is
+        retried on its respawn or answered degraded from the frontend
+        (shard None) when supervision allows, and raises otherwise."""
+        answered = []
+        received = 0
         try:
-            return self._merge_replies(parts, count, decode)
-        finally:
-            # The in-flight span closes only after the merge: the
-            # measured wall clock prices fan-out, waiting AND merge,
-            # exactly as WorkerReport documents.
-            self._leave_flight()
-
-    def _merge_replies(self, parts, count: int, decode: bool):
-        replies = []
-        for handle, positions, future, kind, packed in parts:
-            try:
-                payload = self._await(future, handle=handle, op=kind)
-            except WorkerError as error:
-                payload = self._recover_part(handle, kind, packed, error)
-            replies.append((payload, positions))
-        if self._broadcast:
-            # Reply shape (positions, labels, lookup_s, update_s): the
-            # workers already did the owner split; adopt their positions.
-            replies = [
-                ((payload[1], payload[2], payload[3]), payload[0])
-                for payload, _ in replies
-            ]
-        if self._transport == "pipe":
-            # shm replies were already counted by the ring pump.
-            received = 0
-            for (labels, _, _), positions in replies:
-                received += len(labels)
-                if isinstance(positions, (bytes, bytearray)):
+            for handle, positions, future, kind, packed in parts:
+                shard = handle.index
+                try:
+                    payload = self._await(future, handle=handle, op=kind)
+                except WorkerError as error:
+                    shard, payload = self._recover_part(handle, kind, packed, error)
+                if kind == "bcast":
+                    # The workers did the owner split: adopt their positions.
+                    positions, payload = payload[0], payload[1:]
                     received += len(positions)
+                received += len(payload[0])
+                answered.append((shard, positions, payload[0], payload[1]))
+        finally:
+            self._leave_flight()
+        if self._transport == "pipe":  # shm replies were counted by the ring pump
             with self._account_lock:
                 self._bytes_rx += received
-        self._account_batch([reply for reply, _ in replies])
-        if len(replies) == 1 and replies[0][1] is None:  # single-shard plan
-            merged = _unpack(replies[0][0][0])
-            if _np is not None:
-                merged = _np.frombuffer(merged, dtype=_np.int64)
-        elif _np is not None:
-            merged = _np.empty(count, dtype=_np.int64)
-            for (payload, _, _), positions in replies:
-                labels = _np.frombuffer(payload, dtype=_np.int64)
-                if isinstance(positions, bytes):
-                    positions = _np.frombuffer(positions, dtype=_np.int64)
-                elif not isinstance(positions, _np.ndarray):
-                    positions = _np.asarray(positions, dtype=_np.int64)
-                merged[positions] = labels
-        else:
-            merged = array("q", bytes(8 * count))
-            for (payload, _, _), positions in replies:
-                labels = _unpack(payload)
-                if isinstance(positions, bytes):
-                    positions = _unpack(positions)
-                for position, label in zip(positions, labels):
-                    merged[position] = label
-        if not decode:
-            return merged
-        return [label if label else None for label in merged.tolist()]
+        return answered
 
     def _recover_part(self, handle: _WorkerHandle, kind: str, packed, error):
         """One in-flight batch part died with its worker. Lookups are
         idempotent, so retry the part transparently against the already
         respawned shard when there is one; otherwise serve it degraded
-        from the frontend while the shard is down. Without supervision
-        — or past the restart budget — the original failure propagates,
+        from the frontend while the shard is down. Returns ``(shard,
+        reply)`` (shard None when degraded). Without supervision — or
+        past the restart budget — the original failure propagates,
         exactly the unsupervised contract."""
         index = handle.index
         if not self._recoverable(index):
-            if kind in ("lookup", "bcast"):
-                with self._account_lock:
-                    self._failed_lookups += len(packed) // 8
             raise error
         current = self._handles[index]
         if current is not handle and not current.dead:
@@ -1874,35 +1621,30 @@ class WorkerPool:
             else:
                 with self._account_lock:
                     self._retried_batches += 1
-                return payload
-        return self._serve_degraded(index, kind, packed)
+                return index, payload
+        return None, self._serve_degraded(index, kind, packed)
 
     def _serve_degraded(self, index: int, kind: str, packed):
         """Answer one batch part from the frontend while shard ``index``
         is down: the publisher (shm) or the control oracle (pipe)
         already absorbed every accepted update, so degraded answers are
         never *staler* than the dead worker's would have been — the
-        price is frontend CPU, and every address served this way is
-        counted in ``degraded_lookups``."""
-        with self._pool_lock:
+        price is frontend CPU."""
+        with self._lock:
             if kind == "bcast":
                 positions, owned = _owned_slice(
-                    packed, self._filter_spec(index)
+                    packed, _owned_filter(self._plan, index)
                 )
                 payload = (positions, self._frontend_labels(owned), 0.0, 0.0)
-                served = len(owned)
             elif kind == "lookup":
-                owned = _unpack(packed)
+                owned = unpack(packed)
                 payload = (self._frontend_labels(owned), 0.0, 0.0)
-                served = len(owned)
             else:
                 raise WorkerError(
                     f"worker {index} is down; no degraded path for {kind!r}",
                     worker_index=index, op=kind,
                 )
-        with self._account_lock:
-            self._degraded_lookups += served
-        self._obs_degraded.inc(served)
+        self._obs_degraded.inc(len(owned))
         return payload
 
     def _frontend_labels(self, owned) -> bytes:
@@ -1914,175 +1656,74 @@ class WorkerPool:
             "q", [oracle(address) or 0 for address in owned]
         ).tobytes()
 
-    def lookup_batch(self, addresses: Sequence[int]) -> List[Optional[int]]:
-        """Serve one batch synchronously (fan out, wait, merge)."""
-        parts, count = self.submit_batch(addresses)
-        return self.merge_batch(parts, count)
-
-    def lookup_batch_packed(self, addresses: Sequence[int]) -> bytes:
-        """Serve one batch, returning packed native int64 labels
-        (0 = no route) — the zero-boxing
-        :class:`~repro.serve.plane.ServingPlane` surface."""
-        parts, count = self.submit_batch(addresses)
-        if not count:
-            return b""
-        return self.merge_batch(parts, count, decode=False).tobytes()
-
-    def lookup(self, address: int) -> Optional[int]:
-        return self.lookup_batch([address])[0]
+    def _probe(self, shard: int, addresses: Sequence[int]):
+        handle = self._handles[shard]
+        return unpack(
+            self._await(
+                self._request(handle, "probe", _pack_addresses(addresses)),
+                handle=handle, op="probe",
+            )
+        )
 
     # ---------------------------------------------------------------- updates
 
-    def apply_update(self, op: UpdateOp) -> bool:
-        """Route one accepted operation down every owning worker's pipe.
-
-        The oracle applies it first (bogus withdrawals are skipped
-        pool-wide); per-worker FIFO ordering of the serialized feed is
-        the pipe's. On the rebuild plane the routed backlog is tracked
-        frontend-side so the coordinator knows which workers are due.
-        """
+    def _deliver_update(self, op: UpdateOp, owners: Sequence[int]) -> float:
+        """Route one accepted operation to the owning workers (under the
+        pool lock, so it cannot interleave with a respawn: either it
+        lands before the snapshot or publish the fresh worker boots
+        from, or after the new handle is installed — never both)."""
         started = time.perf_counter()
-        # Under the pool lock the feed cannot interleave with a respawn:
-        # either the update lands before the snapshot/publish the fresh
-        # worker boots from (so replay carries it) or after the new
-        # handle is installed (so it is routed normally) — never both.
-        with self._pool_lock:
+        if self._transport == "shm":
+            # The update never crosses a process boundary per-op: the
+            # frontend-hosted publisher absorbs it (a patch on the
+            # incremental plane, a backlog entry on the rebuild plane)
+            # and the workers adopt it wholesale at the next published
+            # generation. A dead owner that will never be respawned
+            # still surfaces here — accepting an update no live worker
+            # can ever adopt would serve the stale generation silently.
+            for index in owners:
+                handle = self._handles[index]
+                if handle.dead and not self._recoverable(index):
+                    raise handle.error(op="update")
+            self._publisher.apply_update(op)
+            self._publish_proxy.pending.append(op)
+            if self._vis_ingress_ns is None:
+                # The oldest unpublished update's ingress stamp; rides
+                # the next OP_ATTACH so the workers can close the
+                # cross-process visibility window.
+                self._vis_ingress_ns = now_ns()
+            return time.perf_counter() - started
+        for index in owners:
+            handle = self._handles[index]
+            if handle.dead and self._recoverable(index):
+                # The respawn rebuilds this shard from the control
+                # oracle, which already carries this update.
+                continue
             try:
-                self._control.update(op.prefix, op.length, op.label)
-            except KeyError:
-                self._updates_skipped += 1
-                with self._account_lock:
-                    self._update_seconds += time.perf_counter() - started
-                return False
-            owners = self._plan.owners(op.prefix, op.length)
-            if self._pending_plan is not None:
-                # Mid-transition the op must reach the owners of *both*
-                # plans: a worker already resharded onto its new range
-                # snapshot would otherwise miss churn for a range it is
-                # about to inherit. Extra deliveries are harmless — a
-                # restricted server absorbs out-of-range announces and
-                # skips withdrawals of routes it never held.
-                owners = tuple(
-                    sorted(
-                        set(owners)
-                        | set(self._pending_plan.owners(op.prefix, op.length))
-                    )
-                )
-            if self._transport == "shm":
-                # The update never crosses a process boundary per-op: the
-                # frontend-hosted publisher absorbs it (a patch on the
-                # incremental plane, a backlog entry on the rebuild plane)
-                # and the workers adopt it wholesale at the next published
-                # generation. A dead owner that will never be respawned
-                # still surfaces here — accepting an update no live worker
-                # can ever adopt would serve the stale generation silently.
-                for index in owners:
-                    handle = self._handles[index]
-                    if handle.dead and not self._recoverable(index):
-                        raise handle.error(op="update")
-                self._publisher.apply_update(op)
-                self._publish_proxy.pending.append(op)
-                if self._vis_ingress_ns is None:
-                    # The oldest unpublished update's ingress stamp; rides
-                    # the next OP_ATTACH so the workers can close the
-                    # cross-process visibility window.
-                    self._vis_ingress_ns = now_ns()
-            else:
-                for index in owners:
-                    handle = self._handles[index]
-                    if handle.dead and self._recoverable(index):
-                        # The respawn rebuilds this shard from the control
-                        # oracle, which already carries this update.
-                        continue
-                    try:
-                        self._send_update(handle, op)
-                    except WorkerError:
-                        if self._recoverable(index):
-                            continue
-                        raise
-                    if not self._incremental:
-                        self._proxies[index].pending.append(op)
-        with self._account_lock:
-            self._update_seconds += time.perf_counter() - started
-        self._updates_applied += 1
-        self._fanout_total += len(owners)
-        self._tick()
-        if self._pending_plan is not None:
-            self._advance_replan()
-        return True
+                self._send_update(handle, op)
+            except WorkerError:
+                if self._recoverable(index):
+                    continue
+                raise
+            if not self._incremental:
+                self._proxies[index].pending.append(op)
+        return time.perf_counter() - started
 
-    def apply_updates(self, ops: Sequence[UpdateOp]) -> int:
-        """Apply a sequence of operations; returns how many were
-        accepted (the :class:`~repro.serve.plane.ServingPlane` batch
-        update surface)."""
-        return sum(1 for op in ops if self.apply_update(op))
-
-    # ------------------------------------------------------------ coordinator
-
-    def _tick(self) -> None:
-        """The coordinator's per-event chance to stagger one swap."""
-        if self._coordinator.due():
-            self._coordinator.tick()
-
-    # -------------------------------------------------------------- autoscale
-
-    def _autoscale_step(self, batch_size: int) -> None:
-        """One drift-monitor step (rides every lookup batch).
-
-        While a re-plan is in flight this only advances it (one
-        non-blocking poll); otherwise the gates — check cadence,
-        observation window, post-replan cooldown — keep the O(2^G)
-        imbalance computation off the common path.
-        """
-        policy = self._autoscale
-        if self._pending_plan is not None:
-            self._lookups_during_replan += batch_size
-            self._advance_replan()
+    def _begin_replan(self) -> None:
+        if self._transport == "shm":
+            # Workers map the full published program — any worker
+            # answers any address — so the new plan lands as a
+            # frontend-only owner-split flip, no worker involved.
+            self._adopt_plan()
             return
-        if (
-            self._plan.mode != "prefix"
-            or self._plan.shards < 2
-            or self._batches % policy.check_every
-            or self._traffic.total < policy.min_window
-            or self._lookups - self._last_replan_lookups < policy.cooldown
-        ):
-            return
-        imbalance = self._traffic.imbalance(self._plan)
-        self._obs_imbalance.set(imbalance)
-        if imbalance <= policy.imbalance_threshold:
-            return
-        with self._pool_lock:
-            if self._closed or self._pending_plan is not None:
-                return
-            plan = plan_cluster(
-                self._control,
-                self._plan.shards,
-                mode="prefix",
-                traffic=self._traffic.snapshot(),
-                hot_share=policy.hot_share,
-                max_hot=policy.max_hot,
-                spray_seed=policy.spray_seed,
-            )
-            if plan.bounds == self._plan.bounds and plan.hot == self._plan.hot:
-                # Already the best cut the grid offers: restart the
-                # window so a stale skew cannot re-trigger forever.
-                self._traffic.reset()
-                self._last_replan_lookups = self._lookups
-                return
-            self._pending_plan = plan
-            if self._transport == "shm":
-                # Workers map the full published program — any worker
-                # answers any address — so the new plan lands as a
-                # frontend-only owner-split flip, no worker involved.
-                self._finish_replan()
-                return
-            self._reshard_specs = []
-            self._reshard_next = 0
-            self._reshard_inflight = None
-            self._advance_replan()
+        self._reshard_specs = []
+        self._reshard_next = 0
+        self._reshard_inflight = None
+        self._advance_replan()
 
-    def _advance_replan(self) -> None:
-        """Drive one non-blocking step of a pending pipe re-plan.
+    def _advance_replan(self, wait: bool = False) -> None:
+        """Drive one step of a pending pipe re-plan (``wait``: block on
+        the reshard in flight first).
 
         At most one worker rebuilds at a time: its ``reshard`` request
         carries the union-restricted FIB snapshot and queues FIFO with
@@ -2092,9 +1733,19 @@ class WorkerPool:
         frontend routes by the *old* plan until every worker has acked,
         then flips atomically.
         """
-        with self._pool_lock:
+        inflight = self._reshard_inflight
+        if wait and inflight is not None:
+            index, future = inflight
+            try:
+                self._await(
+                    future, handle=self._handles[index], op="reshard",
+                    timeout=self._control_timeout,
+                )
+            except WorkerError:
+                pass  # declared failed; the step below aborts
+        with self._lock:
             plan = self._pending_plan
-            if plan is None or self._transport == "shm" or self._closed:
+            if plan is None or self._closed:
                 return
             if self._reshard_inflight is not None:
                 _index, future = self._reshard_inflight
@@ -2105,87 +1756,45 @@ class WorkerPool:
                     build_spent, _size_bits = future.result()
                 except Exception:  # noqa: BLE001
                     # The worker died or refused the new shard; its
-                    # respawn (if any) is the supervisor's. Abandon the
-                    # transition — the drift monitor re-triggers once
-                    # traffic re-accumulates.
+                    # respawn (if any) is the supervisor's.
                     self._abort_replan()
                     return
                 self._replan_seconds += build_spent
-            if self._reshard_next < plan.shards:
-                index = self._reshard_next
-                handle = self._handles[index]
-                # The union snapshot is cut *at send time*, under the
-                # pool lock: every update accepted so far is inside it,
-                # and every later one queues behind the reshard message
-                # in this worker's pipe — cutting all snapshots up
-                # front instead would lose the updates that land while
-                # earlier workers rebuild.
-                started = time.perf_counter()
-                old_lo, old_hi = self._plan.shard_range(index)
-                new_lo, new_hi = plan.shard_range(index)
-                union = restrict_fib(
-                    self._control,
-                    new_lo,
-                    new_hi,
-                    extra=((old_lo, old_hi), *plan.hot),
-                )
-                spec = ShardSpec(index, new_lo, new_hi, union, hot=plan.hot)
-                self._replan_seconds += time.perf_counter() - started
-                new_filter = (
-                    ("hash", plan.shards, index)
-                    if plan.mode == "hash"
-                    else ("prefix", spec.lo, spec.hi)
-                )
-                try:
-                    future = self._submit(
-                        handle, "reshard", spec.fib, new_filter
-                    )
-                except WorkerError:
-                    self._abort_replan()
-                    return
-                # The snapshot supersedes this worker's routed backlog:
-                # everything sent before the reshard is inside the
-                # shipped FIB; later ops queue behind it and re-accrue.
-                self._proxies[index].pending.clear()
-                self._reshard_specs.append(spec)
-                self._reshard_inflight = (index, future)
-                self._reshard_next += 1
+            if self._reshard_next == plan.shards:
+                for handle, spec in zip(self._handles, self._reshard_specs):
+                    handle.routes = spec.routes
+                self._adopt_plan()
                 return
-            self._finish_replan()
-
-    def _abort_replan(self) -> None:
-        """Walk back a transition that lost a worker mid-adoption.
-
-        Safe without undo: resharded workers hold *union* FIBs, a
-        strict superset of what the still-authoritative old plan routes
-        to them, so their answers stay correct."""
-        self._pending_plan = None
-        self._reshard_specs = []
-        self._reshard_next = 0
-        self._reshard_inflight = None
-        self._traffic.reset()
-        self._last_replan_lookups = self._lookups
-
-    def _finish_replan(self) -> None:
-        """Atomically flip the pool onto the pending plan."""
-        plan = self._pending_plan
-        self._pending_plan = None
-        if self._transport == "pipe" and self._reshard_specs:
-            for handle, spec in zip(self._handles, self._reshard_specs):
-                handle.lo = spec.lo
-                handle.hi = spec.hi
-                handle.routes = spec.routes
-        else:
-            for index, handle in enumerate(self._handles):
-                handle.lo, handle.hi = plan.shard_range(index)
-        self._plan = plan
-        self._reshard_specs = []
-        self._reshard_next = 0
-        self._reshard_inflight = None
-        self._replans += 1
-        self._obs_replans.inc()
-        self._traffic.reset()
-        self._last_replan_lookups = self._lookups
+            index = self._reshard_next
+            # The union snapshot is cut *at send time*, under the pool
+            # lock: every update accepted so far is inside it, and
+            # every later one queues behind the reshard message in this
+            # worker's pipe — cutting all snapshots up front instead
+            # would lose the updates that land while earlier workers
+            # rebuild.
+            started = time.perf_counter()
+            new_lo, new_hi = plan.shard_range(index)
+            union = restrict_fib(
+                self._control, new_lo, new_hi,
+                extra=(self._plan.shard_range(index), *plan.hot),
+            )
+            spec = ShardSpec(index, new_lo, new_hi, union, hot=plan.hot)
+            self._replan_seconds += time.perf_counter() - started
+            try:
+                future = self._submit(
+                    self._handles[index], "reshard", spec.fib,
+                    _owned_filter(plan, index),
+                )
+            except WorkerError:
+                self._abort_replan()
+                return
+            # The snapshot supersedes this worker's routed backlog:
+            # everything sent before the reshard is inside the shipped
+            # FIB; later ops queue behind it and re-accrue.
+            self._proxies[index].pending.clear()
+            self._reshard_specs.append(spec)
+            self._reshard_inflight = (index, future)
+            self._reshard_next += 1
 
     def _swap(self, handle: _WorkerHandle, proxy: _ProxyServer) -> None:
         """One synchronous epoch swap over the control channel: send,
@@ -2196,8 +1805,8 @@ class WorkerPool:
             timeout=self._control_timeout,
         )
         self._rebuild_seconds += rebuild_spent
-        self._swaps += 1
         proxy.pending.clear()
+        self._invalidate_flow_cache()
 
     def _publish(self, force_full: bool = False) -> None:
         """Roll one program generation through the pool (shm).
@@ -2216,7 +1825,7 @@ class WorkerPool:
         worker that fails to adopt is declared dead rather than
         silently left serving stale answers.
         """
-        with self._pool_lock:
+        with self._lock:
             started = time.perf_counter()
             publisher = self._publisher
             rebuilt = False
@@ -2234,88 +1843,56 @@ class WorkerPool:
                 and program is self._published_program
                 and len(entries) * 24 < DEFAULT_RING_BYTES // 2
             ):
-                self._publish_delta(entries, started)
-                return
-            generation = self._generation + 1
-            segment = publish_program(program, generation)
-            self._published_program = program
-            self._deltas_since_image = 0
-            if self._faults is not None and self._faults.corrupts_publish(
-                self._publishes + 1
-            ):
-                corrupt_segment_header(segment)
-            self._segments.append(segment)
-            name = segment.name.encode()
-            ingress_ns = self._vis_ingress_ns or 0
-            self._vis_ingress_ns = None
-            submitted = []
-            for handle in self._handles:
-                if handle.dead:
-                    continue
-                try:
-                    submitted.append(
-                        (handle, self._submit_ring(
-                            handle, OP_ATTACH, name, generation=generation,
-                            aux1=ingress_ns,
-                        ))
-                    )
-                except WorkerError:
-                    continue  # already failed; in-flight futures are drained
-            for handle, future in submitted:
-                try:
-                    adopted = self._await(
-                        future, handle=handle, op="attach",
-                        timeout=self._control_timeout,
-                    )
-                except WorkerError as error:
-                    if not handle.dead:
-                        # Alive but refusing the fresh generation: serving
-                        # stale data silently is worse than losing the worker.
-                        handle.fail(
-                            f"worker {handle.index} failed to adopt "
-                            f"generation {generation}: {error}",
-                            op="attach",
-                        )
-                    continue
-                handle.attach_seconds = max(handle.attach_seconds, adopted)
-                self._attach_seconds = max(self._attach_seconds, adopted)
-            old = self._program_segment
-            self._program_segment = segment
-            self._generation = generation
-            if old is not None:
-                self._segments.remove(old)
-                try:
-                    old.close()
-                except BufferError:  # pragma: no cover - a view escaped
-                    pass
-                try:
-                    old.unlink()
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    pass
-            self._publishes += 1
-            self._swaps += 1
+                self._publish_delta(entries)
+            else:
+                self._publish_image(program)
             self._rebuild_seconds += time.perf_counter() - started
             self._publish_proxy.pending.clear()
+            self._invalidate_flow_cache()
 
-    def _publish_delta(self, entries, started: float) -> None:
-        """Ride a clean terminal patch delta to every live worker.
+    def _publish_image(self, program) -> None:
+        """Copy the compiled image into a fresh segment and walk every
+        live worker onto it (``OP_ATTACH``)."""
+        generation = self._generation + 1
+        segment = publish_program(program, generation)
+        self._published_program = program
+        self._deltas_since_image = 0
+        if self._faults is not None and self._faults.corrupts_publish(
+            self._publishes + 1
+        ):
+            corrupt_segment_header(segment)
+        self._segments.append(segment)
+        for handle, adopted in self._roll(
+            OP_ATTACH, segment.name.encode(), generation, "attach"
+        ):
+            handle.attach_seconds = max(handle.attach_seconds, adopted)
+            self._attach_seconds = max(self._attach_seconds, adopted)
+        old = self._program_segment
+        self._program_segment = segment
+        self._generation = generation
+        if old is not None:
+            self._segments.remove(old)
+            _release_segment(old)
+        self._publishes += 1
 
-        Called from :meth:`_publish` under the pool lock once the
-        journal is verified clean and the published program unchanged.
-        An empty delta still rolls (it closes the visibility window of
-        updates that did not move the compiled plane). Workers that
-        fail to adopt are failed exactly like a refused attach.
-        """
-        if entries:
-            flat = array("q")
-            for start, end, val in entries:
-                flat.extend((start, end, val))
-            payload = flat.tobytes()
-        else:
-            payload = b""
+    def _publish_delta(self, entries) -> None:
+        """Ride a clean terminal patch delta to every live worker. An
+        empty delta still rolls (it closes the visibility window of
+        updates that did not move the compiled plane)."""
+        flat = array("q")
+        for start, end, val in entries:
+            flat.extend((start, end, val))
+        self._roll(OP_DELTA, flat.tobytes(), self._generation, "delta")
+        self._delta_publishes += 1
+        self._deltas_since_image += 1
+
+    def _roll(self, op: int, payload, generation: int, name: str):
+        """Send one adoption record to every live worker and await the
+        acks; returns ``(handle, adopt seconds)`` per adopter. A worker
+        alive but refusing the generation is declared dead: serving
+        stale answers silently is worse than losing the worker."""
         ingress_ns = self._vis_ingress_ns or 0
         self._vis_ingress_ns = None
-        generation = self._generation
         submitted = []
         for handle in self._handles:
             if handle.dead:
@@ -2323,98 +1900,41 @@ class WorkerPool:
             try:
                 submitted.append(
                     (handle, self._submit_ring(
-                        handle, OP_DELTA, payload, generation=generation,
+                        handle, op, payload, generation=generation,
                         aux1=ingress_ns,
                     ))
                 )
             except WorkerError:
                 continue  # already failed; in-flight futures are drained
+        adopters = []
         for handle, future in submitted:
             try:
-                self._await(
-                    future, handle=handle, op="delta",
+                adopters.append((handle, self._await(
+                    future, handle=handle, op=name,
                     timeout=self._control_timeout,
-                )
+                )))
             except WorkerError as error:
                 if not handle.dead:
-                    # Alive but refusing the delta: serving stale
-                    # answers silently is worse than losing the worker.
                     handle.fail(
-                        f"worker {handle.index} failed to adopt the "
-                        f"generation {generation} delta: {error}",
-                        op="delta",
+                        f"worker {handle.index} failed to adopt "
+                        f"generation {generation} ({name}): {error}",
+                        op=name,
                     )
-                continue
-        self._delta_publishes += 1
-        self._deltas_since_image += 1
-        self._swaps += 1
-        self._rebuild_seconds += time.perf_counter() - started
-        self._publish_proxy.pending.clear()
+        return adopters
 
-    def quiesce(self) -> None:
-        """Drain the update plane: publish the backlog's generation on
-        the shm transport, else swap each due worker (one at a time).
-        A re-plan still in flight is driven to completion first, so a
-        quiesced pool always serves exactly its reported plan."""
-        self.settle()
-        while self._pending_plan is not None and not self._closed:
-            inflight = self._reshard_inflight
-            if inflight is not None:
-                index, future = inflight
-                try:
-                    self._await(
-                        future,
-                        handle=self._handles[index],
-                        op="reshard",
-                        timeout=self._control_timeout,
-                    )
-                except WorkerError:
-                    pass  # declared failed; the advance below aborts
-            self._advance_replan()
+    def _drain(self) -> None:
+        """Publish the backlog's generation (shm), else swap each due
+        worker, one at a time."""
         if self._transport == "shm":
             if self._publish_proxy.pending:
                 self._publish()
             return
-        with self._pool_lock:
+        with self._lock:
             for handle, proxy in zip(self._handles, self._proxies):
                 if proxy.pending:
                     if handle.dead and self._recoverable(handle.index):
                         continue  # the respawn rebuilds it fresh
                     self._swap(handle, proxy)
-
-    # ----------------------------------------------------------------- replay
-
-    def replay(self, events: Sequence[ServeEvent]) -> None:
-        """Synchronous scenario replay (the async front-end pipelines)."""
-        for event in events:
-            if event.is_lookup:
-                parts, count = self.submit_batch(event.addresses)
-                self.merge_batch(parts, count, decode=False)
-            else:
-                self.apply_update(event.op)
-
-    def parity_fraction(self, addresses: Sequence[int]) -> float:
-        """Fraction of probe addresses agreeing with the pool oracle
-        (served over the uncounted probe channel)."""
-        if not addresses:
-            return 1.0
-        self.settle()
-        oracle = self._control.lookup
-        agreed = 0
-        for handle, _, packed in self._split(addresses):
-            probe = _unpack(packed)
-            served = _unpack(
-                self._await(
-                    self._request(handle, "probe", packed),
-                    handle=handle, op="probe",
-                )
-            )
-            agreed += sum(
-                1
-                for address, label in zip(probe, served)
-                if label == (oracle(address) or 0)
-            )
-        return agreed / len(addresses)
 
     # ---------------------------------------------------------------- metrics
 
@@ -2422,7 +1942,8 @@ class WorkerPool:
         self, scenario: str = "", final_parity: Optional[float] = None,
         wall_seconds: float = 0.0,
     ) -> WorkerReport:
-        """Gather every worker's state and aggregate, cluster-style.
+        """Gather every worker's state and aggregate it onto the
+        frontend's counters.
 
         On the pipe transport each worker returns its full
         ``ServeReport``. On the shm transport the workers are thin
@@ -2433,17 +1954,12 @@ class WorkerPool:
         """
         futures: List[Optional[Future]] = []
         for handle in self._handles:
-            if handle.dead:
-                if self._supervisor is None:
-                    raise handle.error(op="report")
-                futures.append(None)  # down mid-recovery (or abandoned)
-                continue
             try:
                 futures.append(self._submit(handle, "report", scenario))
             except WorkerError:
                 if self._supervisor is None:
                     raise
-                futures.append(None)
+                futures.append(None)  # down mid-recovery (or abandoned)
         records: List[Any] = []
         for handle, future in zip(self._handles, futures):
             if future is None:
@@ -2460,85 +1976,56 @@ class WorkerPool:
                 if self._supervisor is None:
                     raise
                 records.append(None)
-        worker_snaps: List[Optional[dict]] = []
-        shard_rows: List[dict] = []
-        stale = mismatches = rebuilds = generation = pending = size = peak = 0
-        worker_update = rebuild_seconds = rebuild_cycles = 0.0
+        rows: List[dict] = []
         if self._transport == "shm":
             published = self._publisher.report(scenario=scenario)
             image_bits = 8 * self._program_segment.size
-            stale = self._stale_lookups
-            rebuilds = published.rebuilds
-            pending = len(self._publish_proxy.pending)
-            # One publisher + one shared image; while a publish is in
-            # flight two generations of the image are linked at once.
-            size = published.size_bits + image_bits
-            peak = published.peak_size_bits + image_bits * (
-                2 if self._publishes else 1
-            )
-            # The publisher's own update/rebuild clocks are inside the
-            # pool's measured walls (it runs on the frontend), so only
-            # the pool's clocks are reported — no double counting.
-            rebuild_seconds = self._rebuild_seconds
-            rebuild_cycles = published.rebuild_cycles
             # Staleness is a pool-wide property on this plane (every
             # worker lags the same unpublished backlog identically).
-            pool_staleness = stale / self._lookups if self._lookups else 0.0
+            staleness = self._stale_lookups / self._lookups if self._lookups else 0.0
             for handle, record in zip(self._handles, records):
                 if record is None:
-                    shard_rows.append(self._down_row(handle))
-                    worker_snaps.append(None)
+                    rows.append(_down_row(handle))
                     continue
-                generation += record["generation"]
-                worker_snaps.append(record.get("obs"))
-                shard_rows.append(
-                    {
-                        "shard": handle.index,
-                        "lo": handle.lo,
-                        "hi": handle.hi,
-                        "routes": handle.routes,
-                        "lookups": record["lookups"],
-                        "lookup_seconds": record["lookup_seconds"],
-                        "staleness": pool_staleness,
-                        "rebuilds": 0,
-                        "generation": record["generation"],
-                        "size_bits": record["size_bits"],
-                        "peak_size_bits": record["size_bits"],
-                        "attach_seconds": record["attach_seconds"],
-                    }
-                )
+                rows.append({
+                    "routes": handle.routes,
+                    "staleness": staleness,
+                    "rebuilds": 0,
+                    "generation": record["generation"],
+                    "size_bits": record["size_bits"],
+                    "peak_size_bits": record["size_bits"],
+                    "attach_seconds": record["attach_seconds"],
+                })
+            plane = dict(
+                rebuilds=published.rebuilds,
+                generation=sum(row["generation"] for row in rows),
+                pending_updates=len(self._publish_proxy.pending),
+                stale_lookups=self._stale_lookups,
+                label_mismatches=0,
+                # The publisher's own update/rebuild clocks are inside
+                # the pool's measured walls (it runs on the frontend),
+                # so only the pool's clocks count — no double counting.
+                update_seconds=self._update_seconds,
+                rebuild_seconds=self._rebuild_seconds,
+                # One publisher + one shared image; while a publish is
+                # in flight two generations of the image are linked.
+                size_bits=published.size_bits + image_bits,
+                peak_size_bits=published.peak_size_bits
+                + image_bits * (2 if self._publishes else 1),
+                rebuild_cycles=published.rebuild_cycles,
+            )
+            worker_snaps = [record and record.get("obs") for record in records]
         else:
+            present = [record for record in records if record is not None]
             for handle, record in zip(self._handles, records):
-                if record is None:
-                    shard_rows.append(self._down_row(handle))
-                    worker_snaps.append(None)
-                    continue
-                worker_snaps.append(getattr(record, "obs", None))
-                stale += record.stale_lookups
-                mismatches += record.label_mismatches
-                rebuilds += record.rebuilds
-                generation += record.generation
-                pending += record.pending_updates
-                size += record.size_bits
-                peak += record.peak_size_bits
-                worker_update += record.update_seconds
-                rebuild_seconds += record.rebuild_seconds
-                rebuild_cycles += record.rebuild_cycles
-                shard_rows.append(
-                    {
-                        "shard": handle.index,
-                        "lo": handle.lo,
-                        "hi": handle.hi,
-                        "routes": handle.routes,
-                        "lookups": record.lookups,
-                        "lookup_seconds": record.lookup_seconds,
-                        "staleness": record.staleness,
-                        "rebuilds": record.rebuilds,
-                        "generation": record.generation,
-                        "size_bits": record.size_bits,
-                        "peak_size_bits": record.peak_size_bits,
-                    }
+                rows.append(
+                    _down_row(handle) if record is None
+                    else {"routes": handle.routes, **shard_row_fields(record)}
                 )
+            plane = plane_totals(present)
+            plane["update_seconds"] += self._update_seconds
+            worker_snaps = [getattr(record, "obs", None) for record in records]
+        plane["rebuild_seconds"] += self._replan_seconds
         obs_snapshot = None
         if self._obs.enabled:
             # Merge into a throwaway registry, never the live one, so
@@ -2551,35 +2038,9 @@ class WorkerPool:
                     merged.merge(snap)
             self._sample_ring_obs(merged, records)
             obs_snapshot = merged.snapshot()
-        applied = self._updates_applied
         return WorkerReport(
-            name=self.name,
-            title=self._spec.title,
-            scenario=scenario,
-            incremental=self._incremental,
-            lookups=self._lookups,
-            batches=self._batches,
-            updates_applied=applied,
-            updates_skipped=self._updates_skipped,
-            rebuilds=rebuilds,
-            generation=generation,
-            pending_updates=pending,
-            stale_lookups=stale,
-            label_mismatches=mismatches,
-            lookup_seconds=self._lookup_seconds,
-            update_seconds=self._update_seconds + worker_update,
-            rebuild_seconds=rebuild_seconds + self._replan_seconds,
-            size_bits=size,
-            peak_size_bits=peak,
-            rebuild_cycles=rebuild_cycles,
-            final_parity=final_parity,
-            shards=self._plan.shards,
-            partition=self._plan.mode,
-            replicated_routes=self._replicated_routes(),
-            update_fanout=(self._fanout_total / applied) if applied else 0.0,
-            busy_lookup_seconds=self._busy_lookup_seconds,
-            coordinator_swaps=self._coordinator.swaps,
-            shard_rows=tuple(shard_rows),
+            **self._report_fields(scenario, final_parity, rows),
+            **plane,
             spawn_method=self._start_method,
             spawn_seconds=self._spawn_seconds,
             wall_lookup_seconds=self._wall_lookup_seconds,
@@ -2590,11 +2051,6 @@ class WorkerPool:
             delta_publishes=self._delta_publishes,
             bytes_tx=self._bytes_tx,
             bytes_rx=self._bytes_rx,
-            replans=self._replans,
-            lookups_during_replan=self._lookups_during_replan,
-            hot_ranges=len(self._plan.hot),
-            degraded_lookups=self._degraded_lookups,
-            failed_lookups=self._failed_lookups,
             retried_batches=self._retried_batches,
             worker_restarts=self._restarts,
             workers_abandoned=(
@@ -2606,26 +2062,6 @@ class WorkerPool:
             max_restarts=self._max_restarts,
             obs=obs_snapshot,
         )
-
-    @staticmethod
-    def _down_row(handle: _WorkerHandle) -> dict:
-        """A shard row for a worker that is down at report time (its
-        served-so-far counters died with the process; the pool-level
-        degraded/restart counters carry the story instead)."""
-        return {
-            "shard": handle.index,
-            "lo": handle.lo,
-            "hi": handle.hi,
-            "routes": handle.routes,
-            "lookups": 0,
-            "lookup_seconds": 0.0,
-            "staleness": 0.0,
-            "rebuilds": 0,
-            "generation": 0,
-            "size_bits": 0,
-            "peak_size_bits": 0,
-            "down": True,
-        }
 
     def _sample_ring_obs(self, target: Registry, records) -> None:
         """Sample ring occupancy and backpressure counters into one
@@ -2676,28 +2112,6 @@ class WorkerPool:
                 for stat, instrument in stats.items():
                     instrument.labels(key).value = shipped.get(stat, 0)
 
-    def _replicated_routes(self) -> int:
-        from repro.pipeline.shard import boundary_routes, prefix_span
-
-        if self._plan.shards == 1:
-            return 0
-        if self._plan.mode == "hash":
-            return len(self._control)
-        crossing = {
-            (route.prefix, route.length)
-            for route in boundary_routes(self._control, self._plan.bounds)
-        }
-        if self._plan.hot:
-            # Hot-range routes replicate into every shard by design.
-            width = self._control.width
-            for route in self._control:
-                span_lo, span_hi = prefix_span(route.prefix, route.length, width)
-                if any(
-                    span_lo < hi and lo < span_hi for lo, hi in self._plan.hot
-                ):
-                    crossing.add((route.prefix, route.length))
-        return len(crossing)
-
     # ---------------------------------------------------------------- closing
 
     def close(self, join_timeout: float = 5.0) -> None:
@@ -2720,7 +2134,7 @@ class WorkerPool:
         if self._ring_reader is not None:
             self._ring_reader.join(2.0)  # sees _closed within one sweep
             self._ring_reader = None
-        with self._pool_lock:
+        with self._lock:
             for handle in self._handles:
                 if not handle.dead:
                     try:
@@ -2739,16 +2153,36 @@ class WorkerPool:
                 ring.close()  # owner side: unlinks the segment
             self._rings.clear()
             for segment in self._segments:
-                try:
-                    segment.close()
-                except BufferError:  # pragma: no cover - a view escaped
-                    pass
-                try:
-                    segment.unlink()
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    pass
+                _release_segment(segment)
             self._segments.clear()
             self._program_segment = None
+
+
+def _down_row(handle: _WorkerHandle) -> dict:
+    """The backend fields of a worker that is down at report time (its
+    own counters died with the process; the frontend's row counts and
+    the degraded/restart counters carry the story instead)."""
+    return {
+        "routes": handle.routes,
+        "staleness": 0.0,
+        "rebuilds": 0,
+        "generation": 0,
+        "size_bits": 0,
+        "peak_size_bits": 0,
+        "down": True,
+    }
+
+
+def _release_segment(segment) -> None:
+    """Close and unlink one frontend-owned program segment."""
+    try:
+        segment.close()
+    except BufferError:  # pragma: no cover - a view escaped
+        pass
+    try:
+        segment.unlink()
+    except FileNotFoundError:  # pragma: no cover - already gone
+        pass
 
 
 class AsyncFibFrontend:
@@ -2860,69 +2294,3 @@ class AsyncFibFrontend:
                     task.cancel()
 
 
-def serve_worker_scenario(
-    name: str,
-    fib: Fib,
-    events: Sequence[ServeEvent],
-    *,
-    scenario: str = "",
-    workers: int = 2,
-    partition: str = "prefix",
-    options: Optional[Dict[str, Any]] = None,
-    rebuild_every: int = DEFAULT_REBUILD_EVERY,
-    batched: bool = True,
-    parity_probes: Sequence[int] = (),
-    granularity: Optional[int] = None,
-    start_method: str = DEFAULT_START_METHOD,
-    window: int = DEFAULT_WINDOW,
-    timeout: float = DEFAULT_TIMEOUT,
-    control_timeout: float = DEFAULT_CONTROL_TIMEOUT,
-    transport: str = DEFAULT_TRANSPORT,
-    ring_bytes: int = DEFAULT_RING_BYTES,
-    obs: Registry = NULL_REGISTRY,
-    max_restarts: int = 0,
-    restart_window: float = DEFAULT_RESTART_WINDOW,
-    faults: Optional[FaultPlan] = None,
-    autoscale: Optional[AutoscalePolicy] = None,
-) -> WorkerReport:
-    """Replay one script through a real multi-process worker pool.
-
-    The worker twin of :func:`~repro.serve.cluster.serve_cluster_scenario`:
-    spawn the pool, replay the script through the pipelining async
-    front-end, quiesce every worker, probe post-quiescence parity
-    against the pool oracle, report (with the whole-replay wall clock),
-    and always tear the processes down. ``max_restarts``/``faults``
-    turn the run into a supervised (and optionally chaos-injected) one.
-    """
-    pool = WorkerPool(
-        name,
-        fib,
-        workers=workers,
-        partition=partition,
-        options=options,
-        rebuild_every=rebuild_every,
-        batched=batched,
-        granularity=granularity,
-        start_method=start_method,
-        timeout=timeout,
-        control_timeout=control_timeout,
-        transport=transport,
-        ring_bytes=ring_bytes,
-        obs=obs,
-        max_restarts=max_restarts,
-        restart_window=restart_window,
-        faults=faults,
-        autoscale=autoscale,
-    )
-    try:
-        frontend = AsyncFibFrontend(pool, window=window)
-        started = time.perf_counter()
-        asyncio.run(frontend.replay(events))
-        pool.quiesce()
-        wall = time.perf_counter() - started
-        parity = pool.parity_fraction(parity_probes) if parity_probes else None
-        return pool.report(
-            scenario=scenario, final_parity=parity, wall_seconds=wall
-        )
-    finally:
-        pool.close()

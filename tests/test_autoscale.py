@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import inspect
 import random
+import sys
 from array import array
 
 import pytest
@@ -32,7 +32,7 @@ from repro.serve.metrics import ServeReport
 from repro.serve.plane import ServingPlane, open_plane
 from repro.serve.server import FibServer
 from repro.serve.workers import AsyncFibFrontend, WorkerPool
-from tests.conftest import random_fib
+from tests.conftest import random_fib, run_awaitable as _run
 
 try:
     import numpy
@@ -372,18 +372,6 @@ class TestClusterControlLoop:
 # ------------------------------------------------------- ServingPlane contract
 
 
-def _run(value):
-    """Await awaitable verb results (the pipelining frontend) so the
-    conformance checks stay plane-agnostic."""
-    if inspect.isawaitable(value):
-        return asyncio.run(_consume(value))
-    return value
-
-
-async def _consume(awaitable):
-    return await awaitable
-
-
 PLANE_SHAPES = {
     "server": (FibServer, {}),
     "cluster": (FibCluster, {"shards": 4}),
@@ -458,7 +446,7 @@ class TestWorkerReplanParity:
             updates=48, seed=11,
         )
         probes = serve.parity_probes(small_fib, 256, seed=5)
-        report = serve.serve_worker_scenario(
+        report = serve.serve_plane_scenario(
             "prefix-dag", small_fib, events,
             scenario=scenario_name, workers=2, transport=transport,
             autoscale=aggressive_policy(), parity_probes=probes, window=4,
@@ -487,3 +475,89 @@ class TestWorkerReplanParity:
             assert report.replans >= 1
             probes = serve.parity_probes(small_fib, 256, seed=13)
             assert pool.parity_fraction(probes) == 1.0
+
+
+class TestPoolFlowCache:
+    """The pool runs the cluster's frontend, flow cache included."""
+
+    @pytest.mark.parametrize("transport", _transport_params())
+    def test_pipelined_replay_hits_and_holds_parity(self, small_fib, transport):
+        rng = random.Random(41)
+        hot = [rng.getrandbits(32) for _ in range(48)]
+        feed = serve.scenario("bgp-churn").update_feed(small_fib, 24, 43)
+        events = []
+        for index, op in enumerate(feed):
+            for _ in range(3):
+                batch = tuple(rng.choice(hot) for _ in range(64))
+                events.append(serve.ServeEvent(index / len(feed), "lookup", batch))
+            events.append(serve.ServeEvent(index / len(feed), "update", op=op))
+        policy = aggressive_policy(imbalance_threshold=1e9, flow_cache=256)
+        # A short switch interval: pipelined merges on executor threads
+        # race the submitting thread on the cache and the counters.
+        interval = sys.getswitchinterval()
+        with open_plane(
+            "prefix-dag", small_fib, workers=2, window=4, transport=transport,
+            autoscale=policy, timeout=30.0,
+        ) as plane:
+            sys.setswitchinterval(1e-5)
+            try:
+                asyncio.run(plane.replay(events))
+            finally:
+                sys.setswitchinterval(interval)
+            plane.quiesce()
+            oracle = plane.pool.control
+            for _ in range(2):  # the second pass is served from the cache
+                assert _run(plane.lookup_batch(hot)) == [
+                    oracle.lookup(address) for address in hot
+                ]
+            probes = serve.parity_probes(small_fib, 256, seed=47)
+            assert plane.parity_fraction(probes) == 1.0
+            report = plane.report()
+        assert report.flow_cache_hits > 0
+        assert report.lookups == (
+            sum(row["lookups"] for row in report.shard_rows)
+            + report.flow_cache_hits
+            + report.degraded_lookups
+            + report.failed_lookups
+        )
+
+    @pytest.mark.skipif(not serve.shm_available(), reason="shared memory unavailable")
+    def test_shm_hits_before_a_publish_count_stale(self, small_fib):
+        # Until the update is published the workers serve the old
+        # generation, and the cache refills from it: hits are stale too.
+        batch = [0b1010 << 28, 0b0101 << 28]
+        with open_plane(
+            "prefix-dag", small_fib, workers=2, transport="shm",
+            rebuild_every=1000,
+            autoscale=aggressive_policy(imbalance_threshold=1e9, flow_cache=64),
+        ) as plane:
+            assert plane.apply_update(UpdateOp(0b1010, 4, 9))
+            for _ in range(2):  # the second pass is served from the cache
+                plane.lookup_batch(batch)
+            report = plane.report()
+        assert report.flow_cache_hits == len(batch)
+        assert report.stale_lookups == 2 * len(batch)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [{"shards": 2}]
+        + [{"workers": 2, "transport": transport} for transport in TRANSPORTS],
+        ids=["cluster", *TRANSPORTS],
+    )
+    def test_fill_from_before_an_invalidation_is_dropped(self, small_fib, shape):
+        # The batch is answered before the update lands (in process, or
+        # FIFO ahead of it on the worker's pipe/ring); caching its
+        # answer after the update's invalidation would serve it stale.
+        address = 0b1010 << 28
+        old = small_fib.lookup(address)
+        new = (old or 0) % 6 + 1
+        with open_plane(
+            "prefix-dag", small_fib, rebuild_every=1,
+            autoscale=aggressive_policy(imbalance_threshold=1e9, flow_cache=64),
+            **shape,
+        ) as plane:
+            token, count = plane.submit_batch([address])
+            assert plane.apply_update(UpdateOp(0b1010, 4, new))
+            assert plane.merge_batch(token, count) == [old]
+            assert plane.lookup(address) == new
+

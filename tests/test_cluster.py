@@ -24,6 +24,17 @@ from repro.serve.cluster import _balanced_cuts, _mix64, plan_cluster
 ALL_SCENARIOS = ("uniform", "bgp-churn", "flash-renumbering", "flap-storm")
 
 
+def serve_cluster(name, fib, events, *, scenario="", parity_probes=(), **kwargs):
+    """Replay a script through one FibCluster, quiesce, probe, report —
+    :func:`repro.serve.serve_plane_scenario`'s steps on a cluster of
+    any size (the factory serves ``shards=1`` from a FibServer)."""
+    with serve.FibCluster(name, fib, **kwargs) as cluster:
+        cluster.replay(events)
+        cluster.quiesce()
+        parity = cluster.parity_fraction(parity_probes) if parity_probes else None
+        return cluster.report(scenario=scenario, final_parity=parity)
+
+
 # --------------------------------------------------------------- shard planning
 
 
@@ -146,7 +157,7 @@ class TestFibCluster:
         events = self._script(fib, scenario)
         probes = serve.parity_probes(fib, 250, seed=3)
         reports = {
-            shards: serve.serve_cluster_scenario(
+            shards: serve_cluster(
                 name, fib, events, scenario=scenario, shards=shards,
                 rebuild_every=16, parity_probes=probes,
             )
@@ -161,7 +172,7 @@ class TestFibCluster:
     def test_hash_partition_parity(self, rng):
         fib = random_fib(rng, 150, 4, max_length=12)
         events = self._script(fib)
-        report = serve.serve_cluster_scenario(
+        report = serve.serve_plane_scenario(
             "prefix-dag", fib, events, scenario="bgp-churn", shards=3,
             partition="hash", parity_probes=serve.parity_probes(fib, 200, seed=9),
         )
@@ -178,6 +189,20 @@ class TestFibCluster:
         cluster = serve.FibCluster("binary-trie", fib, shards=4)
         addresses = [rng.getrandbits(32) for _ in range(512)]
         assert cluster.lookup_batch(addresses) == [fib.lookup(a) for a in addresses]
+
+    @pytest.mark.parametrize("partition", ["prefix", "hash"])
+    def test_uncompiled_shards_take_vector_slices(self, rng, partition):
+        # Shards without a compiled plane serve through the dispatch
+        # engine, which must take the owner split's slices (int64 NumPy
+        # vectors when NumPy is present) like any other batch.
+        fib = random_fib(rng, 200, 5, max_length=14)
+        cluster = serve.FibCluster(
+            "binary-trie", fib, shards=2, partition=partition,
+            options={"compiled": False},
+        )
+        addresses = [rng.getrandbits(32) for _ in range(512)]
+        assert cluster.lookup_batch(addresses) == [fib.lookup(a) for a in addresses]
+        assert cluster.report().failed_lookups == 0
 
     def test_boundary_prefix_replication_and_withdrawal(self):
         # A spanning route must answer on both sides of a cut, follow a
@@ -243,7 +268,7 @@ class TestFibCluster:
 
     def test_peak_memory_counts_one_shard_overlap(self, rng):
         fib = random_fib(rng, 150, 3, max_length=12)
-        report = serve.serve_cluster_scenario(
+        report = serve.serve_plane_scenario(
             "serialized-dag", fib, self._script(fib, updates=40),
             scenario="bgp-churn", shards=4, rebuild_every=8,
         )
@@ -255,7 +280,7 @@ class TestFibCluster:
     def test_critical_path_clock(self, rng):
         fib = random_fib(rng, 200, 4, max_length=14)
         events = self._script(fib, lookups=800, updates=0)
-        report = serve.serve_cluster_scenario(
+        report = serve.serve_plane_scenario(
             "binary-trie", fib, events, scenario="uniform", shards=4,
         )
         # Critical path <= summed busy time <= shards x critical path.
@@ -266,8 +291,8 @@ class TestFibCluster:
     def test_single_shard_degenerates_to_server(self, rng):
         fib = random_fib(rng, 100, 3, max_length=12)
         events = self._script(fib, lookups=200, updates=10)
-        single = serve.serve_scenario("prefix-dag", fib, events)
-        cluster = serve.serve_cluster_scenario("prefix-dag", fib, events, shards=1)
+        single = serve.serve_plane_scenario("prefix-dag", fib, events)
+        cluster = serve_cluster("prefix-dag", fib, events, shards=1)
         assert cluster.shards == 1
         assert cluster.replicated_routes == 0
         assert cluster.lookups == single.lookups
@@ -275,7 +300,7 @@ class TestFibCluster:
 
     def test_cluster_report_round_trips_to_json(self, rng):
         fib = random_fib(rng, 80, 3, max_length=10)
-        report = serve.serve_cluster_scenario(
+        report = serve.serve_plane_scenario(
             "lc-trie", fib, self._script(fib, lookups=100, updates=10),
             scenario="bgp-churn", shards=2,
         )

@@ -134,9 +134,9 @@ class TestSupervisedRecovery:
     def test_kill_recovers_with_parity(self, small_fib, transport):
         events = churn_events(small_fib)
         probes = serve.parity_probes(small_fib, 200, seed=3)
-        report = serve.serve_worker_scenario(
+        report = serve.serve_plane_scenario(
             "prefix-dag", small_fib, events,
-            scenario="bgp-churn", workers=2, transport=transport,
+            scenario="bgp-churn", workers=2, window=8, transport=transport,
             parity_probes=probes, rebuild_every=16,
             max_restarts=2,
             faults=FaultPlan.parse("kill-worker:1@batch=2"),
@@ -148,15 +148,23 @@ class TestSupervisedRecovery:
         assert report.final_parity == 1.0
         assert report.mean_recovery_seconds > 0
         assert serve.leaked_segments() == []
+        # Shard rows are counted on the frontend, so the lookups a dead
+        # incarnation served survive its respawn.
+        assert report.lookups == (
+            sum(row["lookups"] for row in report.shard_rows)
+            + report.flow_cache_hits
+            + report.degraded_lookups
+            + report.failed_lookups
+        )
 
     def test_crash_mid_attach_recovers(self, small_fib):
         # The victim dies *inside* OP_ATTACH adoption of generation 2;
         # its respawn attaches the same generation cleanly.
         events = churn_events(small_fib, lookups=512, updates=64)
         probes = serve.parity_probes(small_fib, 200, seed=3)
-        report = serve.serve_worker_scenario(
+        report = serve.serve_plane_scenario(
             "prefix-dag", small_fib, events,
-            scenario="bgp-churn", workers=2, transport="shm",
+            scenario="bgp-churn", workers=2, window=8, transport="shm",
             parity_probes=probes, rebuild_every=8,
             max_restarts=2,
             faults=FaultPlan.parse("fail-attach:0@attach=2"),
@@ -244,9 +252,9 @@ class TestSupervisedRecovery:
         # hook republishes a clean image and the retry lands.
         events = churn_events(small_fib, lookups=512, updates=48)
         probes = serve.parity_probes(small_fib, 200, seed=3)
-        report = serve.serve_worker_scenario(
+        report = serve.serve_plane_scenario(
             "prefix-dag", small_fib, events,
-            scenario="bgp-churn", workers=2, transport="shm",
+            scenario="bgp-churn", workers=2, window=8, transport="shm",
             parity_probes=probes, rebuild_every=8,
             max_restarts=3,
             faults=FaultPlan.parse("corrupt-segment@publish=2"),
@@ -260,9 +268,9 @@ class TestSupervisedRecovery:
         events = churn_events(
             small_fib, lookups=512, updates=32, scenario=scenario)
         probes = serve.parity_probes(small_fib, 150, seed=5)
-        report = serve.serve_worker_scenario(
+        report = serve.serve_plane_scenario(
             "prefix-dag", small_fib, events,
-            scenario=scenario, workers=2, transport="shm",
+            scenario=scenario, workers=2, window=8, transport="shm",
             parity_probes=probes, rebuild_every=16,
             max_restarts=2,
             faults=FaultPlan.parse("kill-worker:*@batch=2", seed=5),

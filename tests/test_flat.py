@@ -2,9 +2,8 @@
 
 The centerpiece is compiled-plane parity: every registered
 representation, lowered to a :class:`FlatProgram`, must answer exactly
-like its own scalar lookup — through the vectorized batch path, the
-pure-Python fallback loop, and the sorted shared-prefix walk — on
-random FIBs, on exhaustively checked small-width FIBs (hypothesis), and
+like its own scalar lookup — through the vectorized batch path and
+the pure-Python fallback loop — on random FIBs, on exhaustively checked small-width FIBs (hypothesis), and
 after churn (patch-log replay, bloat-triggered recompiles, and serve
 epoch swaps).
 """
@@ -109,7 +108,7 @@ class TestProgramParity:
     def _probes(self, rng, width=32, count=600):
         probes = [0, (1 << width) - 1, 1 << (width - 1)]
         probes += [rng.getrandbits(width) for _ in range(count)]
-        probes += probes[:50]  # duplicates for the shared walk
+        probes += probes[:50]  # duplicates
         return probes
 
     @pytest.mark.parametrize("name", ALL_NAMES)
@@ -121,7 +120,6 @@ class TestProgramParity:
         probes = self._probes(rng)
         want = [representation.lookup(address) for address in probes]
         assert program.lookup_batch(probes) == want
-        assert program.lookup_batch_shared(probes) == want
         assert [program.lookup(address) for address in probes] == want
 
     def test_vector_and_python_paths_agree(self, rng):
@@ -129,11 +127,9 @@ class TestProgramParity:
         program = compile_binary(BinaryTrie.from_fib(fib).root, 32, 8)
         probes = self._probes(rng)
         vectorized = program.lookup_batch(probes)
-        shared_vec = program.lookup_batch_shared(probes)
         program.vectorize = False
         assert not program.vectorized
         assert program.lookup_batch(probes) == vectorized
-        assert program.lookup_batch_shared(probes) == shared_vec
 
     @given(fib_strategy)
     @settings(max_examples=25, deadline=None)
@@ -144,7 +140,6 @@ class TestProgramParity:
         program = compile_binary(trie.root, 8, 8)
         full = list(range(256))
         assert program.lookup_batch(full) == reference
-        assert program.lookup_batch_shared(full) == reference
         program.vectorize = False
         assert program.lookup_batch(full) == reference
 
@@ -176,8 +171,6 @@ class TestProgramParity:
         for bad in (-1, 1 << 32):
             with pytest.raises(ValueError, match="outside"):
                 program.lookup_batch([0, bad])
-            with pytest.raises(ValueError, match="outside"):
-                program.lookup_batch_shared([0, bad])
             with pytest.raises(ValueError, match="outside"):
                 program.lookup(bad)
         program.vectorize = False
@@ -211,7 +204,6 @@ class TestPatching:
             representation.apply_update(op)
         want = [mirror.lookup(address) for address in probes]
         assert representation.lookup_batch(probes) == want, name
-        assert representation.lookup_batch_shared(probes) == want, name
 
     def test_patch_matches_full_recompile(self, rng):
         fib = random_fib(rng, 150, 4, max_length=14)
@@ -295,14 +287,6 @@ class TestAdapterPlane:
         assert representation._flat is None
         assert representation._flat_failed
         assert representation._dispatch is not None
-
-    def test_shared_walk_handles_duplicates(self, rng):
-        fib = random_fib(rng, 120, 4, max_length=12)
-        representation = pipeline.build("prefix-dag", fib)
-        hot = [rng.getrandbits(32) for _ in range(20)]
-        probes = [hot[rng.randrange(len(hot))] for _ in range(500)]
-        assert representation.lookup_batch_shared(probes) == \
-            representation.lookup_batch(probes)
 
     def test_simulator_picks_up_compiled_plane(self, rng, medium_fib):
         # Tabular has no native lookup_trace: engine_for must fall back

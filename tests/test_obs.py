@@ -38,8 +38,7 @@ from repro.obs import (
 from repro.serve import (
     build_events,
     scenario,
-    serve_scenario,
-    serve_worker_scenario,
+    serve_plane_scenario,
 )
 
 from tests.conftest import random_fib
@@ -257,15 +256,16 @@ class TestCrossProcessMerge:
         events = build_events(
             scenario("bgp-churn"), medium_fib, 600, 40, seed=5, batch_size=64
         )
-        local = serve_scenario(
+        local = serve_plane_scenario(
             "prefix-dag", medium_fib, events, scenario="bgp-churn", obs=Registry()
         )
-        pooled = serve_worker_scenario(
+        pooled = serve_plane_scenario(
             "prefix-dag",
             medium_fib,
             events,
             scenario="bgp-churn",
             workers=2,
+            window=8,
             transport="shm",
             obs=Registry(),
         )

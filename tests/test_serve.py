@@ -204,8 +204,8 @@ class TestFibServer:
     def test_scalar_mode_matches_batched(self, rng):
         fib = random_fib(rng, 120, 3, max_length=12)
         events = self._script(fib, lookups=200, updates=10)
-        batched = serve.serve_scenario("prefix-dag", fib, events)
-        scalar = serve.serve_scenario("prefix-dag", fib, events, batched=False)
+        batched = serve.serve_plane_scenario("prefix-dag", fib, events)
+        scalar = serve.serve_plane_scenario("prefix-dag", fib, events, batched=False)
         assert batched.lookups == scalar.lookups == 200
         assert batched.updates_applied == scalar.updates_applied
 
@@ -214,7 +214,7 @@ class TestFibServer:
         events = self._script(fib)
         probes = uniform_trace(300, seed=4)
         reports = [
-            serve.serve_scenario(
+            serve.serve_plane_scenario(
                 name, fib, events, scenario="bgp-churn", parity_probes=probes
             )
             for name in ("prefix-dag", "lc-trie", "serialized-dag")
@@ -230,7 +230,7 @@ class TestFibServer:
     def test_assert_serve_parity_raises(self, rng):
         fib = random_fib(rng, 50, 3, max_length=10)
         events = self._script(fib, lookups=100, updates=5)
-        report = serve.serve_scenario("prefix-dag", fib, events, scenario="x")
+        report = serve.serve_plane_scenario("prefix-dag", fib, events, scenario="x")
         report.final_parity = 0.5
         with pytest.raises(AssertionError, match="parity broken"):
             assert_serve_parity([report])
@@ -252,7 +252,7 @@ class TestFibServer:
 
     def test_report_round_trips_to_json(self, rng):
         fib = random_fib(rng, 80, 3, max_length=10)
-        report = serve.serve_scenario(
+        report = serve.serve_plane_scenario(
             "lc-trie", fib, self._script(fib, lookups=100, updates=10), scenario="bgp-churn"
         )
         record = json.loads(json.dumps(report.to_dict()))

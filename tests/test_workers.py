@@ -13,6 +13,9 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import random
+import threading
+import time
+import types
 
 import pytest
 
@@ -22,13 +25,18 @@ from repro.datasets.updates import UpdateOp
 from repro.pipeline import registry
 from repro.pipeline.base import flat_program
 from repro.pipeline.shard import ShardSpec, shard_specs
+from repro.serve import workers
 from repro.serve.workers import (
     WorkerError,
     WorkerPool,
     pack_events,
-    serve_worker_scenario,
 )
 from tests.conftest import PAPER_EXAMPLE_ENTRIES, build_fib, random_fib
+
+try:
+    import numpy
+except ImportError:  # pragma: no cover - the no-numpy CI leg
+    numpy = None
 
 
 def start_methods():
@@ -117,18 +125,24 @@ class TestFanoutModes:
     @pytest.mark.parametrize("fanout", ["split", "broadcast"])
     @pytest.mark.parametrize("partition", ["prefix", "hash"])
     def test_fanout_partition_matrix(self, small_fib, fanout, partition):
+        # Broadcast wherever it can run (NumPy, a vectorizable plan, more
+        # than one worker, no autoscale policy); any policy — here one
+        # that never re-plans — makes the frontend split instead.
         rng = random.Random(99)
         addresses = [rng.getrandbits(32) for _ in range(256)]
         oracle = [small_fib.lookup(address) for address in addresses]
+        policy = (
+            serve.AutoscalePolicy(imbalance_threshold=1e9)
+            if fanout == "split" else None
+        )
         with WorkerPool(
             "binary-trie", small_fib, workers=3, partition=partition,
-            fanout=fanout,
+            autoscale=policy,
         ) as pool:
             assert pool.lookup_batch(addresses) == oracle
-
-    def test_unknown_fanout_rejected(self, small_fib):
-        with pytest.raises(ValueError, match="fanout"):
-            WorkerPool("binary-trie", small_fib, workers=2, fanout="scatter")
+            # A broadcast ships the whole batch to all three workers.
+            copies = 3 if fanout == "broadcast" and numpy is not None else 1
+            assert pool.report().bytes_tx == 8 * len(addresses) * copies
 
     def test_wide_fib_rejected_up_front(self):
         # The int64 wire format cannot carry >= 64-bit addresses; the
@@ -250,6 +264,93 @@ class TestWorkerCrash:
             pool.lookup_batch([1, 2, 3])
 
 
+def fast_start_method() -> str:
+    """``fork`` where the platform has it (no interpreter boot per
+    worker), ``spawn`` elsewhere."""
+    return "fork" if "fork" in start_methods() else "spawn"
+
+
+class TestReaderLifecycle:
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    def test_ack_consumed_before_the_caller_looks(
+        self, small_fib, transport, monkeypatch
+    ):
+        # Make every worker's reply pump pop the readiness ack (seq 0)
+        # before its spawn helper returns — what a fast ``fork`` child
+        # does by chance. The pool must still come up and serve.
+        class AckFirstThread(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                is_reader = kwargs.get("target") is workers._reader_loop
+                self.handle = kwargs["args"][0] if is_reader else None
+
+            def start(self):
+                super().start()
+                deadline = time.monotonic() + 30.0
+                while (
+                    self.handle is not None
+                    and 0 in self.handle.pending
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.001)
+
+        shim = types.ModuleType("threading")
+        shim.__dict__.update(threading.__dict__)
+        shim.Thread = AckFirstThread
+        monkeypatch.setattr(workers, "threading", shim)
+        addresses = [random.Random(3).getrandbits(32) for _ in range(64)]
+        with WorkerPool(
+            "prefix-dag", small_fib, workers=2, transport=transport,
+            start_method=fast_start_method(),
+        ) as pool:
+            assert pool.lookup_batch(addresses) == [
+                small_fib.lookup(address) for address in addresses
+            ]
+
+    def test_closing_a_pool_leaves_no_reader_dead_from_an_exception(
+        self, small_fib, monkeypatch
+    ):
+        died = []
+        monkeypatch.setattr(
+            threading, "excepthook", lambda args: died.append(args.exc_value)
+        )
+        for transport in ("shm", "pipe"):
+            pool = WorkerPool(
+                "prefix-dag", small_fib, workers=2, transport=transport,
+                start_method=fast_start_method(),
+            )
+            pool.lookup_batch(list(range(64)))
+            readers = [handle.reader for handle in pool._handles]
+            pool.close()
+            for reader in readers:
+                reader.join(10.0)
+        assert died == []
+
+    def test_connection_closed_under_a_blocking_recv_reads_as_eof(
+        self, monkeypatch
+    ):
+        # close() can reap a connection while its reader is blocked
+        # inside recv(): the read then resumes on a handle that is gone.
+        died = []
+        monkeypatch.setattr(
+            threading, "excepthook", lambda args: died.append(args.exc_value)
+        )
+        parent, child = multiprocessing.Pipe()
+        handle = workers._WorkerHandle(
+            0, 0, types.SimpleNamespace(pid=0), parent, 0
+        )
+        reader = threading.Thread(target=workers._reader_loop, args=(handle,))
+        reader.start()
+        time.sleep(0.1)  # let it block in recv()
+        parent.close()
+        child.send(("ok", 1, None))
+        reader.join(10.0)
+        child.close()
+        assert not reader.is_alive()
+        assert died == []
+        assert handle.dead
+
+
 class TestStartMethods:
     @pytest.mark.parametrize("method", start_methods())
     def test_spawn_and_fork_both_serve(self, small_fib, method):
@@ -260,9 +361,9 @@ class TestStartMethods:
             )
         )
         probes = serve.parity_probes(small_fib, 200, seed=3)
-        report = serve_worker_scenario(
+        report = serve.serve_plane_scenario(
             "prefix-dag", small_fib, events,
-            scenario="bgp-churn", workers=2,
+            scenario="bgp-churn", workers=2, window=8,
             parity_probes=probes, start_method=method,
         )
         assert report.final_parity == 1.0
@@ -279,7 +380,7 @@ class TestAsyncFrontend:
             )
         )
         probes = serve.parity_probes(small_fib, 300, seed=11)
-        report = serve_worker_scenario(
+        report = serve.serve_plane_scenario(
             "prefix-dag", small_fib, events,
             scenario="flap-storm", workers=2, window=4,
             parity_probes=probes,
@@ -377,8 +478,8 @@ class TestPackedServing:
         )
         packed = pack_events(events)
         assert len(packed) == len(events)
-        plain = serve.serve_scenario("prefix-dag", fib, events, scenario="u")
-        repacked = serve.serve_scenario("prefix-dag", fib, packed, scenario="u")
+        plain = serve.serve_plane_scenario("prefix-dag", fib, events, scenario="u")
+        repacked = serve.serve_plane_scenario("prefix-dag", fib, packed, scenario="u")
         assert plain.lookups == repacked.lookups
         assert plain.updates_applied == repacked.updates_applied
 
