@@ -74,13 +74,25 @@ RATIO_CAP = 64.0
 
 
 def _pipeline_metrics(payload: dict) -> Iterator[Tuple[str, float, bool]]:
-    """(metric, value, gated) triples of one BENCH_pipeline.json."""
+    """(metric, value, gated) triples of one BENCH_pipeline.json.
+
+    Besides the speedups, a compiled row's ``size_kb / program_kb`` (the
+    paper-model size over the serving image's true bytes) gates: both
+    sizes are deterministic at the file's fixed config and higher is
+    better, so a change that re-inflates the image fails the drop gate.
+    """
     for row in payload.get("rows", ()):
         name = row.get("name", "?")
         if "speedup" in row:
             yield f"{name}.speedup", row["speedup"], True
         if row.get("compiled") and "compiled_speedup" in row:
             yield f"{name}.compiled_speedup", row["compiled_speedup"], True
+        if row.get("compiled") and row.get("program_kb") and "size_kb" in row:
+            yield (
+                f"{name}.size_over_program",
+                row["size_kb"] / row["program_kb"],
+                True,
+            )
         if "batch_mlps" in row:
             yield f"{name}.batch_mlps", row["batch_mlps"], False
 

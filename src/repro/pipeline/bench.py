@@ -40,7 +40,7 @@ class BenchRow:
     size_kb: float
     dispatch_seconds: Optional[float] = None  # PR 1 engine (None = no such path)
     compiled: bool = False                    # batch path is the flat plane
-    program_kb: float = 0.0                   # compiled program image size
+    program_kb: float = 0.0                   # compiled program image bytes
 
     @property
     def scalar_mlps(self) -> float:
@@ -165,6 +165,7 @@ def bench_all(
 BENCH_HEADERS = (
     "representation",
     "size[KB]",
+    "program[KB]",
     "scalar Mlps",
     "dispatch Mlps",
     "batch Mlps",
@@ -176,13 +177,16 @@ BENCH_HEADERS = (
 
 def render_bench_rows(rows: Sequence[BenchRow]) -> str:
     """The bench report table shared by ``repro-fib bench`` and
-    ``benchmarks/bench_pipeline_batch.py``."""
+    ``benchmarks/bench_pipeline_batch.py``: ``size[KB]`` is the paper's
+    size model, ``program[KB]`` the compiled serving image's true bytes
+    (``-`` when the batch path is the dispatch engine)."""
     from repro.analysis.report import render_table  # deferred: analysis imports pipeline
 
     body = [
         (
             row.name,
             row.size_kb,
+            row.program_kb if row.compiled else "-",
             row.scalar_mlps,
             row.dispatch_mlps if row.dispatch_seconds else "-",
             row.batch_mlps,

@@ -7,10 +7,10 @@ scalar lookup. This module removes the last object dereference from the
 hot path the way the paper's fastest structures do (§5.3's serialized,
 λ-level-collapsed image; the pointerless encodings of Tapolcai et al.,
 *Memory size bounds of prefix DAGs*): any registered representation is
-**compiled** once into a :class:`FlatProgram` — parallel ``array('q')``
-arrays holding a root stride table plus LC-trie-style variable-stride
-child blocks — after which longest-prefix match is pure integer
-indexing:
+**compiled** once into a :class:`FlatProgram` — four parallel typed
+``array`` rows holding a root stride table plus LC-trie-style
+variable-stride child blocks — after which longest-prefix match is pure
+integer indexing:
 
 * ``root_ptr[slot]`` / ``root_val[slot]`` — per top-bits slot, either a
   terminal label or an encoded child block reference;
@@ -22,8 +22,9 @@ indexing:
   (``0`` = no route; table labels are ``1..δ``, and the ORTC trie's
   explicit blackhole label ``0`` erases covering routes for free).
 
-**The image layout**, concretely — four parallel ``array('q')`` rows,
-``ptr < 0`` (TERMINAL) meaning "the paired ``val`` is the answer"::
+**The image layout**, concretely — four parallel rows, each stored at
+the width its contents need, ``ptr < 0`` (TERMINAL) meaning "the paired
+``val`` is the answer"::
 
     slot = address >> (width - root_stride)       ptr >= 0 encodes the
     root_ptr: [ -1 | -1 | 830000…6 | -1 | … ]     next block as
@@ -34,6 +35,17 @@ indexing:
     cell_val: … [  2 |  5 |            2 |  0 ] …      at cells [base, base+2^s)
 
     walk: shift -= stride; index = base + ((address >> shift) & (2^stride - 1))
+
+    *_ptr rows: int32 ('i') while max_cells << 6 fits, else int64 ('q')
+    *_val rows: the narrowest of uint8/uint16/uint32 ('B'/'H'/'I') that
+                holds the largest label, else int64 ('q')
+
+With the default :data:`DEFAULT_MAX_CELLS` (2^22 cells, references below
+2^28) and a next-hop alphabet of at most 255 labels, a cell costs 5
+bytes. The walks gather labels into int64 (the wire format), and a patch
+that would write a label wider than its rows raises
+:class:`FlatCompileError` — the owning adapter then recompiles from the
+live structure at the width it needs.
 
 Blocks are interned by source node during compilation, so a folded DAG's
 shared sub-tries become shared cell blocks and the compiled image keeps
@@ -121,6 +133,18 @@ NO_ROUTE = 0
 #: Compilation ceiling: programs larger than this many cells refuse to
 #: build (the adapter then serves through the dispatch engine instead).
 DEFAULT_MAX_CELLS = 1 << 22
+
+#: Pointer-row typecodes: int32 while every block reference of a
+#: ``max_cells`` program fits, else int64.
+POINTER_TYPECODES = ("i", "q")
+
+#: Label-row typecodes, narrowest first, with the largest label each
+#: holds: unsigned rows up to uint32, then int64 (the wire's own width).
+LABEL_LIMITS = {"B": (1 << 8) - 1, "H": (1 << 16) - 1,
+                "I": (1 << 32) - 1, "q": (1 << 63) - 1}
+
+#: The program's rows, in image order.
+ROWS = ("root_ptr", "root_val", "cell_ptr", "cell_val")
 
 #: Largest address width the int64 vector path can shift safely.
 _NUMPY_MAX_WIDTH = 62
@@ -249,8 +273,40 @@ def have_numpy() -> bool:
     return _np is not None
 
 
+def pointer_typecode(max_cells: int) -> str:
+    """Pointer-row typecode of a program of at most ``max_cells`` cells:
+    int32 while the largest ``(base << 6) | stride`` reference fits."""
+    return "i" if max_cells << STRIDE_BITS <= 1 << 31 else "q"
+
+
+def label_typecode(max_label: int) -> str:
+    """Narrowest label-row typecode that holds ``max_label``."""
+    for typecode, limit in LABEL_LIMITS.items():
+        if max_label <= limit:
+            return typecode
+    raise FlatCompileError(f"label {max_label} exceeds the int64 wire format")
+
+
+def row_typecode(row) -> str:
+    """Typecode of a program row: an ``array``, or an attached image's
+    ``memoryview`` slice."""
+    return row.typecode if isinstance(row, array) else row.format
+
+
+def _owned_row(row) -> array:
+    """An owned ``array`` copy of a row, keeping its typecode."""
+    owned = array(row_typecode(row))
+    owned.frombytes(memoryview(row).cast("B"))
+    return owned
+
+
 class FlatProgram:
-    """A compiled, pointerless LPM program over parallel int64 arrays."""
+    """A compiled, pointerless LPM program over four typed rows.
+
+    Pointer rows are int32 or int64 (:func:`pointer_typecode` of
+    ``max_cells``), label rows the narrowest type holding ``max_label``
+    (:func:`label_typecode`); both are fixed at construction.
+    """
 
     __slots__ = (
         "width",
@@ -286,6 +342,7 @@ class FlatProgram:
         root_stride: int,
         sub_stride: int = DEFAULT_SUB_STRIDE,
         max_cells: int = DEFAULT_MAX_CELLS,
+        max_label: int = NO_ROUTE,
     ):
         if not 1 <= root_stride <= min(width, MAX_ROOT_STRIDE):
             raise FlatCompileError(
@@ -302,14 +359,17 @@ class FlatProgram:
         self.sub_stride = sub_stride
         self.max_cells = max_cells
         size = 1 << root_stride
-        self.root_ptr = array("q", [TERMINAL]) * size
-        self.root_val = array("q", [NO_ROUTE]) * size
-        self.cell_ptr = array("q")
-        self.cell_val = array("q")
+        pointers = pointer_typecode(max_cells)
+        labels = label_typecode(max_label)
+        self.root_ptr = array(pointers, [TERMINAL]) * size
+        self.root_val = array(labels, [NO_ROUTE]) * size
+        self.cell_ptr = array(pointers)
+        self.cell_val = array(labels)
         self.vectorize = True
-        #: Largest label ever written (tracked incrementally: the decode
+        #: Bound on every label in the image: sizes the label rows, then
+        #: rises with each wider write (tracked incrementally: the decode
         #: table must never be rebuilt by scanning the cell arrays).
-        self.max_label = 0
+        self.max_label = max_label
         #: True for programs attached to an externally-owned image (a
         #: shared-memory segment): the arrays are read-only views and
         #: :meth:`patch` refuses — churn publishes a fresh generation.
@@ -347,13 +407,14 @@ class FlatProgram:
     def __getstate__(self):
         """Pickle the program as its raw arrays and scalars.
 
-        The NumPy view cache is dropped: views alias the ``array('q')``
-        buffers and must be re-derived in the receiving process. This is
-        what lets a deployment ship a *compiled* shard across a process
-        boundary for roughly the cost of copying the image bytes. A
-        *frozen* (segment-attached) program pickles as a detached copy:
-        its memoryview rows materialize into owned arrays, so the
-        pickled twin outlives the segment it came from.
+        The NumPy view cache is dropped: views alias the row buffers and
+        must be re-derived in the receiving process. This is what lets a
+        deployment ship a *compiled* shard across a process boundary for
+        roughly the cost of copying the image bytes. A *frozen*
+        (segment-attached) program pickles as a detached copy: its
+        memoryview rows materialize into owned arrays of the same
+        typecodes, so the pickled twin outlives the segment it came
+        from.
 
         Caches and process-local bookkeeping are dropped alongside the
         views: the source cache holds live node references, and the
@@ -369,8 +430,8 @@ class FlatProgram:
             if name not in transient
         }
         if self.frozen:
-            for row in ("root_ptr", "root_val", "cell_ptr", "cell_val"):
-                state[row] = array("q", state[row])
+            for row in ROWS:
+                state[row] = _owned_row(state[row])
             state["frozen"] = False
         return state
 
@@ -407,10 +468,11 @@ class FlatProgram:
         cell_ptr,
         cell_val,
     ) -> "FlatProgram":
-        """Rehydrate a program over externally-owned int64 row buffers.
+        """Rehydrate a program over externally-owned typed row buffers.
 
-        The rows are adopted as-is (``memoryview.cast('q')`` slices of a
-        shared-memory segment, typically), so construction is O(1): no
+        The rows are adopted as-is (``memoryview.cast`` slices of a
+        shared-memory segment at the image's typecodes, typically), so
+        construction is O(1): no
         copy, no recompile — this is what lets a worker *attach* to a
         frontend-compiled program. The result is :attr:`frozen`: the
         scalar and batch walks (and their NumPy views) run straight off
@@ -536,8 +598,8 @@ class FlatProgram:
         merged = 0
         for start, end, val in overlay.items():
             n = end - start
-            root_ptr[start:end] = array("q", [TERMINAL]) * n
-            root_val[start:end] = array("q", [val]) * n
+            root_ptr[start:end] = array(root_ptr.typecode, [TERMINAL]) * n
+            root_val[start:end] = array(root_val.typecode, [val]) * n
             if src:
                 for slot in [s for s in src if start <= s < end]:
                     del src[slot]
@@ -569,8 +631,11 @@ class FlatProgram:
         return self.vectorize and _np is not None and self.width <= _NUMPY_MAX_WIDTH
 
     def size_in_bits(self) -> int:
-        """Program image size (both tables, ptr+val at 64 bits each)."""
-        return (len(self.root_ptr) + len(self.cell_ptr)) * 2 * 64
+        """Program image size: the four rows' true bytes."""
+        return 8 * sum(
+            len(row) * row.itemsize
+            for row in (self.root_ptr, self.root_val, self.cell_ptr, self.cell_val)
+        )
 
     def size_in_kbytes(self) -> float:
         return self.size_in_bits() / 8192.0
@@ -629,7 +694,7 @@ class FlatProgram:
         if label is not None:
             best = label
             if label > self.max_label:
-                self.max_label = label
+                self._raise_max_label(label)
         if depth == stride:
             index = offset + slot
             if node.left is None and node.right is None:
@@ -654,6 +719,19 @@ class FlatProgram:
         else:
             self._fill(ptrs, vals, offset, right, depth + 1, stride,
                        slot + half, best, remaining, memo, depths)
+
+    def _raise_max_label(self, label: int) -> None:
+        """Raise :attr:`max_label` to ``label``, refusing a label the
+        label rows cannot hold: the owning adapter answers the
+        :class:`FlatCompileError` by recompiling from the live
+        structure, which sizes fresh rows for it."""
+        typecode = self.root_val.typecode
+        if label > LABEL_LIMITS[typecode]:
+            raise FlatCompileError(
+                f"label {label} does not fit the {typecode!r} label rows; "
+                "recompile"
+            )
+        self.max_label = label
 
     # -------------------------------------------------------------- patching
 
@@ -801,7 +879,7 @@ class FlatProgram:
     def _write_terminal(self, slot: int, best: int) -> None:
         """One boundary slot resolved to a terminal label."""
         if best > self.max_label:
-            self.max_label = best
+            self._raise_max_label(best)
         self.root_ptr[slot] = TERMINAL
         self.root_val[slot] = best
         self._src.pop(slot, None)
@@ -819,13 +897,13 @@ class FlatProgram:
         if n <= 0:
             return
         if val > self.max_label:
-            self.max_label = val
+            self._raise_max_label(val)
         if n >= self.overlay_span_min:
             self._overlay_table().set(lo, hi, val)
             self._ov_views = None
         else:
-            self.root_ptr[lo:hi] = array("q", [TERMINAL]) * n
-            self.root_val[lo:hi] = array("q", [val]) * n
+            self.root_ptr[lo:hi] = array(self.root_ptr.typecode, [TERMINAL]) * n
+            self.root_val[lo:hi] = array(self.root_val.typecode, [val]) * n
             src = self._src
             if src:
                 for slot in [s for s in src if lo <= s < hi]:
@@ -862,7 +940,7 @@ class FlatProgram:
                 self._delta_dirty = True
             return
         if best > self.max_label:
-            self.max_label = best
+            self._raise_max_label(best)
         self.root_ptr[slot] = self.emit_block(
             node, best, self.width - self.root_stride, memo, depths
         )
@@ -1035,24 +1113,18 @@ class FlatProgram:
         return batch
 
     def _ensure_views(self):
-        """Zero-copy NumPy views over the ``array('q')`` storage plus the
-        label-decode object table (rebuilt after any patch)."""
+        """Zero-copy NumPy views over the rows, each at its own dtype,
+        plus the label-decode object table (rebuilt after any patch)."""
         views = self._views
         if views is None:
             np = _np
-            root_ptr = np.frombuffer(self.root_ptr, dtype=np.int64)
-            root_val = np.frombuffer(self.root_val, dtype=np.int64)
-            if len(self.cell_ptr):
-                cell_ptr = np.frombuffer(self.cell_ptr, dtype=np.int64)
-                cell_val = np.frombuffer(self.cell_val, dtype=np.int64)
-            else:
-                cell_ptr = np.empty(0, dtype=np.int64)
-                cell_val = np.empty(0, dtype=np.int64)
-            decode = np.empty(self.max_label + 1, dtype=object)
+            decode = np.arange(self.max_label + 1, dtype=object)
             decode[0] = None
-            for label in range(1, self.max_label + 1):
-                decode[label] = label
-            views = (root_ptr, root_val, cell_ptr, cell_val, decode)
+            views = tuple(
+                np.frombuffer(row, dtype=row_typecode(row))
+                for row in (self.root_ptr, self.root_val,
+                            self.cell_ptr, self.cell_val)
+            ) + (decode,)
             self._views = views
         return views
 
@@ -1076,10 +1148,12 @@ class FlatProgram:
 
         Gathers level by level over the still-live addresses; once the
         live set shrinks under :data:`_VECTOR_TAIL_CUTOFF` the deep tail
-        is finished by the scalar walk (see the cutoff's rationale)."""
+        is finished by the scalar walk (see the cutoff's rationale).
+        The root labels are the one conversion: gathered from their
+        narrow row into int64, so every later write widens on store."""
         slot = batch >> self.root_shift
         encoded = root_ptr[slot]
-        out = root_val[slot]
+        out = root_val[slot].astype(np.int64)
         overlay = self._overlay
         if overlay is not None and overlay.starts:
             # Delta-overlay fixup: covered slots are terminal answers,
@@ -1192,17 +1266,21 @@ class FlatProgram:
 
     @property
     def cells_base(self) -> int:
-        """Byte offset of the cell arrays in the modeled image layout
-        (root entries first, 16 bytes per ptr+val pair)."""
-        return len(self.root_ptr) * 16
+        """Byte offset of the cell rows in the modeled image layout: the
+        rows in image order (root pointers, root labels, cell pointers,
+        cell labels), each entry at its row's item size."""
+        return len(self.root_ptr) * (self.root_ptr.itemsize + self.root_val.itemsize)
 
     def lookup_trace(self, address: int) -> Tuple[Optional[int], List[int]]:
         """LPM plus the byte addresses touched, for the cache simulator:
-        one 16-byte entry (ptr+val pair) per level visited."""
+        the pointer row's entry on every level visited, plus the label
+        row's entry on the terminal level."""
         if address < 0 or address >> self.width:
             raise ValueError(f"address {address:#x} outside {self.width}-bit space")
+        ptr_size = self.root_ptr.itemsize
+        val_size = self.root_val.itemsize
         slot = address >> self.root_shift
-        trace = [slot * 16]
+        trace = [slot * ptr_size]
         overlay = self._overlay
         if overlay is not None and overlay.starts:
             label = overlay.get(slot)
@@ -1211,33 +1289,39 @@ class FlatProgram:
                 return (label if label else None), trace
         encoded = self.root_ptr[slot]
         if encoded < 0:
+            trace.append(len(self.root_ptr) * ptr_size + slot * val_size)
             label = self.root_val[slot]
             return (label if label else None), trace
         shift = self.root_shift
         cells_base = self.cells_base
+        labels_base = cells_base + len(self.cell_ptr) * ptr_size
         while True:
             stride = encoded & STRIDE_MASK
             shift -= stride
             index = (encoded >> STRIDE_BITS) + ((address >> shift) & ((1 << stride) - 1))
-            trace.append(cells_base + index * 16)
+            trace.append(cells_base + index * ptr_size)
             encoded = self.cell_ptr[index]
             if encoded < 0:
+                trace.append(labels_base + index * val_size)
                 label = self.cell_val[index]
                 return (label if label else None), trace
 
 
-def _depth_below(node, memo: dict) -> int:
+def _depth_below(node, memo: dict, labels: Optional[set] = None) -> int:
     """Height of the sub-structure under a binary ``node`` (levels to the
     deepest descendant), memoized by id so folded DAG regions cost one
-    visit per shared sub-trie."""
+    visit per shared sub-trie. ``labels``, when given, collects every
+    label the walk meets: the compiler's survey for sizing label rows."""
     cached = memo.get(id(node))
     if cached is None:
+        if labels is not None and node.label is not None:
+            labels.add(node.label)
         left, right = node.left, node.right
         cached = 0
         if left is not None:
-            cached = 1 + _depth_below(left, memo)
+            cached = 1 + _depth_below(left, memo, labels)
         if right is not None:
-            cached = max(cached, 1 + _depth_below(right, memo))
+            cached = max(cached, 1 + _depth_below(right, memo, labels))
         memo[id(node)] = cached
     return cached
 
@@ -1256,12 +1340,15 @@ def compile_binary(
     Lemma 5) and the ORTC output trie (whose blackhole label ``0``
     coincides with the program's no-route encoding). The requested root
     stride is clamped to the structure's height, so shallow or
-    degenerate FIBs get proportionally small tables.
+    degenerate FIBs get proportionally small tables, and the label rows
+    are sized by the largest label the same walk finds.
     """
     depths: dict = {}
-    height = _depth_below(root, depths)
+    labels: set = set()
+    height = _depth_below(root, depths, labels)
     effective = max(1, min(root_stride, width, max(height, 1)))
-    program = FlatProgram(width, effective, sub_stride, max_cells)
+    program = FlatProgram(width, effective, sub_stride, max_cells,
+                          max(labels, default=NO_ROUTE))
     memo: dict = {}
     program._fill(program.root_ptr, program.root_val, 0, root, 0, effective,
                   0, NO_ROUTE, width - effective, memo, depths)
@@ -1273,22 +1360,23 @@ def compile_multibit(dag, max_cells: int = DEFAULT_MAX_CELLS) -> FlatProgram:
     block transcription: every interior node already is a ``2^s``-fanout
     table with fully expanded labels, so each folded node becomes one
     block (shared nodes intern to shared blocks, preserving the DAG's
-    economy in the compiled image)."""
+    economy in the compiled image). The DAG's leaf table names every
+    label up front, which sizes the label rows."""
     width = dag.width
     stride = dag.stride
     root = dag.root
     if root.is_leaf:
-        program = FlatProgram(width, 1, min(stride, STRIDE_MASK), max_cells)
         label = root.label if root.label is not None else NO_ROUTE
+        program = FlatProgram(width, 1, min(stride, STRIDE_MASK), max_cells, label)
         program.root_val[0] = label
         program.root_val[1] = label
-        program.max_label = label
         return program.seal()
     if stride > MAX_ROOT_STRIDE:
         raise FlatCompileError(
             f"multibit stride {stride} exceeds the 2^{MAX_ROOT_STRIDE} root table cap"
         )
-    program = FlatProgram(width, stride, min(stride, STRIDE_MASK), max_cells)
+    program = FlatProgram(width, stride, min(stride, STRIDE_MASK), max_cells,
+                          dag.max_label())
     cell_ptr = program.cell_ptr
     cell_val = program.cell_val
     memo: dict = {}
@@ -1312,8 +1400,6 @@ def compile_multibit(dag, max_cells: int = DEFAULT_MAX_CELLS) -> FlatProgram:
             if child.is_leaf:
                 if child.label is not None:
                     cell_val[base + combo] = child.label
-                    if child.label > program.max_label:
-                        program.max_label = child.label
             else:
                 cell_ptr[base + combo] = emit(child, remaining - node_stride)
         encoded = (base << STRIDE_BITS) | node_stride
@@ -1325,8 +1411,6 @@ def compile_multibit(dag, max_cells: int = DEFAULT_MAX_CELLS) -> FlatProgram:
         if child.is_leaf:
             if child.label is not None:
                 program.root_val[combo] = child.label
-                if child.label > program.max_label:
-                    program.max_label = child.label
         else:
             program.root_ptr[combo] = emit(child, remaining)
     return program.seal()

@@ -568,6 +568,11 @@ class EpochCoordinator:
         from the current oracle, so its backlog starts empty."""
         self._servers[index] = server
 
+    def lagging(self) -> bool:
+        """True while any shard holds accepted updates it does not serve
+        yet (a rebuild shard's backlog, a pool's unpublished updates)."""
+        return any(server.pending for server in self._servers)
+
     def due(self) -> List[int]:
         """Shards whose backlog reached the epoch threshold."""
         return [
@@ -693,6 +698,7 @@ class ShardedFrontend:
         self._row_seconds = [0.0] * plan.shards
         self._degraded_lookups = 0
         self._failed_lookups = 0
+        self._stale_lookups = 0
         self._replans = 0
         self._lookups_during_replan = 0
         self._last_replan_lookups = 0
@@ -777,7 +783,9 @@ class ShardedFrontend:
         in-flight re-plan, or check drift). Flow-cache hits are answered
         here and charge no shard; the misses go out. Returns the
         in-flight token ``(batch, count)`` that :meth:`merge_batch`
-        completes.
+        completes. While the coordinator reports a lagging update plane
+        the whole batch counts as stale, flow-cache hits included: the
+        cache refills from the generation that lags.
         """
         self._tick()
         self._batches += 1
@@ -805,6 +813,8 @@ class ShardedFrontend:
                     else:
                         out[position] = label
         self._lookups += count
+        if self._coordinator.lagging():
+            self._stale_lookups += count
         try:
             parts = self._dispatch(misses) if len(misses) else ()
         except Exception:
@@ -1116,6 +1126,7 @@ class ShardedFrontend:
             flow_cache_evictions=cache.evictions if cache is not None else 0,
             degraded_lookups=self._degraded_lookups,
             failed_lookups=self._failed_lookups,
+            stale_lookups=self._stale_lookups,
         )
 
 
@@ -1132,11 +1143,13 @@ def shard_row_fields(record: ServeReport) -> Dict[str, Any]:
 
 
 def plane_totals(records: Sequence[ServeReport]) -> Dict[str, Any]:
-    """Update-plane report totals summed over per-shard reports."""
+    """Update-plane report totals summed over per-shard reports (stale
+    lookups are the frontend's count, not a sum: see
+    :meth:`ShardedFrontend.submit_batch`)."""
     return {
         field: sum(getattr(record, field) for record in records)
         for field in (
-            "rebuilds", "generation", "pending_updates", "stale_lookups",
+            "rebuilds", "generation", "pending_updates",
             "label_mismatches", "update_seconds", "rebuild_seconds",
             "size_bits", "peak_size_bits", "rebuild_cycles",
         )

@@ -22,10 +22,11 @@ data path with ``multiprocessing.shared_memory``:
   :class:`RingPeerDied`, never a hang.
 
 * :func:`publish_program` / :func:`attach_program` — the compiled
-  :class:`~repro.pipeline.flat.FlatProgram` image (four parallel int64
-  rows behind a fixed header) copied once into a segment, from which any
-  number of workers *attach* a frozen program in O(1): the rows are
-  ``memoryview.cast('q')`` slices of the mapped segment, so spawning a
+  :class:`~repro.pipeline.flat.FlatProgram` image (four parallel typed
+  rows behind a fixed header that records their typecodes) copied once
+  into a segment, from which any number of workers *attach* a frozen
+  program in O(1): the rows are ``memoryview.cast`` slices of the
+  mapped segment at those typecodes, so spawning a
   worker costs process boot plus one ``mmap`` instead of a pickled FIB
   and a full rebuild+recompile. Epoch swaps publish a fresh segment
   generation; nobody ever mutates a mapped image in place, so readers
@@ -57,7 +58,13 @@ try:
 except ImportError:  # pragma: no cover - platforms without shm support
     shared_memory = None
 
-from repro.pipeline.flat import FlatProgram
+from repro.pipeline.flat import (
+    LABEL_LIMITS,
+    POINTER_TYPECODES,
+    ROWS,
+    FlatProgram,
+    row_typecode,
+)
 
 #: Ring slot size. One slot carries one record header; payloads occupy
 #: the following ``ceil(nbytes / 64)`` slots.
@@ -437,51 +444,56 @@ class ShmRing:
 # ----------------------------------------------------------- program images
 
 #: Program-image header: magic, generation, width, root_stride,
-#: sub_stride, max_label, root_len, cell_len + 2 spare — 128 bytes.
+#: sub_stride, max_label, root_len, cell_len, and the ``ord`` of the
+#: pointer and label rows' typecodes — 128 bytes.
 _IMAGE_HEADER = struct.Struct("<qqqqqqqqqq")
 _IMAGE_HEADER_BYTES = 128
 _IMAGE_MAGIC = 0x52455052_464C4154  # "REPRFLAT"
 
 
-def _row_bytes(row) -> memoryview:
-    """A row (``array('q')`` or an attached memoryview) as raw bytes."""
-    return memoryview(row).cast("B")
+def _row_layout(root_len: int, cell_len: int, pointers: str, labels: str):
+    """``([(offset, nbytes, typecode)] per row in image order, size)``:
+    each row at its item size, starting 8-byte aligned."""
+    spans = []
+    offset = _IMAGE_HEADER_BYTES
+    for length, typecode in (
+        (root_len, pointers), (root_len, labels),
+        (cell_len, pointers), (cell_len, labels),
+    ):
+        nbytes = length * array(typecode).itemsize
+        spans.append((offset, nbytes, typecode))
+        offset += (nbytes + 7) & ~7
+    return spans, offset
 
 
 def publish_program(program: FlatProgram, generation: int, prefix: str = "repro"):
     """Copy a compiled program's image into a fresh shared segment.
 
-    Four straight buffer copies (``array('q')`` rows are already the
-    wire format — this is the ``tobytes()`` observation from the issue,
-    minus the intermediate bytes object) behind a fixed header. Returns
-    the owning ``SharedMemory``; the caller publishes its *name* and
-    eventually unlinks it. The segment is immutable once this returns:
-    epoch swaps publish a new segment instead of editing a mapped one.
+    Four straight buffer copies — each row at its own item size, since
+    the rows are already the wire format — behind a fixed header that
+    records both row typecodes. Returns the owning ``SharedMemory``; the
+    caller publishes its *name* and eventually unlinks it. The segment
+    is immutable once this returns: epoch swaps publish a new segment
+    instead of editing a mapped one.
     """
     if not program.frozen and program.overlay_len:
         # A pending delta overlay is part of the answer function but
         # not of the four rows; fold it in so the image is complete.
         program.merge_overlay()
-    root_len = len(program.root_ptr)
-    cell_len = len(program.cell_ptr)
-    size = _IMAGE_HEADER_BYTES + 8 * (2 * root_len + 2 * cell_len)
+    rows = [getattr(program, row) for row in ROWS]
+    root_len, cell_len = len(rows[0]), len(rows[2])
+    pointers, labels = row_typecode(rows[0]), row_typecode(rows[1])
+    spans, size = _row_layout(root_len, cell_len, pointers, labels)
     segment = create_segment(size, prefix=prefix)
     buf = segment.buf
     _IMAGE_HEADER.pack_into(
         buf, 0,
         _IMAGE_MAGIC, generation, program.width, program.root_stride,
-        program.sub_stride, program.max_label, root_len, cell_len, 0, 0,
+        program.sub_stride, program.max_label, root_len, cell_len,
+        ord(pointers), ord(labels),
     )
-    offset = _IMAGE_HEADER_BYTES
-    for row, length in (
-        (program.root_ptr, root_len),
-        (program.root_val, root_len),
-        (program.cell_ptr, cell_len),
-        (program.cell_val, cell_len),
-    ):
-        nbytes = 8 * length
-        buf[offset:offset + nbytes] = _row_bytes(row)
-        offset += nbytes
+    for row, (offset, nbytes, _) in zip(rows, spans):
+        buf[offset:offset + nbytes] = memoryview(row).cast("B")
     return segment
 
 
@@ -489,23 +501,30 @@ def attach_program(name: str):
     """Attach a published image: O(1), zero-copy, read-only by contract.
 
     Returns ``(program, generation, segment)``. The program's rows view
-    the mapped segment directly (:meth:`FlatProgram.from_image`), so the
-    caller must keep ``segment`` open as long as the program serves, and
-    close it — never unlink — when a newer generation replaces it.
+    the mapped segment directly at the typecodes its header records
+    (:meth:`FlatProgram.from_image`), so the caller must keep
+    ``segment`` open as long as the program serves, and close it —
+    never unlink — when a newer generation replaces it.
     """
     segment = attach_segment(name)
     buf = segment.buf
     (magic, generation, width, root_stride, sub_stride,
-     max_label, root_len, cell_len, _, _) = _IMAGE_HEADER.unpack_from(buf, 0)
+     max_label, root_len, cell_len, pointers, labels) = _IMAGE_HEADER.unpack_from(buf, 0)
     if magic != _IMAGE_MAGIC:
         segment.close()
         raise ValueError(f"segment {name!r} is not a flat-program image")
-    rows = []
-    offset = _IMAGE_HEADER_BYTES
-    for length in (root_len, root_len, cell_len, cell_len):
-        nbytes = 8 * length
-        rows.append(buf[offset:offset + nbytes].cast("q"))
-        offset += nbytes
+    if (pointers not in map(ord, POINTER_TYPECODES)
+            or labels not in map(ord, LABEL_LIMITS)):
+        segment.close()
+        raise ValueError(
+            f"segment {name!r} has unknown row typecodes "
+            f"({pointers}, {labels})"
+        )
+    spans, _ = _row_layout(root_len, cell_len, chr(pointers), chr(labels))
+    rows = [
+        buf[offset:offset + nbytes].cast(typecode)
+        for offset, nbytes, typecode in spans
+    ]
     program = FlatProgram.from_image(
         width=width,
         root_stride=root_stride,
@@ -520,18 +539,19 @@ def attach_program(name: str):
 
 
 def detach_program(program: FlatProgram, segment) -> None:
-    """Release an attached program's views so the segment can unmap."""
+    """Release an attached program's views so the segment can unmap;
+    each row becomes an empty row of its own type."""
     program._views = None  # numpy views export the rows; drop them first
     program._ov_views = None
-    for row in (program.root_ptr, program.root_val,
-                program.cell_ptr, program.cell_val):
+    for name in ROWS:
+        row = getattr(program, name)
+        empty = array(row_typecode(row))
         if isinstance(row, memoryview):
             try:
                 row.release()
             except BufferError:  # pragma: no cover - an alias escaped
                 pass
-    program.root_ptr = program.root_val = array("q")
-    program.cell_ptr = program.cell_val = array("q")
+        setattr(program, name, empty)
     try:
         segment.close()
     except BufferError:  # pragma: no cover - mapping stays to process exit

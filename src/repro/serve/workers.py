@@ -987,7 +987,6 @@ class WorkerPool(ShardedFrontend):
         self._published_program = None
         self._deltas_since_image = 0
         self._attach_seconds = 0.0
-        self._stale_lookups = 0
         self._bytes_tx = 0
         self._bytes_rx = 0
         self._rebuild_seconds = 0.0      # acked swap / publish costs
@@ -1524,17 +1523,6 @@ class WorkerPool(ShardedFrontend):
                     time.perf_counter() - self._inflight_started
                 )
 
-    def submit_batch(self, addresses: Sequence[int]):
-        """:meth:`ShardedFrontend.submit_batch`, counting staleness: on
-        shm, a batch submitted before the accepted updates are published
-        is served against an older generation (the analogue of a stale
-        rebuild), flow-cache hits included — the cache refilled from
-        that generation after the updates invalidated it."""
-        token, count = super().submit_batch(addresses)
-        if self._publish_proxy is not None and self._publish_proxy.pending:
-            self._stale_lookups += count
-        return token, count
-
     def _dispatch(self, batch):
         """Ship a batch to the workers without waiting: whole to every
         worker (broadcast, one ``bytes`` sent N times) or owner-split
@@ -2000,7 +1988,6 @@ class WorkerPool(ShardedFrontend):
                 rebuilds=published.rebuilds,
                 generation=sum(row["generation"] for row in rows),
                 pending_updates=len(self._publish_proxy.pending),
-                stale_lookups=self._stale_lookups,
                 label_mismatches=0,
                 # The publisher's own update/rebuild clocks are inside
                 # the pool's measured walls (it runs on the frontend),

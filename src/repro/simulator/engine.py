@@ -110,10 +110,12 @@ def xbw_engine(xbw) -> LookupEngine:
 def flat_engine(representation) -> Optional[LookupEngine]:
     """Engine over a representation's compiled flat plane, or None.
 
-    The compiled program models its image as 16-byte ptr+val entries
-    (root table first, then the cell arrays), so any flat-capable
-    representation can feed the cache simulator even when the native
-    structure has no ``lookup_trace``.
+    The compiled program models its image as its four rows in order
+    (root pointers, root labels, cell pointers, cell labels), each
+    entry at its row's item size: a lookup touches the pointer row on
+    every level and the label row once, on the terminal level. So any
+    flat-capable representation can feed the cache simulator even when
+    the native structure has no ``lookup_trace``.
     """
     from repro.pipeline.base import flat_program
 

@@ -538,6 +538,25 @@ class TestPoolFlowCache:
         assert report.flow_cache_hits == len(batch)
         assert report.stale_lookups == 2 * len(batch)
 
+    def test_cluster_hits_before_an_epoch_swap_count_stale(self, small_fib):
+        # In process the same holds for a rebuild-plane shard: until its
+        # epoch swap it serves the old generation, and the cache refills
+        # from it — the frontend counts the hits, no shard server does.
+        batch = [0b1010 << 28, 0b0101 << 28]
+        with open_plane(
+            "lc-trie", small_fib, shards=2, rebuild_every=1000,
+            autoscale=aggressive_policy(imbalance_threshold=1e9, flow_cache=64),
+        ) as plane:
+            assert plane.apply_update(UpdateOp(0b1010, 4, 9))
+            for _ in range(2):  # the second pass is served from the cache
+                plane.lookup_batch(batch)
+            report = plane.report()
+            plane.quiesce()  # the swap ends the lag: no longer stale
+            plane.lookup_batch(batch)
+            assert plane.report().stale_lookups == report.stale_lookups
+        assert report.flow_cache_hits == len(batch)
+        assert report.stale_lookups == 2 * len(batch)
+
     @pytest.mark.parametrize(
         "shape",
         [{"shards": 2}]

@@ -109,3 +109,5 @@ class TestPipelineCommands:
         ]) == 0
         out = capsys.readouterr().out
         assert "batch Mlps" in out and "prefix-dag" in out and "x" in out
+        header = next(line for line in out.splitlines() if line.startswith("representation"))
+        assert header.split()[1:3] == ["size[KB]", "program[KB]"]

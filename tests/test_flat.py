@@ -10,6 +10,7 @@ epoch swaps).
 
 from __future__ import annotations
 
+import pickle
 from array import array
 
 import pytest
@@ -23,6 +24,7 @@ from repro.core.trie import BinaryTrie
 from repro.datasets import random_update_sequence, uniform_trace
 from repro.datasets.updates import UpdateOp
 from repro.pipeline.flat import (
+    ROWS,
     FlatCompileError,
     FlatProgram,
     compile_binary,
@@ -50,18 +52,123 @@ entry_strategy = st.integers(0, 8).flatmap(
 fib_strategy = st.lists(entry_strategy, min_size=0, max_size=24)
 
 
+def row_bytes(program) -> int:
+    return sum(memoryview(getattr(program, row)).nbytes for row in ROWS)
+
+
 class TestProgramStructure:
     def test_arrays_are_int64_and_pointerless(self, medium_fib):
         program = compile_binary(BinaryTrie.from_fib(medium_fib).root, 32, 8)
         for arr in (program.root_ptr, program.root_val,
                     program.cell_ptr, program.cell_val):
             assert isinstance(arr, array)
-            assert arr.typecode == "q"
+        # int32 pointers and uint8 labels: 5 bytes a slot, not 16.
+        assert program.root_ptr.typecode == program.cell_ptr.typecode == "i"
+        assert program.root_val.typecode == program.cell_val.typecode == "B"
         assert len(program.root_ptr) == len(program.root_val)
         assert len(program.cell_ptr) == len(program.cell_val)
         assert program.size_in_bits() == (
-            (len(program.root_ptr) + len(program.cell_ptr)) * 128
+            (len(program.root_ptr) + len(program.cell_ptr)) * 40
         )
+
+    @pytest.mark.parametrize(
+        "max_cells, max_label, pointers, labels",
+        [
+            (1 << 22, 0, "i", "B"),
+            (1 << 22, 255, "i", "B"),
+            (1 << 22, 256, "i", "H"),
+            (1 << 22, 65_535, "i", "H"),
+            (1 << 22, 65_536, "i", "I"),
+            (1 << 22, 1 << 32, "i", "q"),
+            (1 << 25, 7, "i", "B"),  # largest reference (2^31 - 1) fits
+            ((1 << 25) + 1, 7, "q", "B"),
+            (1 << 26, 7, "q", "B"),
+        ],
+    )
+    def test_row_typecodes_follow_max_cells_and_max_label(
+        self, max_cells, max_label, pointers, labels
+    ):
+        program = FlatProgram(32, 8, max_cells=max_cells, max_label=max_label)
+        assert program.root_ptr.typecode == program.cell_ptr.typecode == pointers
+        assert program.root_val.typecode == program.cell_val.typecode == labels
+
+    def test_label_wider_than_int64_refuses(self):
+        with pytest.raises(FlatCompileError, match="int64"):
+            FlatProgram(32, 8, max_label=1 << 63)
+
+    @pytest.mark.parametrize("label, labels", [(7, "B"), (300, "H"), (70_000, "I")])
+    def test_compilers_size_label_rows_by_the_largest_label(self, rng, label, labels):
+        fib = random_fib(rng, 80, 4, max_length=14)
+        fib.add(0xC0A8, 16, label)
+        trie = BinaryTrie.from_fib(fib)
+        program = compile_binary(trie.root, 32, 8)
+        assert program.root_val.typecode == program.cell_val.typecode == labels
+        wide = compile_binary(trie.root, 32, 8, max_cells=1 << 26)
+        assert wide.root_ptr.typecode == wide.cell_ptr.typecode == "q"
+        multibit = pipeline.flat_program(pipeline.build("multibit-dag", fib))
+        assert multibit.root_val.typecode == labels
+        probes = [0xC0A80000 + i for i in range(64)] + [rng.getrandbits(32) for _ in range(200)]
+        want = [fib.lookup(address) for address in probes]
+        for compiled in (program, wide, multibit):
+            assert compiled.lookup_batch(probes) == want
+            assert [compiled.lookup(address) for address in probes] == want
+            assert array("q", compiled.lookup_batch_packed(probes)).tolist() == [
+                label or 0 for label in want
+            ]
+            compiled.vectorize = False
+            assert compiled.lookup_batch(probes) == want
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_size_in_bits_counts_row_bytes(self, rng, name):
+        fib = random_fib(rng, 150, 4, max_length=14)
+        program = pipeline.flat_program(pipeline.build(name, fib))
+        assert program.size_in_bits() == 8 * row_bytes(program)
+
+    def test_patch_refuses_a_label_its_rows_cannot_hold(self, rng):
+        fib = random_fib(rng, 80, 4, max_length=14)
+        trie = BinaryTrie.from_fib(fib)
+        program = compile_binary(trie.root, 32, 8)
+        trie.insert(0xC0A8, 16, 300)
+        with pytest.raises(FlatCompileError, match="label 300"):
+            program.patch(0xC0A8, 16, trie.root, leaf_pushed=False)
+        # The adapter answers the refusal by recompiling at the width
+        # the live structure needs.
+        representation = pipeline.build("binary-trie", fib)
+        probes = [0xC0A80000 + i for i in range(64)] + [rng.getrandbits(32) for _ in range(200)]
+        representation.lookup_batch(probes)
+        narrow = representation._flat
+        assert narrow.root_val.typecode == "B"
+        representation.apply_update(UpdateOp(0xC0A8, 16, 300))
+        fib.update(0xC0A8, 16, 300)
+        assert representation.lookup_batch(probes) == [fib.lookup(a) for a in probes]
+        assert representation._flat is not narrow
+        assert representation._flat.root_val.typecode == "H"
+
+    def test_pickled_frozen_program_keeps_typecodes(self, rng):
+        from repro.serve.shm import (
+            attach_program, detach_program, publish_program, shm_available,
+        )
+
+        if not shm_available():
+            pytest.skip("shared memory unavailable")
+        fib = random_fib(rng, 120, 4, max_length=14)
+        fib.add(0xC0A8, 16, 300)
+        program = compile_binary(BinaryTrie.from_fib(fib).root, 32, 8)
+        segment = publish_program(program, 1)
+        try:
+            attached, _, mapped = attach_program(segment.name)
+            clone = pickle.loads(pickle.dumps(attached))
+            detach_program(attached, mapped)
+        finally:
+            segment.close()
+            segment.unlink()
+        assert not clone.frozen
+        for row in ROWS:
+            assert getattr(clone, row).typecode == getattr(program, row).typecode
+            assert getattr(clone, row) == getattr(program, row)
+        assert clone.root_val.typecode == "H"
+        probes = [rng.getrandbits(32) for _ in range(300)]
+        assert clone.lookup_batch(probes) == [fib.lookup(a) for a in probes]
 
     def test_root_stride_clamped_to_structure_height(self):
         shallow = Fib(32)
@@ -180,11 +287,27 @@ class TestProgramParity:
 
     def test_trace_agrees_with_lookup(self, rng, medium_fib):
         program = compile_binary(BinaryTrie.from_fib(medium_fib).root, 32, 8)
+        # Image order: root pointers, root labels, cell pointers, cell
+        # labels — each entry at its row's item size.
+        ptr, val = program.root_ptr.itemsize, program.root_val.itemsize
+        root_labels = len(program.root_ptr) * ptr
+        cell_labels = program.cells_base + len(program.cell_ptr) * ptr
+        assert program.cells_base == root_labels + len(program.root_val) * val
+        walked = 0
         for address in [rng.getrandbits(32) for _ in range(200)]:
             label, trace = program.lookup_trace(address)
             assert label == program.lookup(address)
-            assert trace[0] < program.cells_base
-            assert all(byte >= program.cells_base for byte in trace[1:])
+            assert trace[0] == (address >> program.root_shift) * ptr
+            *pointers, terminal = trace[1:]
+            assert all(
+                program.cells_base <= byte < cell_labels for byte in pointers
+            )
+            if pointers:  # walked into the cells: a cell label ends it
+                walked += 1
+                assert cell_labels <= terminal < cell_labels + len(program.cell_val) * val
+            else:  # answered at the root: the root label row
+                assert root_labels <= terminal < program.cells_base
+        assert walked
 
 
 class TestPatching:

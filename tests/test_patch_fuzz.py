@@ -35,6 +35,7 @@ from repro.core.trie import BinaryTrie
 from repro.datasets import random_update_sequence
 from repro.datasets.updates import UpdateOp
 from repro.pipeline.flat import (
+    LABEL_LIMITS,
     FlatCompileError,
     compile_binary,
     have_numpy,
@@ -45,6 +46,11 @@ DOMAIN = list(range(1 << WIDTH))
 STRIDE = 6
 FUZZ_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "25"))
 UPDATABLE = ["binary-trie", "prefix-dag", "tabular"]
+#: Labels past uint8 and uint16: the patch compiler refuses them into
+#: narrower label rows, so both fuzzers take the recompile-to-wider-rows
+#: path now and then.
+WIDE_LABELS = (300, 70_000)
+LABELS = st.integers(1, 5) | st.sampled_from(WIDE_LABELS)
 
 
 def unpack(blob: bytes):
@@ -58,7 +64,9 @@ class PatchDifferential(RuleBasedStateMachine):
     ``overlay_span_min`` is forced tiny so even narrow terminal runs
     land in the delta overlay — the fuzzer then exercises the overlay
     probe on every walk, plus ``merge_overlay`` folding it away
-    mid-stream. Both ``leaf_pushed`` modes run: ``True`` (prune
+    mid-stream. Labels past uint8 and uint16 refuse to patch into
+    narrower label rows; the machine then recompiles, as the adapters
+    do. Both ``leaf_pushed`` modes run: ``True`` (prune
     disabled, always sound) and ``False`` (longer-prefix prune enabled,
     sound for the binary trie whose labels are the routes themselves).
     """
@@ -67,21 +75,37 @@ class PatchDifferential(RuleBasedStateMachine):
         super().__init__()
         self.fib = Fib(WIDTH)
         self.trie = BinaryTrie(WIDTH)
-        self.program = compile_binary(self.trie.root, WIDTH, STRIDE)
-        self.program.overlay_span_min = 2
+        self.program = self._compile()
+
+    def _compile(self):
+        program = compile_binary(self.trie.root, WIDTH, STRIDE)
+        program.overlay_span_min = 2
+        return program
+
+    def _patch(self, prefix, length, leaf_pushed):
+        program = self.program
+        try:
+            program.patch(prefix, length, self.trie.root,
+                          leaf_pushed=leaf_pushed)
+        except FlatCompileError:
+            # Only a label wider than the label rows may refuse; answer
+            # it the way the adapters' flat_plane does: recompile from
+            # the live trie, which sizes fresh rows for it.
+            widest = max(route.label for route in self.fib)
+            assert widest > LABEL_LIMITS[program.root_val.typecode]
+            self.program = self._compile()
 
     @rule(
         bits=st.integers(0, (1 << WIDTH) - 1),
         length=st.integers(0, WIDTH),
-        label=st.integers(1, 5),
+        label=LABELS,
         leaf_pushed=st.booleans(),
     )
     def announce(self, bits, length, label, leaf_pushed):
         prefix = bits >> (WIDTH - length) if length else 0
         self.fib.update(prefix, length, label)
         self.trie.insert(prefix, length, label)
-        self.program.patch(prefix, length, self.trie.root,
-                           leaf_pushed=leaf_pushed)
+        self._patch(prefix, length, leaf_pushed)
 
     @rule(data=st.data(), leaf_pushed=st.booleans())
     def withdraw(self, data, leaf_pushed):
@@ -91,8 +115,7 @@ class PatchDifferential(RuleBasedStateMachine):
         prefix, length = data.draw(st.sampled_from(routes))
         self.fib.update(prefix, length, None)
         self.trie.delete(prefix, length)
-        self.program.patch(prefix, length, self.trie.root,
-                           leaf_pushed=leaf_pushed)
+        self._patch(prefix, length, leaf_pushed)
 
     @rule()
     def merge(self):
@@ -123,7 +146,9 @@ class TestAdapterFuzz:
 
     Drives the real serve path — ``apply_update`` into the adapter's
     patch log, drained by ``flat_plane`` on the next batch — including
-    bloat-triggered recompiles and the adapter's overlay-merge policy.
+    bloat-triggered recompiles, the adapter's overlay-merge policy, and
+    (with :data:`WIDE_LABELS` announced now and then) the recompile a
+    label wider than the program's label rows forces.
     """
 
     @pytest.mark.parametrize("name", UPDATABLE)
@@ -141,6 +166,8 @@ class TestAdapterFuzz:
             mirror, 24, seed=seed ^ 0x9E3779B9, withdraw_fraction=0.3
         )
         for op in ops:
+            if op.label is not None and rng.random() < 0.15:
+                op = UpdateOp(op.prefix, op.length, rng.choice(WIDE_LABELS))
             try:
                 mirror.update(op.prefix, op.length, op.label)
             except KeyError:

@@ -143,7 +143,9 @@ class PlaneDifferential(RuleBasedStateMachine):
     @rule(
         bits=st.integers(0, 2**12 - 1),
         length=st.integers(0, 12),
-        label=st.integers(1, 5),
+        # Past uint8 and uint16: the compiled programs recompile to
+        # wider label rows, and the shm pools publish a wider image.
+        label=st.integers(1, 5) | st.sampled_from([300, 70_000]),
     )
     def announce(self, bits, length, label):
         with within(RULE_SECONDS):

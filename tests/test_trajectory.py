@@ -18,18 +18,17 @@ sys.modules.setdefault("check_trajectory", check_trajectory)
 _SPEC.loader.exec_module(check_trajectory)
 
 
-def _pipeline(speedup, compiled_speedup, mlps=10.0):
-    return {
-        "rows": [
-            {
-                "name": "prefix-dag",
-                "compiled": True,
-                "speedup": speedup,
-                "compiled_speedup": compiled_speedup,
-                "batch_mlps": mlps,
-            }
-        ]
+def _pipeline(speedup, compiled_speedup, mlps=10.0, program_kb=None):
+    row = {
+        "name": "prefix-dag",
+        "compiled": True,
+        "speedup": speedup,
+        "compiled_speedup": compiled_speedup,
+        "batch_mlps": mlps,
     }
+    if program_kb is not None:
+        row.update(size_kb=35.3, program_kb=program_kb)
+    return {"rows": [row]}
 
 
 def _cluster(four_shard):
@@ -78,6 +77,22 @@ class TestCompare:
         failures, _ = check_trajectory.check(tmp_path / "base", tmp_path / "new")
         assert len(failures) == 1
         assert "speedup" in failures[0]
+
+    def test_inflated_program_image_fails(self, tmp_path):
+        # size_kb / program_kb is deterministic at a fixed config: a
+        # serving image back at 16 bytes a cell (4,257 KB where the
+        # typed rows take 1,330 KB) must fail, an unchanged one pass.
+        _write(tmp_path / "base", "BENCH_pipeline.json",
+               _pipeline(80.0, 4.0, program_kb=1330.0))
+        _write(tmp_path / "new", "BENCH_pipeline.json",
+               _pipeline(80.0, 4.0, program_kb=1330.0))
+        failures, _ = check_trajectory.check(tmp_path / "base", tmp_path / "new")
+        assert failures == []
+        _write(tmp_path / "new", "BENCH_pipeline.json",
+               _pipeline(80.0, 4.0, program_kb=4257.0))
+        failures, _ = check_trajectory.check(tmp_path / "base", tmp_path / "new")
+        assert len(failures) == 1
+        assert "prefix-dag.size_over_program" in failures[0]
 
     def test_within_tolerance_passes(self, tmp_path):
         # 29% down: inside the 30% default tolerance.
