@@ -182,11 +182,6 @@ class MultibitDag:
     def leaf_count(self) -> int:
         return sum(1 for leaf in self._leaves.values() if leaf.refcount > 0)
 
-    def max_label(self) -> int:
-        """Largest label any coalesced leaf was interned for (0 = none);
-        read off the leaf table, so it costs O(δ), not a walk."""
-        return max(self._leaves, default=INVALID_LABEL)
-
     def max_depth(self) -> int:
         """Worst-case node visits: the folded trie's height in strides."""
         depths: Dict[int, int] = {}

@@ -7,45 +7,46 @@ scalar lookup. This module removes the last object dereference from the
 hot path the way the paper's fastest structures do (§5.3's serialized,
 λ-level-collapsed image; the pointerless encodings of Tapolcai et al.,
 *Memory size bounds of prefix DAGs*): any registered representation is
-**compiled** once into a :class:`FlatProgram` — four parallel typed
-``array`` rows holding a root stride table plus LC-trie-style
+**compiled** once into a :class:`FlatProgram` — two typed ``array``
+rows of tagged cells holding a root stride table plus LC-trie-style
 variable-stride child blocks — after which longest-prefix match is pure
 integer indexing:
 
-* ``root_ptr[slot]`` / ``root_val[slot]`` — per top-bits slot, either a
-  terminal label or an encoded child block reference;
-* ``cell_ptr[i]`` / ``cell_val[i]`` — the flattened blocks; a block
-  reference packs ``(base << 6) | stride`` so the walk needs no side
-  lookups to know how many address bits the next block consumes;
+* ``root_ptr[slot]`` — per top-bits slot, either a terminal label or an
+  encoded child block reference;
+* ``cell_ptr[i]`` — the flattened blocks; a block reference packs
+  ``(base << 6) | stride`` so the walk needs no side lookups to know how
+  many address bits the next block consumes;
 * labels are leaf-pushed into the cells during compilation, so the walk
   never tracks a "best so far" — the cell it lands on *is* the answer
   (``0`` = no route; table labels are ``1..δ``, and the ORTC trie's
   explicit blackhole label ``0`` erases covering routes for free).
 
-**The image layout**, concretely — four parallel rows, each stored at
-the width its contents need, ``ptr < 0`` (TERMINAL) meaning "the paired
-``val`` is the answer"::
+**The image layout**, concretely — one tagged cell per slot, like the
+references of §5.3's serialized image: a cell ``>= 0`` encodes the next
+block, a cell ``< 0`` is the terminal ``~label`` (so ``TERMINAL = -1 =
+~NO_ROUTE`` is the no-route answer)::
 
-    slot = address >> (width - root_stride)       ptr >= 0 encodes the
-    root_ptr: [ -1 | -1 | 830000…6 | -1 | … ]     next block as
-    root_val: [  0 |  3 |        2 |  1 | … ]     (base << 6) | stride
-                         |
+    slot = address >> (width - root_stride)       cell >= 0 encodes the
+    root_ptr: [ -1 | -4 | 830000…6 | -2 | … ]     next block as
+                         |                         (base << 6) | stride
                          v  base = 830000…6 >> 6, stride = …6 & 63
-    cell_ptr: … [ -1 | -1 | (base'<<6)|s' | -1 ] …   <- one 2^stride block
-    cell_val: … [  2 |  5 |            2 |  0 ] …      at cells [base, base+2^s)
+    cell_ptr: … [ -3 | -6 | (base'<<6)|s' | -1 ] …   <- one 2^stride block
+                                                      at cells [base, base+2^s)
+    terminals: -1 = ~0 (no route), -2 = ~1 (label 1), -4 = ~3 (label 3), …
 
-    walk: shift -= stride; index = base + ((address >> shift) & (2^stride - 1))
+    walk: while cell >= 0: shift -= stride
+                           cell = cell_ptr[base + ((address >> shift) & (2^stride - 1))]
+          label = ~cell
 
-    *_ptr rows: int32 ('i') while max_cells << 6 fits, else int64 ('q')
-    *_val rows: the narrowest of uint8/uint16/uint32 ('B'/'H'/'I') that
-                holds the largest label, else int64 ('q')
+    both rows: int32 ('i') while max_cells << 6 fits, else int64 ('q')
 
 With the default :data:`DEFAULT_MAX_CELLS` (2^22 cells, references below
-2^28) and a next-hop alphabet of at most 255 labels, a cell costs 5
-bytes. The walks gather labels into int64 (the wire format), and a patch
-that would write a label wider than its rows raises
-:class:`FlatCompileError` — the owning adapter then recompiles from the
-live structure at the width it needs.
+2^28) a cell costs 4 bytes. A label whose ``~label`` does not fit the
+row (2^31 or more on int32 rows) raises :class:`FlatCompileError`, at
+compile time and on every patch write alike; the owning adapter then
+serves through the dispatch engine. The walks widen labels to int64
+(the wire format).
 
 Blocks are interned by source node during compilation, so a folded DAG's
 shared sub-tries become shared cell blocks and the compiled image keeps
@@ -85,7 +86,7 @@ structures whose labels are the routes themselves — leaf-pushed DAGs
 must not prune, see ``leaf_pushed``), and collapsing empty subtrees
 into contiguous **terminal runs**. Wide runs land in the
 :class:`FlatOverlay` — a sorted ``[start, end) -> label`` side table
-every walk probes before the root arrays (an empty overlay costs
+every walk probes before the root row (an empty overlay costs
 nothing) — and :meth:`~FlatProgram.merge_overlay` folds them into the
 image off the lookup clock. Terminal runs are also journaled
 (:meth:`~FlatProgram.take_patch_delta`) so the shm serving plane can
@@ -124,27 +125,22 @@ DEFAULT_SUB_STRIDE = 8
 STRIDE_BITS = 6
 STRIDE_MASK = (1 << STRIDE_BITS) - 1
 
-#: ``ptr`` value of a terminal cell (the paired ``val`` is the answer).
-TERMINAL = -1
-
-#: ``val`` encoding of "no route" (table labels are 1..δ).
+#: Label of "no route" (table labels are 1..δ).
 NO_ROUTE = 0
+
+#: The no-route terminal cell: a terminal cell holds ``~label``.
+TERMINAL = ~NO_ROUTE
 
 #: Compilation ceiling: programs larger than this many cells refuse to
 #: build (the adapter then serves through the dispatch engine instead).
 DEFAULT_MAX_CELLS = 1 << 22
 
-#: Pointer-row typecodes: int32 while every block reference of a
-#: ``max_cells`` program fits, else int64.
+#: Row typecodes: int32 while every block reference of a ``max_cells``
+#: program fits, else int64.
 POINTER_TYPECODES = ("i", "q")
 
-#: Label-row typecodes, narrowest first, with the largest label each
-#: holds: unsigned rows up to uint32, then int64 (the wire's own width).
-LABEL_LIMITS = {"B": (1 << 8) - 1, "H": (1 << 16) - 1,
-                "I": (1 << 32) - 1, "q": (1 << 63) - 1}
-
 #: The program's rows, in image order.
-ROWS = ("root_ptr", "root_val", "cell_ptr", "cell_val")
+ROWS = ("root_ptr", "cell_ptr")
 
 #: Largest address width the int64 vector path can shift safely.
 _NUMPY_MAX_WIDTH = 62
@@ -157,12 +153,21 @@ _NUMPY_MAX_WIDTH = 62
 #: is what a sharded deployment's split batches are most sensitive to).
 _VECTOR_TAIL_CUTOFF = 128
 
+#: Largest label the vector walk decodes through its object table (one
+#: entry per label value); past it the walk boxes the batch's labels
+#: instead. Measured on a 5,000-label batch (Xeon, NumPy 2.4): the
+#: table decodes labels past the small-int cache in ~45 us against
+#: ~100 us boxed, but it is rebuilt after every patch at ~14 ns an
+#: entry, and past 2^11 entries one rebuild costs more than the
+#: boxing it saves on a batch (2^12: 58 us against 52 us saved).
+_DECODE_TABLE_MAX = 1 << 11
+
 #: Largest root table a compiler may materialize (2^20 slots, matching
 #: :data:`repro.pipeline.batch.MAX_STRIDE`).
 MAX_ROOT_STRIDE = 20
 
 #: Patched terminal runs at least this many root slots wide land in the
-#: delta overlay instead of being written across the root arrays — one
+#: delta overlay instead of being written across the root row — one
 #: side-table entry versus ``2^(stride-length)`` slot writes. Narrower
 #: runs are cheaper as direct C-level slice assignments.
 OVERLAY_SPAN_MIN = 4096
@@ -279,14 +284,6 @@ def pointer_typecode(max_cells: int) -> str:
     return "i" if max_cells << STRIDE_BITS <= 1 << 31 else "q"
 
 
-def label_typecode(max_label: int) -> str:
-    """Narrowest label-row typecode that holds ``max_label``."""
-    for typecode, limit in LABEL_LIMITS.items():
-        if max_label <= limit:
-            return typecode
-    raise FlatCompileError(f"label {max_label} exceeds the int64 wire format")
-
-
 def row_typecode(row) -> str:
     """Typecode of a program row: an ``array``, or an attached image's
     ``memoryview`` slice."""
@@ -300,12 +297,16 @@ def _owned_row(row) -> array:
     return owned
 
 
-class FlatProgram:
-    """A compiled, pointerless LPM program over four typed rows.
+#: What the retired ``root_val`` / ``cell_val`` names read as.
+_NO_ROW = memoryview(b"")
 
-    Pointer rows are int32 or int64 (:func:`pointer_typecode` of
-    ``max_cells``), label rows the narrowest type holding ``max_label``
-    (:func:`label_typecode`); both are fixed at construction.
+
+class FlatProgram:
+    """A compiled, pointerless LPM program over two rows of tagged cells.
+
+    Both rows share one typecode, int32 or int64 (:func:`pointer_typecode`
+    of ``max_cells``), fixed at construction; a terminal cell holds
+    ``~label``, so a label must fit the row's signed range.
     """
 
     __slots__ = (
@@ -315,9 +316,7 @@ class FlatProgram:
         "sub_stride",
         "max_cells",
         "root_ptr",
-        "root_val",
         "cell_ptr",
-        "cell_val",
         "vectorize",
         "max_label",
         "frozen",
@@ -336,13 +335,17 @@ class FlatProgram:
         "_delta_dirty",
     )
 
+    #: Retired label rows, read as one shared empty row:
+    #: ``wallbench/workloads.py::image_bytes`` still sums them beside the
+    #: two rows above.
+    root_val = cell_val = property(lambda self: _NO_ROW)
+
     def __init__(
         self,
         width: int,
         root_stride: int,
         sub_stride: int = DEFAULT_SUB_STRIDE,
         max_cells: int = DEFAULT_MAX_CELLS,
-        max_label: int = NO_ROUTE,
     ):
         if not 1 <= root_stride <= min(width, MAX_ROOT_STRIDE):
             raise FlatCompileError(
@@ -358,18 +361,19 @@ class FlatProgram:
         self.root_shift = width - root_stride
         self.sub_stride = sub_stride
         self.max_cells = max_cells
-        size = 1 << root_stride
-        pointers = pointer_typecode(max_cells)
-        labels = label_typecode(max_label)
-        self.root_ptr = array(pointers, [TERMINAL]) * size
-        self.root_val = array(labels, [NO_ROUTE]) * size
-        self.cell_ptr = array(pointers)
-        self.cell_val = array(labels)
+        typecode = pointer_typecode(max_cells)
+        self.root_ptr = array(typecode, [TERMINAL]) * (1 << root_stride)
+        self.cell_ptr = array(typecode)
+        self._reset()
+
+    def _reset(self) -> None:
+        """The state every program starts from — compiled, attached or
+        unpickled: no label yet, empty caches, zeroed patch counters."""
         self.vectorize = True
-        #: Bound on every label in the image: sizes the label rows, then
-        #: rises with each wider write (tracked incrementally: the decode
-        #: table must never be rebuilt by scanning the cell arrays).
-        self.max_label = max_label
+        #: Largest label ever written, tracked incrementally: it sizes
+        #: the decode table (never rebuilt by scanning the cells), and a
+        #: write checks a label against the cell width only past it.
+        self.max_label = NO_ROUTE
         #: True for programs attached to an externally-owned image (a
         #: shared-memory segment): the arrays are read-only views and
         #: :meth:`patch` refuses — churn publishes a fresh generation.
@@ -413,7 +417,7 @@ class FlatProgram:
         roughly the cost of copying the image bytes. A *frozen*
         (segment-attached) program pickles as a detached copy: its
         memoryview rows materialize into owned arrays of the same
-        typecodes, so the pickled twin outlives the segment it came
+        typecode, so the pickled twin outlives the segment it came
         from.
 
         Caches and process-local bookkeeping are dropped alongside the
@@ -436,22 +440,9 @@ class FlatProgram:
         return state
 
     def __setstate__(self, state):
-        # Defaults first: states pickled before a field existed.
-        self.frozen = False
-        self._overlay = None
-        self.overlay_span_min = OVERLAY_SPAN_MIN
-        self.patch_slots_total = 0
-        self.patch_spans_total = 0
-        self.patch_cells_total = 0
-        self.patch_skips_total = 0
-        self.last_patch_slots = 0
+        self._reset()
         for name, value in state.items():
             setattr(self, name, value)
-        self._views = None
-        self._ov_views = None
-        self._src = {}
-        self._delta_journal = []
-        self._delta_dirty = False
 
     # -------------------------------------------------------- attached images
 
@@ -464,47 +455,31 @@ class FlatProgram:
         sub_stride: int,
         max_label: int,
         root_ptr,
-        root_val,
         cell_ptr,
-        cell_val,
     ) -> "FlatProgram":
         """Rehydrate a program over externally-owned typed row buffers.
 
         The rows are adopted as-is (``memoryview.cast`` slices of a
-        shared-memory segment at the image's typecodes, typically), so
-        construction is O(1): no
-        copy, no recompile — this is what lets a worker *attach* to a
-        frontend-compiled program. The result is :attr:`frozen`: the
-        scalar and batch walks (and their NumPy views) run straight off
-        the foreign buffers, while :meth:`patch` refuses — an attached
-        image changes only by publishing a whole new generation.
+        shared-memory segment at the image's typecode, typically), so
+        construction is O(1): no copy, no recompile — this is what lets
+        a worker *attach* to a frontend-compiled program. The result is
+        :attr:`frozen`: the scalar and batch walks (and their NumPy
+        views) run straight off the foreign buffers, while :meth:`patch`
+        refuses — an attached image changes only by publishing a whole
+        new generation.
         """
         program = cls.__new__(cls)
+        program._reset()
         program.width = width
         program.root_stride = root_stride
         program.root_shift = width - root_stride
         program.sub_stride = sub_stride
         program.max_cells = DEFAULT_MAX_CELLS
         program.root_ptr = root_ptr
-        program.root_val = root_val
         program.cell_ptr = cell_ptr
-        program.cell_val = cell_val
-        program.vectorize = True
         program.max_label = max_label
         program.frozen = True
         program._initial_cells = len(cell_ptr)
-        program._views = None
-        program._overlay = None
-        program._ov_views = None
-        program._src = {}
-        program.overlay_span_min = OVERLAY_SPAN_MIN
-        program.patch_slots_total = 0
-        program.patch_spans_total = 0
-        program.patch_cells_total = 0
-        program.patch_skips_total = 0
-        program.last_patch_slots = 0
-        program._delta_journal = []
-        program._delta_dirty = False
         return program
 
     # ------------------------------------------------------------ bookkeeping
@@ -576,7 +551,7 @@ class FlatProgram:
 
         Runs off the lookup clock (epoch swap, or the adapter's
         :attr:`overlay_bloated` policy): each interval becomes one
-        C-level slice assignment over the root arrays, after which the
+        C-level slice assignment over the root row, after which the
         overlay probe disappears from the walks entirely. Idempotent —
         a second call is a no-op returning 0.
         """
@@ -593,13 +568,10 @@ class FlatProgram:
         self._views = None
         self._ov_views = None
         root_ptr = self.root_ptr
-        root_val = self.root_val
         src = self._src
         merged = 0
         for start, end, val in overlay.items():
-            n = end - start
-            root_ptr[start:end] = array(root_ptr.typecode, [TERMINAL]) * n
-            root_val[start:end] = array(root_val.typecode, [val]) * n
+            root_ptr[start:end] = array(root_ptr.typecode, [~val]) * (end - start)
             if src:
                 for slot in [s for s in src if start <= s < end]:
                     del src[slot]
@@ -631,11 +603,8 @@ class FlatProgram:
         return self.vectorize and _np is not None and self.width <= _NUMPY_MAX_WIDTH
 
     def size_in_bits(self) -> int:
-        """Program image size: the four rows' true bytes."""
-        return 8 * sum(
-            len(row) * row.itemsize
-            for row in (self.root_ptr, self.root_val, self.cell_ptr, self.cell_val)
-        )
+        """Program image size: the two rows' true bytes."""
+        return 8 * self.root_ptr.itemsize * (len(self.root_ptr) + len(self.cell_ptr))
 
     def size_in_kbytes(self) -> float:
         return self.size_in_bits() / 8192.0
@@ -675,61 +644,54 @@ class FlatProgram:
                 "serve this representation through the dispatch engine"
             )
         self.cell_ptr.extend([TERMINAL] * fan)
-        self.cell_val.extend([NO_ROUTE] * fan)
-        self._fill(self.cell_ptr, self.cell_val, base, node, 0, stride,
+        self._fill(self.cell_ptr, base, node, 0, stride,
                    0, best, remaining - stride, memo, depths)
         encoded = (base << STRIDE_BITS) | stride
         memo[key] = encoded
         return encoded
 
-    def _fill(self, ptrs, vals, offset, node, depth, stride, slot, best,
+    def _fill(self, cells, offset, node, depth, stride, slot, best,
               remaining, memo, depths) -> None:
         """Recursive descent filling one block's ``2^stride`` cells.
 
         ``remaining`` counts the address bits below the block being
         filled; a node still interior at the block floor becomes a
-        nested block reference.
+        nested block reference, and every gap one slice of ``~best``.
         """
         label = node.label
         if label is not None:
             best = label
             if label > self.max_label:
-                self._raise_max_label(label)
+                self._admit_label(label)
         if depth == stride:
-            index = offset + slot
             if node.left is None and node.right is None:
-                vals[index] = best
+                cells[offset + slot] = ~best
             else:
-                vals[index] = best
-                ptrs[index] = self.emit_block(node, best, remaining, memo, depths)
+                cells[offset + slot] = self.emit_block(node, best, remaining,
+                                                       memo, depths)
             return
         half = 1 << (stride - depth - 1)
         left, right = node.left, node.right
         if left is None:
             start = offset + slot
-            for index in range(start, start + half):
-                vals[index] = best
+            cells[start:start + half] = array(cells.typecode, [~best]) * half
         else:
-            self._fill(ptrs, vals, offset, left, depth + 1, stride,
+            self._fill(cells, offset, left, depth + 1, stride,
                        slot, best, remaining, memo, depths)
         if right is None:
             start = offset + slot + half
-            for index in range(start, start + half):
-                vals[index] = best
+            cells[start:start + half] = array(cells.typecode, [~best]) * half
         else:
-            self._fill(ptrs, vals, offset, right, depth + 1, stride,
+            self._fill(cells, offset, right, depth + 1, stride,
                        slot + half, best, remaining, memo, depths)
 
-    def _raise_max_label(self, label: int) -> None:
-        """Raise :attr:`max_label` to ``label``, refusing a label the
-        label rows cannot hold: the owning adapter answers the
-        :class:`FlatCompileError` by recompiling from the live
-        structure, which sizes fresh rows for it."""
-        typecode = self.root_val.typecode
-        if label > LABEL_LIMITS[typecode]:
+    def _admit_label(self, label: int) -> None:
+        """Raise :attr:`max_label` to ``label``, refusing a label whose
+        ``~label`` the rows cannot hold (2^31 and up on int32 rows): the
+        owning adapter then serves through the dispatch engine."""
+        if label >> (8 * self.root_ptr.itemsize - 1):
             raise FlatCompileError(
-                f"label {label} does not fit the {typecode!r} label rows; "
-                "recompile"
+                f"label {label} does not fit a {self.root_ptr.typecode!r} cell"
             )
         self.max_label = label
 
@@ -879,9 +841,8 @@ class FlatProgram:
     def _write_terminal(self, slot: int, best: int) -> None:
         """One boundary slot resolved to a terminal label."""
         if best > self.max_label:
-            self._raise_max_label(best)
-        self.root_ptr[slot] = TERMINAL
-        self.root_val[slot] = best
+            self._admit_label(best)
+        self.root_ptr[slot] = ~best
         self._src.pop(slot, None)
         overlay = self._overlay
         if overlay is not None and overlay.starts:
@@ -897,13 +858,12 @@ class FlatProgram:
         if n <= 0:
             return
         if val > self.max_label:
-            self._raise_max_label(val)
+            self._admit_label(val)
         if n >= self.overlay_span_min:
             self._overlay_table().set(lo, hi, val)
             self._ov_views = None
         else:
-            self.root_ptr[lo:hi] = array(self.root_ptr.typecode, [TERMINAL]) * n
-            self.root_val[lo:hi] = array(self.root_val.typecode, [val]) * n
+            self.root_ptr[lo:hi] = array(self.root_ptr.typecode, [~val]) * n
             src = self._src
             if src:
                 for slot in [s for s in src if lo <= s < hi]:
@@ -940,11 +900,10 @@ class FlatProgram:
                 self._delta_dirty = True
             return
         if best > self.max_label:
-            self._raise_max_label(best)
+            self._admit_label(best)
         self.root_ptr[slot] = self.emit_block(
             node, best, self.width - self.root_stride, memo, depths
         )
-        self.root_val[slot] = best
         src[slot] = (node, best)
         self.patch_slots_total += 1
         self._delta_dirty = True
@@ -962,20 +921,16 @@ class FlatProgram:
             if label is not None:
                 return label if label else None
         encoded = self.root_ptr[slot]
-        if encoded < 0:
-            label = self.root_val[slot]
-            return label if label else None
         shift = self.root_shift
         cell_ptr = self.cell_ptr
-        cell_val = self.cell_val
-        while True:
+        while encoded >= 0:
             stride = encoded & STRIDE_MASK
             shift -= stride
-            index = (encoded >> STRIDE_BITS) + ((address >> shift) & ((1 << stride) - 1))
-            encoded = cell_ptr[index]
-            if encoded < 0:
-                label = cell_val[index]
-                return label if label else None
+            encoded = cell_ptr[
+                (encoded >> STRIDE_BITS) + ((address >> shift) & ((1 << stride) - 1))
+            ]
+        label = ~encoded
+        return label if label else None
 
     def lookup_batch(self, addresses: Sequence[int]) -> List[Optional[int]]:
         """Batched LPM: vectorized gathers when NumPy is available, the
@@ -1000,11 +955,9 @@ class FlatProgram:
             return b""
         if self.vectorized:
             np = _np
-            root_ptr, root_val, cell_ptr, cell_val, _ = self._ensure_views()
+            root_ptr, cell_ptr, _ = self._ensure_views()
             batch = self._to_vector(np, addresses)
-            labels = self._resolve_vector(np, batch, root_ptr, root_val,
-                                          cell_ptr, cell_val)
-            return labels.tobytes()
+            return self._resolve_vector(np, batch, root_ptr, cell_ptr).tobytes()
         check_addresses(addresses, self.width)
         return array("q", [label or 0 for label in
                            self._batch_python(addresses)]).tobytes()
@@ -1026,20 +979,16 @@ class FlatProgram:
             return 0
         if self.vectorized:
             np = _np
-            root_ptr, root_val, cell_ptr, cell_val, _ = self._ensure_views()
+            root_ptr, cell_ptr, _ = self._ensure_views()
             batch = self._to_vector(np, addresses)
-            labels = self._resolve_vector(np, batch, root_ptr, root_val,
-                                          cell_ptr, cell_val)
             dest = np.frombuffer(out, dtype=np.int64, count=count)
-            dest[:] = labels
+            dest[:] = self._resolve_vector(np, batch, root_ptr, cell_ptr)
             return count * 8
         check_addresses(addresses, self.width)
         dest = memoryview(out)[: count * 8].cast("q")
         root_shift = self.root_shift
         root_ptr = self.root_ptr
-        root_val = self.root_val
         cell_ptr = self.cell_ptr
-        cell_val = self.cell_val
         stride_mask = STRIDE_MASK
         stride_bits = STRIDE_BITS
         overlay = self._overlay
@@ -1058,13 +1007,10 @@ class FlatProgram:
             while encoded >= 0:
                 stride = encoded & stride_mask
                 shift -= stride
-                index = (encoded >> stride_bits) + (
+                encoded = cell_ptr[(encoded >> stride_bits) + (
                     (address >> shift) & ((1 << stride) - 1)
-                )
-                encoded = cell_ptr[index]
-            dest[position] = (
-                cell_val[index] if shift != root_shift else root_val[slot]
-            )
+                )]
+            dest[position] = ~encoded
         return count * 8
 
     # ------------------------------------------------------ vectorized plane
@@ -1113,17 +1059,19 @@ class FlatProgram:
         return batch
 
     def _ensure_views(self):
-        """Zero-copy NumPy views over the rows, each at its own dtype,
-        plus the label-decode object table (rebuilt after any patch)."""
+        """Zero-copy NumPy views over the two rows plus the label-decode
+        object table (rebuilt after any patch; None past
+        :data:`_DECODE_TABLE_MAX`)."""
         views = self._views
         if views is None:
             np = _np
-            decode = np.arange(self.max_label + 1, dtype=object)
-            decode[0] = None
+            decode = None
+            if self.max_label <= _DECODE_TABLE_MAX:
+                decode = np.arange(self.max_label + 1, dtype=object)
+                decode[0] = None
             views = tuple(
                 np.frombuffer(row, dtype=row_typecode(row))
-                for row in (self.root_ptr, self.root_val,
-                            self.cell_ptr, self.cell_val)
+                for row in (self.root_ptr, self.cell_ptr)
             ) + (decode,)
             self._views = views
         return views
@@ -1143,17 +1091,19 @@ class FlatProgram:
             self._ov_views = views
         return views
 
-    def _resolve_vector(self, np, batch, root_ptr, root_val, cell_ptr, cell_val):
+    def _resolve_vector(self, np, batch, root_ptr, cell_ptr):
         """Resolve an int64 address vector to an int64 label vector.
 
         Gathers level by level over the still-live addresses; once the
         live set shrinks under :data:`_VECTOR_TAIL_CUTOFF` the deep tail
         is finished by the scalar walk (see the cutoff's rationale).
-        The root labels are the one conversion: gathered from their
-        narrow row into int64, so every later write widens on store."""
+        The root cells are the one widening: ``out`` starts as their
+        ``~cell`` in int64, the answer of every root terminal, and each
+        deeper terminal overwrites its live slot."""
         slot = batch >> self.root_shift
         encoded = root_ptr[slot]
-        out = root_val[slot].astype(np.int64)
+        out = encoded.astype(np.int64)
+        np.invert(out, out=out)
         overlay = self._overlay
         if overlay is not None and overlay.starts:
             # Delta-overlay fixup: covered slots are terminal answers,
@@ -1182,9 +1132,9 @@ class FlatProgram:
                 enc_live = cell_ptr[cell]
                 done = enc_live < 0
                 if done.all():
-                    out[live] = cell_val[cell]
+                    out[live] = ~enc_live
                     break
-                out[live[done]] = cell_val[cell[done]]
+                out[live[done]] = ~enc_live[done]
                 alive = ~done
                 live = live[alive]
                 enc_live = enc_live[alive]
@@ -1196,30 +1146,29 @@ class FlatProgram:
         """Resolve the vector walk's remaining live addresses with the
         pointer-free scalar loop, writing labels straight into ``out``."""
         cell_ptr = self.cell_ptr
-        cell_val = self.cell_val
         stride_mask = STRIDE_MASK
         stride_bits = STRIDE_BITS
         for position, encoded, address, depth_shift in zip(
             live.tolist(), enc_live.tolist(), addr.tolist(), shift.tolist()
         ):
-            while True:
+            while encoded >= 0:
                 stride = encoded & stride_mask
                 depth_shift -= stride
-                index = (encoded >> stride_bits) + (
+                encoded = cell_ptr[(encoded >> stride_bits) + (
                     (address >> depth_shift) & ((1 << stride) - 1)
-                )
-                encoded = cell_ptr[index]
-                if encoded < 0:
-                    out[position] = cell_val[index]
-                    break
+                )]
+            out[position] = ~encoded
 
     def _batch_vector(self, addresses: Sequence[int]) -> List[Optional[int]]:
         np = _np
-        root_ptr, root_val, cell_ptr, cell_val, decode = self._ensure_views()
+        root_ptr, cell_ptr, decode = self._ensure_views()
         batch = self._to_vector(np, addresses)
-        labels = self._resolve_vector(np, batch, root_ptr, root_val,
-                                      cell_ptr, cell_val)
-        return decode[labels].tolist()
+        labels = self._resolve_vector(np, batch, root_ptr, cell_ptr)
+        if decode is not None:
+            return decode[labels].tolist()
+        boxed = labels.astype(object)
+        boxed[labels == 0] = None
+        return boxed.tolist()
 
     # ----------------------------------------------------- pure-Python plane
 
@@ -1227,9 +1176,7 @@ class FlatProgram:
         """Portable batch walk: integer indexing only, locals hoisted."""
         root_shift = self.root_shift
         root_ptr = self.root_ptr
-        root_val = self.root_val
         cell_ptr = self.cell_ptr
-        cell_val = self.cell_val
         stride_mask = STRIDE_MASK
         stride_bits = STRIDE_BITS
         overlay = self._overlay
@@ -1246,41 +1193,33 @@ class FlatProgram:
                     append(label if label else None)
                     continue
             encoded = root_ptr[slot]
-            if encoded < 0:
-                label = root_val[slot]
-                append(label if label else None)
-                continue
             shift = root_shift
-            while True:
+            while encoded >= 0:
                 stride = encoded & stride_mask
                 shift -= stride
-                index = (encoded >> stride_bits) + ((address >> shift) & ((1 << stride) - 1))
-                encoded = cell_ptr[index]
-                if encoded < 0:
-                    label = cell_val[index]
-                    append(label if label else None)
-                    break
+                encoded = cell_ptr[(encoded >> stride_bits) + (
+                    (address >> shift) & ((1 << stride) - 1)
+                )]
+            label = ~encoded
+            append(label if label else None)
         return out
 
     # ------------------------------------------------------------ simulation
 
     @property
     def cells_base(self) -> int:
-        """Byte offset of the cell rows in the modeled image layout: the
-        rows in image order (root pointers, root labels, cell pointers,
-        cell labels), each entry at its row's item size."""
-        return len(self.root_ptr) * (self.root_ptr.itemsize + self.root_val.itemsize)
+        """Byte offset of the cell row in the modeled image layout: the
+        two rows in image order, root first."""
+        return len(self.root_ptr) * self.root_ptr.itemsize
 
     def lookup_trace(self, address: int) -> Tuple[Optional[int], List[int]]:
         """LPM plus the byte addresses touched, for the cache simulator:
-        the pointer row's entry on every level visited, plus the label
-        row's entry on the terminal level."""
+        one cell per level visited, the terminal one included."""
         if address < 0 or address >> self.width:
             raise ValueError(f"address {address:#x} outside {self.width}-bit space")
-        ptr_size = self.root_ptr.itemsize
-        val_size = self.root_val.itemsize
+        size = self.root_ptr.itemsize
         slot = address >> self.root_shift
-        trace = [slot * ptr_size]
+        trace = [slot * size]
         overlay = self._overlay
         if overlay is not None and overlay.starts:
             label = overlay.get(slot)
@@ -1288,40 +1227,30 @@ class FlatProgram:
                 # One side-table touch; modeled as the root entry's line.
                 return (label if label else None), trace
         encoded = self.root_ptr[slot]
-        if encoded < 0:
-            trace.append(len(self.root_ptr) * ptr_size + slot * val_size)
-            label = self.root_val[slot]
-            return (label if label else None), trace
         shift = self.root_shift
         cells_base = self.cells_base
-        labels_base = cells_base + len(self.cell_ptr) * ptr_size
-        while True:
+        while encoded >= 0:
             stride = encoded & STRIDE_MASK
             shift -= stride
             index = (encoded >> STRIDE_BITS) + ((address >> shift) & ((1 << stride) - 1))
-            trace.append(cells_base + index * ptr_size)
+            trace.append(cells_base + index * size)
             encoded = self.cell_ptr[index]
-            if encoded < 0:
-                trace.append(labels_base + index * val_size)
-                label = self.cell_val[index]
-                return (label if label else None), trace
+        label = ~encoded
+        return (label if label else None), trace
 
 
-def _depth_below(node, memo: dict, labels: Optional[set] = None) -> int:
+def _depth_below(node, memo: dict) -> int:
     """Height of the sub-structure under a binary ``node`` (levels to the
     deepest descendant), memoized by id so folded DAG regions cost one
-    visit per shared sub-trie. ``labels``, when given, collects every
-    label the walk meets: the compiler's survey for sizing label rows."""
+    visit per shared sub-trie."""
     cached = memo.get(id(node))
     if cached is None:
-        if labels is not None and node.label is not None:
-            labels.add(node.label)
         left, right = node.left, node.right
         cached = 0
         if left is not None:
-            cached = 1 + _depth_below(left, memo, labels)
+            cached = 1 + _depth_below(left, memo)
         if right is not None:
-            cached = max(cached, 1 + _depth_below(right, memo, labels))
+            cached = max(cached, 1 + _depth_below(right, memo))
         memo[id(node)] = cached
     return cached
 
@@ -1340,17 +1269,14 @@ def compile_binary(
     Lemma 5) and the ORTC output trie (whose blackhole label ``0``
     coincides with the program's no-route encoding). The requested root
     stride is clamped to the structure's height, so shallow or
-    degenerate FIBs get proportionally small tables, and the label rows
-    are sized by the largest label the same walk finds.
+    degenerate FIBs get proportionally small tables.
     """
     depths: dict = {}
-    labels: set = set()
-    height = _depth_below(root, depths, labels)
+    height = _depth_below(root, depths)
     effective = max(1, min(root_stride, width, max(height, 1)))
-    program = FlatProgram(width, effective, sub_stride, max_cells,
-                          max(labels, default=NO_ROUTE))
+    program = FlatProgram(width, effective, sub_stride, max_cells)
     memo: dict = {}
-    program._fill(program.root_ptr, program.root_val, 0, root, 0, effective,
+    program._fill(program.root_ptr, 0, root, 0, effective,
                   0, NO_ROUTE, width - effective, memo, depths)
     return program.seal()
 
@@ -1360,26 +1286,33 @@ def compile_multibit(dag, max_cells: int = DEFAULT_MAX_CELLS) -> FlatProgram:
     block transcription: every interior node already is a ``2^s``-fanout
     table with fully expanded labels, so each folded node becomes one
     block (shared nodes intern to shared blocks, preserving the DAG's
-    economy in the compiled image). The DAG's leaf table names every
-    label up front, which sizes the label rows."""
+    economy in the compiled image)."""
     width = dag.width
     stride = dag.stride
     root = dag.root
     if root.is_leaf:
         label = root.label if root.label is not None else NO_ROUTE
-        program = FlatProgram(width, 1, min(stride, STRIDE_MASK), max_cells, label)
-        program.root_val[0] = label
-        program.root_val[1] = label
+        program = FlatProgram(width, 1, min(stride, STRIDE_MASK), max_cells)
+        if label > program.max_label:
+            program._admit_label(label)
+        program.root_ptr[0] = program.root_ptr[1] = ~label
         return program.seal()
     if stride > MAX_ROOT_STRIDE:
         raise FlatCompileError(
             f"multibit stride {stride} exceeds the 2^{MAX_ROOT_STRIDE} root table cap"
         )
-    program = FlatProgram(width, stride, min(stride, STRIDE_MASK), max_cells,
-                          dag.max_label())
+    program = FlatProgram(width, stride, min(stride, STRIDE_MASK), max_cells)
     cell_ptr = program.cell_ptr
-    cell_val = program.cell_val
     memo: dict = {}
+
+    def cell(child, remaining: int) -> int:
+        """A child's cell: its block reference, or ``~label`` for a leaf."""
+        if not child.is_leaf:
+            return emit(child, remaining)
+        label = child.label if child.label is not None else NO_ROUTE
+        if label > program.max_label:
+            program._admit_label(label)
+        return ~label
 
     def emit(node, remaining: int) -> int:
         key = (id(node), remaining)
@@ -1395,22 +1328,12 @@ def compile_multibit(dag, max_cells: int = DEFAULT_MAX_CELLS) -> FlatProgram:
                 "serve this representation through the dispatch engine"
             )
         cell_ptr.extend([TERMINAL] * fan)
-        cell_val.extend([NO_ROUTE] * fan)
         for combo, child in enumerate(node.children):
-            if child.is_leaf:
-                if child.label is not None:
-                    cell_val[base + combo] = child.label
-            else:
-                cell_ptr[base + combo] = emit(child, remaining - node_stride)
+            cell_ptr[base + combo] = cell(child, remaining - node_stride)
         encoded = (base << STRIDE_BITS) | node_stride
         memo[key] = encoded
         return encoded
 
-    remaining = width - stride
     for combo, child in enumerate(root.children):
-        if child.is_leaf:
-            if child.label is not None:
-                program.root_val[combo] = child.label
-        else:
-            program.root_ptr[combo] = emit(child, remaining)
+        program.root_ptr[combo] = cell(child, width - stride)
     return program.seal()

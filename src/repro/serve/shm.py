@@ -22,13 +22,13 @@ data path with ``multiprocessing.shared_memory``:
   :class:`RingPeerDied`, never a hang.
 
 * :func:`publish_program` / :func:`attach_program` — the compiled
-  :class:`~repro.pipeline.flat.FlatProgram` image (four parallel typed
-  rows behind a fixed header that records their typecodes) copied once
-  into a segment, from which any number of workers *attach* a frozen
-  program in O(1): the rows are ``memoryview.cast`` slices of the
-  mapped segment at those typecodes, so spawning a
-  worker costs process boot plus one ``mmap`` instead of a pickled FIB
-  and a full rebuild+recompile. Epoch swaps publish a fresh segment
+  :class:`~repro.pipeline.flat.FlatProgram` image (its two rows of
+  tagged cells behind a fixed header that records their one typecode)
+  copied once into a segment, from which any number of workers *attach*
+  a frozen program in O(1): the rows are ``memoryview.cast`` slices of
+  the mapped segment at that typecode, so spawning a worker costs
+  process boot plus one ``mmap`` instead of a pickled FIB and a full
+  rebuild+recompile. Epoch swaps publish a fresh segment
   generation; nobody ever mutates a mapped image in place, so readers
   can never observe a torn program.
 
@@ -59,7 +59,6 @@ except ImportError:  # pragma: no cover - platforms without shm support
     shared_memory = None
 
 from repro.pipeline.flat import (
-    LABEL_LIMITS,
     POINTER_TYPECODES,
     ROWS,
     FlatProgram,
@@ -444,24 +443,22 @@ class ShmRing:
 # ----------------------------------------------------------- program images
 
 #: Program-image header: magic, generation, width, root_stride,
-#: sub_stride, max_label, root_len, cell_len, and the ``ord`` of the
-#: pointer and label rows' typecodes — 128 bytes.
+#: sub_stride, max_label, root_len, cell_len, the ``ord`` of the rows'
+#: typecode, and one spare field (written 0) — 128 bytes.
 _IMAGE_HEADER = struct.Struct("<qqqqqqqqqq")
 _IMAGE_HEADER_BYTES = 128
 _IMAGE_MAGIC = 0x52455052_464C4154  # "REPRFLAT"
 
 
-def _row_layout(root_len: int, cell_len: int, pointers: str, labels: str):
-    """``([(offset, nbytes, typecode)] per row in image order, size)``:
-    each row at its item size, starting 8-byte aligned."""
+def _row_layout(lengths, typecode: str):
+    """``([(offset, nbytes)] per row in image order, size)``: each row
+    at the typecode's item size, starting 8-byte aligned."""
+    itemsize = array(typecode).itemsize
     spans = []
     offset = _IMAGE_HEADER_BYTES
-    for length, typecode in (
-        (root_len, pointers), (root_len, labels),
-        (cell_len, pointers), (cell_len, labels),
-    ):
-        nbytes = length * array(typecode).itemsize
-        spans.append((offset, nbytes, typecode))
+    for length in lengths:
+        nbytes = length * itemsize
+        spans.append((offset, nbytes))
         offset += (nbytes + 7) & ~7
     return spans, offset
 
@@ -469,30 +466,29 @@ def _row_layout(root_len: int, cell_len: int, pointers: str, labels: str):
 def publish_program(program: FlatProgram, generation: int, prefix: str = "repro"):
     """Copy a compiled program's image into a fresh shared segment.
 
-    Four straight buffer copies — each row at its own item size, since
-    the rows are already the wire format — behind a fixed header that
-    records both row typecodes. Returns the owning ``SharedMemory``; the
-    caller publishes its *name* and eventually unlinks it. The segment
-    is immutable once this returns: epoch swaps publish a new segment
-    instead of editing a mapped one.
+    Two straight buffer copies — the rows are already the wire format —
+    behind a fixed header that records their typecode. Returns the
+    owning ``SharedMemory``; the caller publishes its *name* and
+    eventually unlinks it. The segment is immutable once this returns:
+    epoch swaps publish a new segment instead of editing a mapped one.
     """
     if not program.frozen and program.overlay_len:
         # A pending delta overlay is part of the answer function but
-        # not of the four rows; fold it in so the image is complete.
+        # not of the two rows; fold it in so the image is complete.
         program.merge_overlay()
     rows = [getattr(program, row) for row in ROWS]
-    root_len, cell_len = len(rows[0]), len(rows[2])
-    pointers, labels = row_typecode(rows[0]), row_typecode(rows[1])
-    spans, size = _row_layout(root_len, cell_len, pointers, labels)
+    lengths = [len(row) for row in rows]
+    typecode = row_typecode(rows[0])
+    spans, size = _row_layout(lengths, typecode)
     segment = create_segment(size, prefix=prefix)
     buf = segment.buf
     _IMAGE_HEADER.pack_into(
         buf, 0,
         _IMAGE_MAGIC, generation, program.width, program.root_stride,
-        program.sub_stride, program.max_label, root_len, cell_len,
-        ord(pointers), ord(labels),
+        program.sub_stride, program.max_label, *lengths,
+        ord(typecode), 0,
     )
-    for row, (offset, nbytes, _) in zip(rows, spans):
+    for row, (offset, nbytes) in zip(rows, spans):
         buf[offset:offset + nbytes] = memoryview(row).cast("B")
     return segment
 
@@ -501,7 +497,7 @@ def attach_program(name: str):
     """Attach a published image: O(1), zero-copy, read-only by contract.
 
     Returns ``(program, generation, segment)``. The program's rows view
-    the mapped segment directly at the typecodes its header records
+    the mapped segment directly at the typecode its header records
     (:meth:`FlatProgram.from_image`), so the caller must keep
     ``segment`` open as long as the program serves, and close it —
     never unlink — when a newer generation replaces it.
@@ -509,31 +505,24 @@ def attach_program(name: str):
     segment = attach_segment(name)
     buf = segment.buf
     (magic, generation, width, root_stride, sub_stride,
-     max_label, root_len, cell_len, pointers, labels) = _IMAGE_HEADER.unpack_from(buf, 0)
+     max_label, root_len, cell_len, typecode, _) = _IMAGE_HEADER.unpack_from(buf, 0)
     if magic != _IMAGE_MAGIC:
         segment.close()
         raise ValueError(f"segment {name!r} is not a flat-program image")
-    if (pointers not in map(ord, POINTER_TYPECODES)
-            or labels not in map(ord, LABEL_LIMITS)):
+    if typecode not in map(ord, POINTER_TYPECODES):
         segment.close()
-        raise ValueError(
-            f"segment {name!r} has unknown row typecodes "
-            f"({pointers}, {labels})"
-        )
-    spans, _ = _row_layout(root_len, cell_len, chr(pointers), chr(labels))
-    rows = [
-        buf[offset:offset + nbytes].cast(typecode)
-        for offset, nbytes, typecode in spans
-    ]
+        raise ValueError(f"segment {name!r} has unknown row typecode {typecode}")
+    spans, _ = _row_layout((root_len, cell_len), chr(typecode))
+    root_ptr, cell_ptr = (
+        buf[offset:offset + nbytes].cast(chr(typecode)) for offset, nbytes in spans
+    )
     program = FlatProgram.from_image(
         width=width,
         root_stride=root_stride,
         sub_stride=sub_stride,
         max_label=max_label,
-        root_ptr=rows[0],
-        root_val=rows[1],
-        cell_ptr=rows[2],
-        cell_val=rows[3],
+        root_ptr=root_ptr,
+        cell_ptr=cell_ptr,
     )
     return program, generation, segment
 

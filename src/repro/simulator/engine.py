@@ -110,10 +110,10 @@ def xbw_engine(xbw) -> LookupEngine:
 def flat_engine(representation) -> Optional[LookupEngine]:
     """Engine over a representation's compiled flat plane, or None.
 
-    The compiled program models its image as its four rows in order
-    (root pointers, root labels, cell pointers, cell labels), each
-    entry at its row's item size: a lookup touches the pointer row on
-    every level and the label row once, on the terminal level. So any
+    The compiled program models its image as its two rows of tagged
+    cells in order (root row, then cell row), each cell at the rows'
+    item size: a lookup touches one cell per level, the terminal cell
+    that holds its label included, like §5.3's serialized image. So any
     flat-capable representation can feed the cache simulator even when
     the native structure has no ``lookup_trace``.
     """

@@ -59,57 +59,82 @@ def row_bytes(program) -> int:
 class TestProgramStructure:
     def test_arrays_are_int64_and_pointerless(self, medium_fib):
         program = compile_binary(BinaryTrie.from_fib(medium_fib).root, 32, 8)
-        for arr in (program.root_ptr, program.root_val,
-                    program.cell_ptr, program.cell_val):
-            assert isinstance(arr, array)
-        # int32 pointers and uint8 labels: 5 bytes a slot, not 16.
-        assert program.root_ptr.typecode == program.cell_ptr.typecode == "i"
-        assert program.root_val.typecode == program.cell_val.typecode == "B"
-        assert len(program.root_ptr) == len(program.root_val)
-        assert len(program.cell_ptr) == len(program.cell_val)
-        assert program.size_in_bits() == (
-            (len(program.root_ptr) + len(program.cell_ptr)) * 40
+        for row in (program.root_ptr, program.cell_ptr):
+            assert isinstance(row, array)
+            assert row.typecode == "i"
+        # One tagged int32 cell a slot: 4 bytes, not 16 (or 5 beside a
+        # label row).
+        assert program.size_in_bits() == 32 * (
+            len(program.root_ptr) + len(program.cell_ptr)
         )
+        # Terminal cells hold ~label, and only labels the FIB names.
+        labels = {route.label for route in medium_fib} | {0}
+        terminals = {~cell for row in (program.root_ptr, program.cell_ptr)
+                     for cell in row if cell < 0}
+        assert 0 < len(terminals) and terminals <= labels
 
     @pytest.mark.parametrize(
-        "max_cells, max_label, pointers, labels",
+        "max_cells, max_label, pointers",
         [
-            (1 << 22, 0, "i", "B"),
-            (1 << 22, 255, "i", "B"),
-            (1 << 22, 256, "i", "H"),
-            (1 << 22, 65_535, "i", "H"),
-            (1 << 22, 65_536, "i", "I"),
-            (1 << 22, 1 << 32, "i", "q"),
-            (1 << 25, 7, "i", "B"),  # largest reference (2^31 - 1) fits
-            ((1 << 25) + 1, 7, "q", "B"),
-            (1 << 26, 7, "q", "B"),
+            (1 << 22, 0, "i"),
+            (1 << 22, 255, "i"),
+            (1 << 22, 256, "i"),
+            (1 << 22, 65_535, "i"),
+            (1 << 22, 65_536, "i"),
+            (1 << 22, (1 << 31) - 1, "i"),  # ~label is -2^31: still fits
+            (1 << 22, 1 << 31, None),  # refused: no row widening
+            (1 << 22, 1 << 32, None),
+            (1 << 25, 7, "i"),  # largest reference (2^31 - 1) fits
+            ((1 << 25) + 1, 7, "q"),
+            (1 << 26, 7, "q"),
+            (1 << 26, 1 << 31, "q"),
+            (1 << 26, 1 << 32, "q"),
         ],
     )
     def test_row_typecodes_follow_max_cells_and_max_label(
-        self, max_cells, max_label, pointers, labels
+        self, max_cells, max_label, pointers
     ):
-        program = FlatProgram(32, 8, max_cells=max_cells, max_label=max_label)
+        # max_cells alone picks the one typecode of both rows; the
+        # largest label only decides whether those rows can hold it
+        # (pointers None: the compile refuses).
+        trie = BinaryTrie(32)
+        if max_label:
+            trie.insert(0xC0A8, 16, max_label)
+        if pointers is None:
+            with pytest.raises(FlatCompileError, match=f"label {max_label} "):
+                compile_binary(trie.root, 32, 8, max_cells=max_cells)
+            return
+        program = compile_binary(trie.root, 32, 8, max_cells=max_cells)
         assert program.root_ptr.typecode == program.cell_ptr.typecode == pointers
-        assert program.root_val.typecode == program.cell_val.typecode == labels
+        assert program.max_label == max_label
+        want = [max_label or None, None]
+        probes = [0xC0A80001, 0x0A000001]
+        assert program.lookup_batch(probes) == want
+        assert [program.lookup(address) for address in probes] == want
+        program.vectorize = False
+        assert program.lookup_batch(probes) == want
 
     def test_label_wider_than_int64_refuses(self):
-        with pytest.raises(FlatCompileError, match="int64"):
-            FlatProgram(32, 8, max_label=1 << 63)
+        trie = BinaryTrie(32)
+        trie.insert(0xC0A8, 16, 1 << 63)
+        with pytest.raises(FlatCompileError, match="does not fit a 'q' cell"):
+            compile_binary(trie.root, 32, 8, max_cells=1 << 26)
 
-    @pytest.mark.parametrize("label, labels", [(7, "B"), (300, "H"), (70_000, "I")])
-    def test_compilers_size_label_rows_by_the_largest_label(self, rng, label, labels):
+    @pytest.mark.parametrize("label", [7, 300, 70_000, (1 << 31) - 1])
+    def test_compilers_fit_labels_in_int32_cells(self, rng, label):
         fib = random_fib(rng, 80, 4, max_length=14)
         fib.add(0xC0A8, 16, label)
         trie = BinaryTrie.from_fib(fib)
         program = compile_binary(trie.root, 32, 8)
-        assert program.root_val.typecode == program.cell_val.typecode == labels
+        assert program.root_ptr.typecode == program.cell_ptr.typecode == "i"
         wide = compile_binary(trie.root, 32, 8, max_cells=1 << 26)
         assert wide.root_ptr.typecode == wide.cell_ptr.typecode == "q"
         multibit = pipeline.flat_program(pipeline.build("multibit-dag", fib))
-        assert multibit.root_val.typecode == labels
+        assert multibit.root_ptr.typecode == multibit.cell_ptr.typecode == "i"
         probes = [0xC0A80000 + i for i in range(64)] + [rng.getrandbits(32) for _ in range(200)]
         want = [fib.lookup(address) for address in probes]
         for compiled in (program, wide, multibit):
+            assert compiled.max_label == label
             assert compiled.lookup_batch(probes) == want
             assert [compiled.lookup(address) for address in probes] == want
             assert array("q", compiled.lookup_batch_packed(probes)).tolist() == [
@@ -128,21 +153,25 @@ class TestProgramStructure:
         fib = random_fib(rng, 80, 4, max_length=14)
         trie = BinaryTrie.from_fib(fib)
         program = compile_binary(trie.root, 32, 8)
-        trie.insert(0xC0A8, 16, 300)
-        with pytest.raises(FlatCompileError, match="label 300"):
+        trie.insert(0xC0A8, 16, 1 << 31)
+        with pytest.raises(FlatCompileError, match="label 2147483648 "):
             program.patch(0xC0A8, 16, trie.root, leaf_pushed=False)
-        # The adapter answers the refusal by recompiling at the width
-        # the live structure needs.
+        # A label the cells hold patches in place, with no recompile...
         representation = pipeline.build("binary-trie", fib)
         probes = [0xC0A80000 + i for i in range(64)] + [rng.getrandbits(32) for _ in range(200)]
         representation.lookup_batch(probes)
         narrow = representation._flat
-        assert narrow.root_val.typecode == "B"
         representation.apply_update(UpdateOp(0xC0A8, 16, 300))
         fib.update(0xC0A8, 16, 300)
         assert representation.lookup_batch(probes) == [fib.lookup(a) for a in probes]
-        assert representation._flat is not narrow
-        assert representation._flat.root_val.typecode == "H"
+        assert representation._flat is narrow
+        # ...and one they cannot moves the adapter to the dispatch
+        # engine, whether a patch or the first compile meets it.
+        representation.apply_update(UpdateOp(0xC0A8, 16, 1 << 31))
+        fib.update(0xC0A8, 16, 1 << 31)
+        for serving in (representation, pipeline.build("binary-trie", fib)):
+            assert serving.lookup_batch(probes) == [fib.lookup(a) for a in probes]
+            assert serving.flat_plane() is None
 
     def test_pickled_frozen_program_keeps_typecodes(self, rng):
         from repro.serve.shm import (
@@ -166,7 +195,8 @@ class TestProgramStructure:
         for row in ROWS:
             assert getattr(clone, row).typecode == getattr(program, row).typecode
             assert getattr(clone, row) == getattr(program, row)
-        assert clone.root_val.typecode == "H"
+        assert clone.root_ptr.typecode == "i"
+        assert clone.max_label == 300
         probes = [rng.getrandbits(32) for _ in range(300)]
         assert clone.lookup_batch(probes) == [fib.lookup(a) for a in probes]
 
@@ -287,26 +317,26 @@ class TestProgramParity:
 
     def test_trace_agrees_with_lookup(self, rng, medium_fib):
         program = compile_binary(BinaryTrie.from_fib(medium_fib).root, 32, 8)
-        # Image order: root pointers, root labels, cell pointers, cell
-        # labels — each entry at its row's item size.
-        ptr, val = program.root_ptr.itemsize, program.root_val.itemsize
-        root_labels = len(program.root_ptr) * ptr
-        cell_labels = program.cells_base + len(program.cell_ptr) * ptr
-        assert program.cells_base == root_labels + len(program.root_val) * val
+        # Image order: the root row, then the cell row, one cell each at
+        # the rows' item size.
+        size = program.root_ptr.itemsize
+        assert program.cells_base == len(program.root_ptr) * size
+        image_end = program.cells_base + len(program.cell_ptr) * size
         walked = 0
         for address in [rng.getrandbits(32) for _ in range(200)]:
             label, trace = program.lookup_trace(address)
             assert label == program.lookup(address)
-            assert trace[0] == (address >> program.root_shift) * ptr
-            *pointers, terminal = trace[1:]
-            assert all(
-                program.cells_base <= byte < cell_labels for byte in pointers
-            )
-            if pointers:  # walked into the cells: a cell label ends it
-                walked += 1
-                assert cell_labels <= terminal < cell_labels + len(program.cell_val) * val
-            else:  # answered at the root: the root label row
-                assert root_labels <= terminal < program.cells_base
+            assert trace[0] == (address >> program.root_shift) * size
+            assert all(program.cells_base <= byte < image_end for byte in trace[1:])
+            # One cell per level visited: every cell but the last leads
+            # on, and the last is the terminal that holds ~label.
+            cells = [program.root_ptr[trace[0] // size]] + [
+                program.cell_ptr[(byte - program.cells_base) // size]
+                for byte in trace[1:]
+            ]
+            assert all(cell >= 0 for cell in cells[:-1])
+            assert ~cells[-1] == (label or 0)
+            walked += len(trace) > 1
         assert walked
 
 

@@ -35,7 +35,6 @@ from repro.core.trie import BinaryTrie
 from repro.datasets import random_update_sequence
 from repro.datasets.updates import UpdateOp
 from repro.pipeline.flat import (
-    LABEL_LIMITS,
     FlatCompileError,
     compile_binary,
     have_numpy,
@@ -46,10 +45,9 @@ DOMAIN = list(range(1 << WIDTH))
 STRIDE = 6
 FUZZ_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "25"))
 UPDATABLE = ["binary-trie", "prefix-dag", "tabular"]
-#: Labels past uint8 and uint16: the patch compiler refuses them into
-#: narrower label rows, so both fuzzers take the recompile-to-wider-rows
-#: path now and then.
-WIDE_LABELS = (300, 70_000)
+#: Labels past 8 and 16 bits, up to 2^31 - 1, the largest label an
+#: int32 cell holds as ``~label``: every one patches in place.
+WIDE_LABELS = (300, 70_000, (1 << 31) - 1)
 LABELS = st.integers(1, 5) | st.sampled_from(WIDE_LABELS)
 
 
@@ -64,36 +62,19 @@ class PatchDifferential(RuleBasedStateMachine):
     ``overlay_span_min`` is forced tiny so even narrow terminal runs
     land in the delta overlay — the fuzzer then exercises the overlay
     probe on every walk, plus ``merge_overlay`` folding it away
-    mid-stream. Labels past uint8 and uint16 refuse to patch into
-    narrower label rows; the machine then recompiles, as the adapters
-    do. Both ``leaf_pushed`` modes run: ``True`` (prune
-    disabled, always sound) and ``False`` (longer-prefix prune enabled,
-    sound for the binary trie whose labels are the routes themselves).
+    mid-stream. Labels up to 2^31 - 1 must patch in place: any
+    refusal fails the example. Both ``leaf_pushed`` modes run: ``True``
+    (prune disabled, always sound) and ``False`` (longer-prefix prune
+    enabled, sound for the binary trie whose labels are the routes
+    themselves).
     """
 
     def __init__(self):
         super().__init__()
         self.fib = Fib(WIDTH)
         self.trie = BinaryTrie(WIDTH)
-        self.program = self._compile()
-
-    def _compile(self):
-        program = compile_binary(self.trie.root, WIDTH, STRIDE)
-        program.overlay_span_min = 2
-        return program
-
-    def _patch(self, prefix, length, leaf_pushed):
-        program = self.program
-        try:
-            program.patch(prefix, length, self.trie.root,
-                          leaf_pushed=leaf_pushed)
-        except FlatCompileError:
-            # Only a label wider than the label rows may refuse; answer
-            # it the way the adapters' flat_plane does: recompile from
-            # the live trie, which sizes fresh rows for it.
-            widest = max(route.label for route in self.fib)
-            assert widest > LABEL_LIMITS[program.root_val.typecode]
-            self.program = self._compile()
+        self.program = compile_binary(self.trie.root, WIDTH, STRIDE)
+        self.program.overlay_span_min = 2
 
     @rule(
         bits=st.integers(0, (1 << WIDTH) - 1),
@@ -105,7 +86,8 @@ class PatchDifferential(RuleBasedStateMachine):
         prefix = bits >> (WIDTH - length) if length else 0
         self.fib.update(prefix, length, label)
         self.trie.insert(prefix, length, label)
-        self._patch(prefix, length, leaf_pushed)
+        self.program.patch(prefix, length, self.trie.root,
+                           leaf_pushed=leaf_pushed)
 
     @rule(data=st.data(), leaf_pushed=st.booleans())
     def withdraw(self, data, leaf_pushed):
@@ -115,7 +97,8 @@ class PatchDifferential(RuleBasedStateMachine):
         prefix, length = data.draw(st.sampled_from(routes))
         self.fib.update(prefix, length, None)
         self.trie.delete(prefix, length)
-        self._patch(prefix, length, leaf_pushed)
+        self.program.patch(prefix, length, self.trie.root,
+                           leaf_pushed=leaf_pushed)
 
     @rule()
     def merge(self):
@@ -147,8 +130,8 @@ class TestAdapterFuzz:
     Drives the real serve path — ``apply_update`` into the adapter's
     patch log, drained by ``flat_plane`` on the next batch — including
     bloat-triggered recompiles, the adapter's overlay-merge policy, and
-    (with :data:`WIDE_LABELS` announced now and then) the recompile a
-    label wider than the program's label rows forces.
+    (with :data:`WIDE_LABELS` announced now and then) labels up to the
+    widest an int32 cell holds.
     """
 
     @pytest.mark.parametrize("name", UPDATABLE)
@@ -176,10 +159,10 @@ class TestAdapterFuzz:
             want = [mirror.lookup(address) for address in probes]
             assert representation.lookup_batch(probes) == want
         program = pipeline.flat_program(representation)
-        if program is not None:
-            assert unpack(program.lookup_batch_packed(probes)) == [
-                mirror.lookup(address) for address in probes
-            ]
+        assert program is not None  # no announce was refused
+        assert unpack(program.lookup_batch_packed(probes)) == [
+            mirror.lookup(address) for address in probes
+        ]
 
 
 def overlay_program():

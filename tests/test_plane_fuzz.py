@@ -143,9 +143,9 @@ class PlaneDifferential(RuleBasedStateMachine):
     @rule(
         bits=st.integers(0, 2**12 - 1),
         length=st.integers(0, 12),
-        # Past uint8 and uint16: the compiled programs recompile to
-        # wider label rows, and the shm pools publish a wider image.
-        label=st.integers(1, 5) | st.sampled_from([300, 70_000]),
+        # Past 8 and 16 bits, up to 2^31 - 1, the largest label an
+        # int32 cell holds: every compiled program patches them in place.
+        label=st.integers(1, 5) | st.sampled_from([300, 70_000, (1 << 31) - 1]),
     )
     def announce(self, bits, length, label):
         with within(RULE_SECONDS):

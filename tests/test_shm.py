@@ -185,32 +185,40 @@ class TestProgramImages:
         finally:
             ring.close()
 
-    @pytest.mark.parametrize("field, code", [(8, ord("d")), (9, ord("i")), (9, 0)])
+    @pytest.mark.parametrize("field, code", [(8, ord("d")), (8, ord("h")), (8, 0)])
     def test_attach_rejects_unknown_typecodes(self, small_fib, field, code):
-        # Header fields 8 and 9 carry the pointer and label typecodes;
-        # a float pointer row, a signed label row or a zeroed (older)
-        # header must not be viewed at a guessed width.
+        # Header field 8 carries the rows' typecode; a float row, a
+        # 16-bit row or a zeroed header must not be viewed at a guessed
+        # width.
         program = self._program(small_fib)
         segment = publish_program(program, 1)
         try:
             segment.buf[8 * field:8 * field + 8] = code.to_bytes(8, "little")
-            with pytest.raises(ValueError, match="unknown row typecodes"):
+            with pytest.raises(ValueError, match="unknown row typecode"):
                 attach_program(segment.name)
         finally:
             segment.close()
             segment.unlink()
 
-    @pytest.mark.parametrize("label, labels", [(7, "B"), (300, "H"), (70_000, "I")])
-    def test_image_carries_row_typecodes(self, small_fib, label, labels):
+    @pytest.mark.parametrize(
+        "label, max_cells, typecode",
+        [(7, 1 << 22, "i"), (300, 1 << 22, "i"), (70_000, 1 << 22, "i"),
+         ((1 << 31) - 1, 1 << 22, "i"), (1 << 40, 1 << 26, "q")],
+    )
+    def test_image_carries_row_typecodes(self, small_fib, label, max_cells, typecode):
         fib = small_fib.copy()
         fib.add(0xC0A8, 16, label)
-        program = compile_binary(BinaryTrie.from_fib(fib).root, 32, 8)
+        program = compile_binary(
+            BinaryTrie.from_fib(fib).root, 32, 8, max_cells=max_cells
+        )
         segment = publish_program(program, 1)
         try:
+            # Two rows at one typecode; header field 9 is spare.
+            assert int.from_bytes(segment.buf[72:80], "little") == 0
             attached, _, mapped = attach_program(segment.name)
-            assert attached.root_ptr.format == attached.cell_ptr.format == "i"
-            assert attached.root_val.format == attached.cell_val.format == labels
+            assert attached.root_ptr.format == attached.cell_ptr.format == typecode
             assert attached.size_in_bits() == program.size_in_bits()
+            assert attached.max_label == label
             rng = random.Random(5)
             probes = [0xC0A80000 + i for i in range(32)]
             probes += [rng.getrandbits(32) for _ in range(256)]
@@ -219,8 +227,8 @@ class TestProgramImages:
             attached.vectorize = False
             assert attached.lookup_batch(probes) == want
             detach_program(attached, mapped)
-            assert attached.root_val.typecode == labels  # empty, same type
-            assert len(attached.root_val) == 0
+            assert attached.root_ptr.typecode == typecode  # empty, same type
+            assert len(attached.root_ptr) == len(attached.cell_ptr) == 0
         finally:
             segment.close()
             segment.unlink()

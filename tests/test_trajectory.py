@@ -81,18 +81,23 @@ class TestCompare:
     def test_inflated_program_image_fails(self, tmp_path):
         # size_kb / program_kb is deterministic at a fixed config: a
         # serving image back at 16 bytes a cell (4,257 KB where the
-        # typed rows take 1,330 KB) must fail, an unchanged one pass.
+        # tagged cells take 1,064 KB) must fail, and so must one back at
+        # 5 bytes a cell (1,330 KB, a 20% drop inside the wall-clock
+        # tolerance); an unchanged one passes.
         _write(tmp_path / "base", "BENCH_pipeline.json",
-               _pipeline(80.0, 4.0, program_kb=1330.0))
+               _pipeline(80.0, 4.0, program_kb=1064.0))
         _write(tmp_path / "new", "BENCH_pipeline.json",
-               _pipeline(80.0, 4.0, program_kb=1330.0))
+               _pipeline(80.0, 4.0, program_kb=1064.0))
         failures, _ = check_trajectory.check(tmp_path / "base", tmp_path / "new")
         assert failures == []
-        _write(tmp_path / "new", "BENCH_pipeline.json",
-               _pipeline(80.0, 4.0, program_kb=4257.0))
-        failures, _ = check_trajectory.check(tmp_path / "base", tmp_path / "new")
-        assert len(failures) == 1
-        assert "prefix-dag.size_over_program" in failures[0]
+        for inflated in (4257.0, 1330.0):
+            _write(tmp_path / "new", "BENCH_pipeline.json",
+                   _pipeline(80.0, 4.0, program_kb=inflated))
+            failures, _ = check_trajectory.check(
+                tmp_path / "base", tmp_path / "new"
+            )
+            assert len(failures) == 1
+            assert "prefix-dag.size_over_program" in failures[0]
 
     def test_within_tolerance_passes(self, tmp_path):
         # 29% down: inside the 30% default tolerance.
