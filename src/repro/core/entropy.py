@@ -10,18 +10,20 @@ has Shannon entropy ``H0``:
 
 These are the ``I`` and ``E`` columns of Table 1, the yardsticks every
 compressor in this library is measured against (compression efficiency
-``ν = size / E``).
+``ν = size / E``). ``n`` and ``H0`` also size the barrier λ (eq. (3))
+of every :class:`~repro.core.prefixdag.PrefixDag` build, so
+:func:`trie_entropy` counts the normal form's leaves straight off the
+trie instead of building the form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Union
+from typing import Dict, Iterable, Mapping, Optional, Union
 
-from repro.core.fib import Fib
-from repro.core.leafpush import leaf_pushed_trie
-from repro.core.trie import BinaryTrie
+from repro.core.fib import INVALID_LABEL, Fib
+from repro.core.trie import BinaryTrie, TrieNode
 from repro.utils.bits import lg
 
 
@@ -96,8 +98,49 @@ class EntropyReport:
         return self.entropy_bits / prefixes
 
 
+def _pushed_leaf_histogram(trie: BinaryTrie) -> Dict[int, int]:
+    """Leaf-label counts of ``leaf_pushed_trie(trie)``, in the order of
+    each label's leftmost leaf, without building that trie.
+
+    One postorder pass mirrors :func:`~repro.core.leafpush.leaf_push_node`:
+    a sub-trie whose pushed form collapses to one leaf reports that
+    leaf's label to its parent instead of counting it, since the parent
+    may collapse it further. A left half reported that way claims its
+    histogram slot before the right half is walked, so the insertion
+    order is the materialized form's preorder order, and
+    :func:`shannon_entropy`, which sums in that order, agrees bit for bit.
+    """
+    histogram: Dict[int, int] = {}
+
+    def pushed(node: TrieNode, inherited: int) -> Optional[int]:
+        if node.label is not None:
+            inherited = node.label
+        left, right = node.left, node.right
+        if left is None and right is None:
+            return inherited
+        first = inherited if left is None else pushed(left, inherited)
+        if first is not None and first not in histogram:
+            histogram[first] = 0
+        second = inherited if right is None else pushed(right, inherited)
+        if first is not None:
+            if second == first:
+                return first
+            histogram[first] += 1
+        if second is not None:
+            histogram[second] = histogram.get(second, 0) + 1
+        return None
+
+    top = pushed(trie.root, INVALID_LABEL)
+    if top is not None:
+        histogram[top] = histogram.get(top, 0) + 1
+    return histogram
+
+
 def trie_entropy(trie: BinaryTrie, assume_normalized: bool = False) -> EntropyReport:
-    """Entropy report of a trie (leaf-pushing it first unless told not to).
+    """Entropy report of a trie's leaf-pushed normal form.
+
+    The leaves of that form are counted per label straight off ``trie``
+    in one pass; the normal form itself is never built.
 
     Parameters
     ----------
@@ -105,15 +148,16 @@ def trie_entropy(trie: BinaryTrie, assume_normalized: bool = False) -> EntropyRe
         Any labeled binary trie.
     assume_normalized:
         Set when ``trie`` is already the proper leaf-labeled normal form;
-        skips the normalization copy.
+        its leaves are then counted as they stand.
     """
-    normalized = trie if assume_normalized else leaf_pushed_trie(trie)
-    histogram: Dict[int, int] = {}
-    leaves = 0
-    for node, _ in normalized.nodes():
-        if node.is_leaf:
-            leaves += 1
-            histogram[node.label] = histogram.get(node.label, 0) + 1
+    if assume_normalized:
+        histogram: Dict[int, int] = {}
+        for node, _ in trie.nodes():
+            if node.is_leaf:
+                histogram[node.label] = histogram.get(node.label, 0) + 1
+    else:
+        histogram = _pushed_leaf_histogram(trie)
+    leaves = sum(histogram.values())
     delta = len(histogram)
     h0 = shannon_entropy(histogram)
     info_bound = 2 * leaves + leaves * lg(max(2, delta))

@@ -32,7 +32,7 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 from repro.core.barrier import entropy_barrier
 from repro.core.entropy import EntropyReport, trie_entropy
 from repro.core.fib import INVALID_LABEL, Fib
-from repro.core.trie import BinaryTrie, TrieNode
+from repro.core.trie import BinaryTrie, TrieNode, gc_paused
 from repro.utils.bits import address_bits, prefix_bit
 
 
@@ -140,37 +140,38 @@ class PrefixDag:
         source: Union[Fib, BinaryTrie],
         barrier: Optional[int] = None,
     ):
-        if isinstance(source, Fib):
-            control = BinaryTrie.from_fib(source)
-        elif isinstance(source, BinaryTrie):
-            control = source.copy()
-            for node, _ in control.nodes():
-                if node.label == INVALID_LABEL:
-                    # The paper's standing assumption (§4.1): explicit
-                    # blackhole routes would be indistinguishable from
-                    # the erased lp(bottom) leaves after folding. Model
-                    # them as a real "drop" next-hop instead (see
-                    # OrtcResult.to_trie(null_label=...)).
-                    raise ValueError(
-                        "trie contains an explicit blackhole route (label 0); "
-                        "relabel null routes to a drop next-hop first"
-                    )
-        else:
-            raise TypeError(f"cannot build a PrefixDag from {type(source).__name__}")
-        self._control = control
-        self._width = control.width
-        self._entropy_report: Optional[EntropyReport] = None
-        if barrier is None:
-            report = self.entropy_report()
-            barrier = entropy_barrier(report.leaves, report.h0, self._width)
-        if barrier < 0 or barrier > self._width:
-            raise ValueError(f"barrier {barrier} outside [0, {self._width}]")
-        self._barrier = barrier
-        self._intern: Dict[tuple, DagNode] = {}
-        self._leaf_table: Dict[int, DagNode] = {}
-        self._next_serial = 0
-        self._counters = _FoldCounters()
-        self._root = self._build_above(control.root, 0)
+        with gc_paused():  # the control trie, its entropy and the fold
+            if isinstance(source, Fib):
+                control = BinaryTrie.from_fib(source)
+            elif isinstance(source, BinaryTrie):
+                control = source.copy()
+                for node, _ in control.nodes():
+                    if node.label == INVALID_LABEL:
+                        # The paper's standing assumption (§4.1): explicit
+                        # blackhole routes would be indistinguishable from
+                        # the erased lp(bottom) leaves after folding. Model
+                        # them as a real "drop" next-hop instead (see
+                        # OrtcResult.to_trie(null_label=...)).
+                        raise ValueError(
+                            "trie contains an explicit blackhole route (label 0); "
+                            "relabel null routes to a drop next-hop first"
+                        )
+            else:
+                raise TypeError(f"cannot build a PrefixDag from {type(source).__name__}")
+            self._control = control
+            self._width = control.width
+            self._entropy_report: Optional[EntropyReport] = None
+            if barrier is None:
+                report = self.entropy_report()
+                barrier = entropy_barrier(report.leaves, report.h0, self._width)
+            if barrier < 0 or barrier > self._width:
+                raise ValueError(f"barrier {barrier} outside [0, {self._width}]")
+            self._barrier = barrier
+            self._intern: Dict[tuple, DagNode] = {}
+            self._leaf_table: Dict[int, DagNode] = {}
+            self._next_serial = 0
+            self._counters = _FoldCounters()
+            self._root = self._build_above(control.root, 0)
 
     # --------------------------------------------------------------- building
 

@@ -10,11 +10,33 @@ leaf-pushed normal form, and trie-folding *is* a re-engineered trie.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
 
 from repro.core.fib import Fib
 from repro.utils.bits import IPV4_WIDTH, address_bits, prefix_bit
+
+
+@contextmanager
+def gc_paused():
+    """Hold off Python's cyclic garbage collector while the block builds
+    an acyclic structure (a trie, a prefix DAG).
+
+    Such a build allocates hundreds of thousands of nodes and no
+    reference cycle, so every collection its allocations trigger
+    re-traverses the growing structure and frees nothing. Nested pauses
+    are no-ops, and a collector that was off stays off.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class TrieNode:
@@ -84,12 +106,18 @@ class BinaryTrie:
         """Insert (or overwrite) the route ``prefix/length → label``."""
         self._check_prefix(prefix, length)
         node = self.root
-        for position in range(length):
-            bit = prefix_bit(prefix, length, position)
-            nxt = node.child(bit)
-            if nxt is None:
-                nxt = TrieNode()
-                node.set_child(bit, nxt)
+        # The prefix bits MSB first, walked inline: this loop builds every
+        # control trie, and prefix_bit/child/set_child calls per bit made
+        # it 1.8x slower.
+        for shift in range(length - 1, -1, -1):
+            if (prefix >> shift) & 1:
+                nxt = node.right
+                if nxt is None:
+                    nxt = node.right = TrieNode()
+            else:
+                nxt = node.left
+                if nxt is None:
+                    nxt = node.left = TrieNode()
             node = nxt
         node.label = label
 
@@ -239,8 +267,9 @@ class BinaryTrie:
     def from_fib(cls, fib: Fib) -> "BinaryTrie":
         """Build a trie holding every route of ``fib``."""
         trie = cls(fib.width)
-        for route in fib:
-            trie.insert(route.prefix, route.length, route.label)
+        with gc_paused():
+            for route in fib:
+                trie.insert(route.prefix, route.length, route.label)
         return trie
 
     def to_fib(self) -> Fib:
@@ -262,7 +291,8 @@ class BinaryTrie:
             return duplicate
 
         duplicate = BinaryTrie(self._width)
-        duplicate.root = clone(self.root)
+        with gc_paused():
+            duplicate.root = clone(self.root)
         return duplicate
 
     def map_labels(self, transform: Callable[[int], int]) -> None:

@@ -157,9 +157,10 @@ _VECTOR_TAIL_CUTOFF = 128
 #: entry per label value); past it the walk boxes the batch's labels
 #: instead. Measured on a 5,000-label batch (Xeon, NumPy 2.4): the
 #: table decodes labels past the small-int cache in ~45 us against
-#: ~100 us boxed, but it is rebuilt after every patch at ~14 ns an
-#: entry, and past 2^11 entries one rebuild costs more than the
-#: boxing it saves on a batch (2^12: 58 us against 52 us saved).
+#: ~100 us boxed, and it is built at ~14 ns an entry, again whenever a
+#: new largest label outgrows it; past 2^11 entries one build costs
+#: more than the boxing it saves on a batch (2^12: 58 us against 52 us
+#: saved).
 _DECODE_TABLE_MAX = 1 << 11
 
 #: Largest root table a compiler may materialize (2^20 slots, matching
@@ -322,6 +323,7 @@ class FlatProgram:
         "frozen",
         "_initial_cells",
         "_views",
+        "_decode",
         "_overlay",
         "_ov_views",
         "_src",
@@ -380,6 +382,8 @@ class FlatProgram:
         self.frozen = False
         self._initial_cells = 0
         self._views = None
+        #: The vector walk's label-decode table (:meth:`_decode_table`).
+        self._decode = None
         #: Delta overlay (:class:`FlatOverlay`), or None while empty so
         #: the lookup walks pay a single attribute load when no patch is
         #: pending — the empty fast path costs nothing.
@@ -426,8 +430,8 @@ class FlatProgram:
         A pending overlay *is* shipped — it is part of the program's
         answer function — so a pickled twin keeps serving patched runs.
         """
-        transient = ("_views", "_ov_views", "_src", "_delta_journal",
-                     "_delta_dirty")
+        transient = ("_views", "_decode", "_ov_views", "_src",
+                     "_delta_journal", "_delta_dirty")
         state = {
             name: getattr(self, name)
             for name in self.__slots__
@@ -594,7 +598,6 @@ class FlatProgram:
             if val > max_label:
                 max_label = val
         self.max_label = max_label
-        self._views = None  # decode table may need to grow
         self._ov_views = None
 
     @property
@@ -955,7 +958,7 @@ class FlatProgram:
             return b""
         if self.vectorized:
             np = _np
-            root_ptr, cell_ptr, _ = self._ensure_views()
+            root_ptr, cell_ptr = self._ensure_views()
             batch = self._to_vector(np, addresses)
             return self._resolve_vector(np, batch, root_ptr, cell_ptr).tobytes()
         check_addresses(addresses, self.width)
@@ -979,7 +982,7 @@ class FlatProgram:
             return 0
         if self.vectorized:
             np = _np
-            root_ptr, cell_ptr, _ = self._ensure_views()
+            root_ptr, cell_ptr = self._ensure_views()
             batch = self._to_vector(np, addresses)
             dest = np.frombuffer(out, dtype=np.int64, count=count)
             dest[:] = self._resolve_vector(np, batch, root_ptr, cell_ptr)
@@ -1059,22 +1062,27 @@ class FlatProgram:
         return batch
 
     def _ensure_views(self):
-        """Zero-copy NumPy views over the two rows plus the label-decode
-        object table (rebuilt after any patch; None past
-        :data:`_DECODE_TABLE_MAX`)."""
+        """Zero-copy NumPy views over the two rows (rebuilt after any
+        patch: they export the row buffers, which a patch may grow)."""
         views = self._views
         if views is None:
-            np = _np
-            decode = None
-            if self.max_label <= _DECODE_TABLE_MAX:
-                decode = np.arange(self.max_label + 1, dtype=object)
-                decode[0] = None
-            views = tuple(
-                np.frombuffer(row, dtype=row_typecode(row))
+            views = self._views = tuple(
+                _np.frombuffer(row, dtype=row_typecode(row))
                 for row in (self.root_ptr, self.cell_ptr)
-            ) + (decode,)
-            self._views = views
+            )
         return views
+
+    def _decode_table(self):
+        """The label-decode object table (label -> label, 0 -> None),
+        or None past :data:`_DECODE_TABLE_MAX`. Built once and kept
+        across patches; rebuilt only when :attr:`max_label` outgrows it."""
+        if self.max_label > _DECODE_TABLE_MAX:
+            return None
+        decode = self._decode
+        if decode is None or len(decode) <= self.max_label:
+            decode = self._decode = _np.arange(self.max_label + 1, dtype=object)
+            decode[0] = None
+        return decode
 
     def _ensure_overlay_views(self):
         """Int64 column vectors over the overlay intervals, for the
@@ -1161,9 +1169,10 @@ class FlatProgram:
 
     def _batch_vector(self, addresses: Sequence[int]) -> List[Optional[int]]:
         np = _np
-        root_ptr, cell_ptr, decode = self._ensure_views()
+        root_ptr, cell_ptr = self._ensure_views()
         batch = self._to_vector(np, addresses)
         labels = self._resolve_vector(np, batch, root_ptr, cell_ptr)
+        decode = self._decode_table()
         if decode is not None:
             return decode[labels].tolist()
         boxed = labels.astype(object)

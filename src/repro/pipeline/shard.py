@@ -29,7 +29,7 @@ materializes roughly 1/N of the program cells.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
@@ -84,7 +84,8 @@ def restrict_fib(
     names additional half-open ranges the shard must also answer for —
     the replication hook of hot-range spraying: a sprayed shard serves
     its contiguous slice *plus* every hot range, so the restricted FIB
-    is the union intersection.
+    is the union intersection. :func:`shard_specs` cuts every shard of a
+    plan in one pass; this one-range form is its reference.
     """
     width = fib.width
     ranges = [(lo, hi), *extra]
@@ -99,11 +100,49 @@ def restrict_fib(
         span_lo, span_hi = prefix_span(route.prefix, route.length, width)
         if any(span_lo < r_hi and r_lo < span_hi for r_lo, r_hi in ranges):
             restricted.add(route.prefix, route.length, route.label)
+    _carry_neighbors(fib, restricted)
+    return restricted
+
+
+def _carry_neighbors(fib: Fib, restricted: Fib) -> None:
+    """Copy ``fib``'s neighbor-table rows of ``restricted``'s labels."""
     for label in restricted.labels:
         neighbor = fib.neighbor(label)
         if neighbor is not None:
             restricted.set_neighbor(neighbor)
-    return restricted
+
+
+def hot_bounds(width: int, hot: Sequence[Tuple[int, int]]) -> Tuple[int, ...]:
+    """Hot ranges flattened to ``(lo0, hi0, lo1, hi1, ...)``: an address
+    lies in one exactly when ``bisect_right`` over the result is odd.
+    The ranges must lie in the ``width``-bit space, ascending and
+    disjoint."""
+    flat: List[int] = []
+    for lo, hi in hot:
+        if not 0 <= lo < hi <= (1 << width):
+            raise ValueError(f"hot range [{lo:#x}, {hi:#x}) outside the space")
+        if flat and lo < flat[-1]:
+            raise ValueError("hot ranges must be ascending and disjoint")
+        flat.extend((lo, hi))
+    return tuple(flat)
+
+
+def route_shards(
+    lo: int, hi: int, bounds: Sequence[int], hot_flat: Sequence[int]
+) -> range:
+    """Indices of the shards a route covering ``[lo, hi)`` must live on,
+    for the cut list ``bounds`` and the flattened hot ranges
+    ``hot_flat`` (:func:`hot_bounds`): every shard when the interval
+    meets a hot range, since sprayed addresses can land anywhere, else
+    the shards from the one holding ``lo`` to the one holding ``hi - 1``.
+    """
+    if hot_flat:
+        # An odd position puts lo inside a hot range; an even one, in a
+        # gap whose next range must start below hi.
+        position = bisect_right(hot_flat, lo)
+        if position & 1 or (position < len(hot_flat) and hot_flat[position] < hi):
+            return range(len(bounds) - 1)
+    return range(bisect_right(bounds, lo) - 1, bisect_left(bounds, hi))
 
 
 @dataclass(frozen=True)
@@ -139,20 +178,32 @@ def shard_specs(
     whole space gets a plain copy — the full-state replica of hash
     partitioning and of the 1-shard degenerate plan. ``replicate``
     ranges (hot, sprayed ranges) land in *every* spec, so any shard can
-    answer for a sprayed address."""
-    _check_bounds(fib.width, bounds)
-    specs: List[ShardSpec] = []
-    full = (0, 1 << fib.width)
+    answer for a sprayed address.
+
+    One pass over the FIB places each route by :func:`route_shards`, so
+    each shard's sub-FIB equals ``restrict_fib(fib, lo, hi,
+    extra=replicate)``, routes added in the same order. ``replicate``
+    must be ascending and disjoint (:func:`hot_bounds`).
+    """
+    width = fib.width
+    _check_bounds(width, bounds)
     hot = tuple((int(lo), int(hi)) for lo, hi in replicate)
-    for index in range(len(bounds) - 1):
-        lo, hi = bounds[index], bounds[index + 1]
-        restricted = (
-            fib.copy()
-            if (lo, hi) == full
-            else restrict_fib(fib, lo, hi, extra=hot)
-        )
-        specs.append(ShardSpec(index, lo, hi, restricted, hot=hot))
-    return specs
+    hot_flat = hot_bounds(width, hot)
+    if len(bounds) == 2:
+        return [ShardSpec(0, bounds[0], bounds[1], fib.copy(), hot=hot)]
+    fibs = [Fib(width) for _ in range(len(bounds) - 1)]
+    for route in fib:
+        prefix, length, label = route.prefix, route.length, route.label
+        span_lo = prefix << (width - length)
+        span_hi = span_lo + (1 << (width - length))
+        for index in route_shards(span_lo, span_hi, bounds, hot_flat):
+            fibs[index].add(prefix, length, label)
+    for restricted in fibs:
+        _carry_neighbors(fib, restricted)
+    return [
+        ShardSpec(index, bounds[index], bounds[index + 1], restricted, hot=hot)
+        for index, restricted in enumerate(fibs)
+    ]
 
 
 def shard_fibs(fib: Fib, bounds: Sequence[int]) -> List[Fib]:

@@ -35,6 +35,7 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Optional, Sequence
 
 from repro.obs import NULL_REGISTRY, Registry
@@ -172,7 +173,7 @@ class TrafficStats:
     def snapshot(self) -> List[int]:
         """The per-slot counts, as the planner's traffic vector."""
         if self._counts is not None:
-            return [int(value) for value in self._counts]
+            return self._counts.tolist()
         return list(self._slots)
 
     def reset(self) -> None:
@@ -189,23 +190,32 @@ class TrafficStats:
 
         Hot-range slots spread evenly (that is what spraying does);
         contiguous slots charge the shard owning their base address.
+        A prefix plan owns runs of consecutive slots, so each load is a
+        difference of the grid's running sums, not a walk over its slots.
         """
         counts = self.snapshot()
-        shards = [0.0] * plan.shards
-        hot_total = 0
-        for slot, count in enumerate(counts):
-            if not count:
-                continue
-            base = slot << self.shift
-            if plan.is_hot(base):
-                hot_total += count
-            else:
-                shards[plan.owner(base)] += count
-        if hot_total:
-            share = hot_total / plan.shards
-            for index in range(plan.shards):
-                shards[index] += share
-        return [int(round(value)) for value in shards]
+        shift = self.shift
+        if plan.mode == "hash":
+            shards = [0] * plan.shards
+            for slot, count in enumerate(counts):
+                if count:
+                    shards[plan.owner(slot << shift)] += count
+            return shards
+        running = [0, *accumulate(counts)]
+
+        def load(lo: int, hi: int) -> int:
+            # The slots whose base address lies in [lo, hi): from
+            # ceil(lo / 2^shift) up to ceil(hi / 2^shift).
+            return running[-(-hi >> shift)] - running[-(-lo >> shift)] if lo < hi else 0
+
+        bounds = plan.bounds
+        shards = [
+            load(lo, hi) - sum(load(max(lo, hot_lo), min(hi, hot_hi))
+                               for hot_lo, hot_hi in plan.hot)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        share = sum(load(lo, hi) for lo, hi in plan.hot) / plan.shards
+        return [int(round(value + share)) for value in shards]
 
     def imbalance(self, plan) -> float:
         """Observed ``lookup_imbalance`` under ``plan``: the hottest

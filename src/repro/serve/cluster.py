@@ -62,7 +62,7 @@ from __future__ import annotations
 import threading
 import time
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -76,8 +76,10 @@ from repro.pipeline.shard import (
     MAX_GRANULARITY_BITS,
     ShardSpec,
     boundary_routes,
+    hot_bounds,
     prefix_span,
     restrict_fib,
+    route_shards,
     shard_specs,
 )
 from repro.serve.autoscale import (
@@ -172,17 +174,9 @@ class ShardPlan:
         elif self.hot:
             raise ValueError("hash plans spread load already; hot ranges "
                              "only apply to prefix partitioning")
-        space = 1 << self.width
-        flat: List[int] = []
-        for lo, hi in self.hot:
-            if not 0 <= lo < hi <= space:
-                raise ValueError(f"hot range [{lo:#x}, {hi:#x}) outside the space")
-            if flat and lo < flat[-1]:
-                raise ValueError("hot ranges must be ascending and disjoint")
-            flat.extend((lo, hi))
         # Flattened hot bounds for O(log n) membership (frozen dataclass:
         # a derived cache, not a field).
-        object.__setattr__(self, "_hot_flat", tuple(flat))
+        object.__setattr__(self, "_hot_flat", hot_bounds(self.width, self.hot))
 
     def is_hot(self, address: int) -> bool:
         """True when ``address`` falls in a replicated hot range."""
@@ -219,11 +213,7 @@ class ShardPlan:
         if self.mode == "hash":
             return tuple(range(self.shards))
         lo, hi = prefix_span(prefix, length, self.width)
-        if any(lo < hot_hi and hot_lo < hi for hot_lo, hot_hi in self.hot):
-            return tuple(range(self.shards))
-        first = bisect_right(self.bounds, lo) - 1
-        last = bisect_left(self.bounds, hi) - 1
-        return tuple(range(first, last + 1))
+        return tuple(route_shards(lo, hi, self.bounds, self._hot_flat))
 
     def group(
         self, addresses: Sequence[int]

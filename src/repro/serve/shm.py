@@ -548,11 +548,13 @@ def detach_program(program: FlatProgram, segment) -> None:
 
 
 def leaked_segments(prefix: str = "repro") -> list:
-    """Names of shared-memory segments with our prefix still linked in
-    ``/dev/shm`` — the test- and CI-side leak check."""
+    """Names of shared-memory segments this process created that are
+    still linked in ``/dev/shm`` — the test-side leak check.
+    :func:`create_segment` puts its creator's pid in every name, so
+    another process's live segments (a second test run on the same
+    host) are never reported here."""
     shm_dir = "/dev/shm"
     if not os.path.isdir(shm_dir):  # pragma: no cover - non-Linux
         return []
-    return sorted(
-        entry for entry in os.listdir(shm_dir) if entry.startswith(prefix + "_")
-    )
+    owner = f"{prefix}_{os.getpid():x}_"
+    return sorted(entry for entry in os.listdir(shm_dir) if entry.startswith(owner))

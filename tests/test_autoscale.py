@@ -140,6 +140,42 @@ class TestTrafficStats:
         assert stats.per_shard(plan) == [2, 2]
         assert stats.imbalance(plan) == 1.0
 
+    @pytest.mark.parametrize("shards", range(2, 9))
+    @pytest.mark.parametrize("with_hot", [False, True], ids=["cuts", "cuts+hot"])
+    def test_drift_check_equals_charging_slot_by_slot(self, shards, with_hot):
+        # per_shard sums runs of slots; charging every slot to the owner
+        # of its base address, hot slots spread evenly, must give the same
+        # loads, on the NumPy grid and the portable one, for cuts that do
+        # not fall on slot bases.
+        rng = random.Random(shards * 2 + with_hot)
+        width, bits, space = 16, 10, 1 << 16
+        grid = TrafficStats(width=width, bits=bits)
+        portable = TrafficStats(width=width, bits=bits)
+        portable._counts = None  # force the pure-python grid
+        for _ in range(6):
+            batch = [min(space - 1, int(rng.paretovariate(0.8) * 97)) for _ in range(509)]
+            batch += [rng.getrandbits(width) for _ in range(131)]
+            grid.observe(batch)
+            portable.observe(batch)
+        for _ in range(4):
+            cuts = sorted(rng.sample(range(1, space), shards - 1))
+            hot = ()
+            if with_hot:
+                edges = sorted(rng.sample(range(space + 1), 2 * rng.randint(1, 3)))
+                hot = tuple(zip(edges[::2], edges[1::2]))
+            plan = ShardPlan(mode="prefix", width=width, shards=shards,
+                             bounds=(0, *cuts, space), hot=hot)
+            loads, hot_total = [0] * shards, 0
+            for slot, count in enumerate(portable.snapshot()):
+                base = slot << (width - bits)
+                if plan.is_hot(base):
+                    hot_total += count
+                else:
+                    loads[plan.owner(base)] += count
+            expected = [int(round(load + hot_total / shards)) for load in loads]
+            assert grid.per_shard(plan) == portable.per_shard(plan) == expected
+            assert grid.imbalance(plan) == portable.imbalance(plan)
+
 
 # ----------------------------------------------------------------- flow cache
 

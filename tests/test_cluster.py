@@ -19,6 +19,7 @@ from repro import pipeline, serve
 from repro.cli import main
 from repro.core.fib import Fib
 from repro.datasets.updates import UpdateOp
+from repro.pipeline.shard import shard_specs
 from repro.serve.cluster import _balanced_cuts, _mix64, plan_cluster
 
 ALL_SCENARIOS = ("uniform", "bgp-churn", "flash-renumbering", "flap-storm")
@@ -128,9 +129,41 @@ class TestRestrictFib:
         for label in restricted.labels:
             assert restricted.neighbor(label) == paper_fib.neighbor(label)
 
+    def test_one_pass_cut_equals_restrict_fib(self, rng):
+        # shard_specs places every route in one pass; each shard's sub-FIB
+        # must be restrict_fib's for its range: same routes, same
+        # neighbor rows, over random cuts and hot ranges (adjacent ones
+        # included), a default route spanning every cut included.
+        space = 256
+        for trial in range(80):
+            fib = random_fib(rng, rng.randint(1, 70), rng.randint(1, 6),
+                             max_length=8, width=8)
+            if trial % 3 == 0:
+                fib.add(0, 0, 9)
+            cuts = sorted(rng.sample(range(1, space), rng.randint(1, 7)))
+            edges = sorted(rng.sample(range(space + 1), 2 * rng.randint(0, 3)))
+            hot = list(zip(edges[::2], edges[1::2]))
+            if len(hot) > 1 and trial % 2:
+                hot[1] = (hot[0][1], hot[1][1])
+            specs = shard_specs(fib, (0, *cuts, space), replicate=hot)
+            assert [(spec.lo, spec.hi) for spec in specs] == list(
+                zip((0, *cuts), (*cuts, space))
+            )
+            for spec in specs:
+                reference = pipeline.restrict_fib(fib, spec.lo, spec.hi, extra=hot)
+                assert spec.fib == reference
+                assert spec.hot == tuple(hot)
+                assert spec.fib.labels == reference.labels
+                for label in reference.labels:
+                    assert spec.fib.neighbor(label) == reference.neighbor(label)
+
     def test_bad_ranges_rejected(self, paper_fib):
         with pytest.raises(ValueError, match="shard range"):
             pipeline.restrict_fib(paper_fib, 8, 8)
+        with pytest.raises(ValueError, match="hot range"):
+            shard_specs(paper_fib, (0, 1 << 31, 1 << 32), replicate=[(8, 8)])
+        with pytest.raises(ValueError, match="disjoint"):
+            shard_specs(paper_fib, (0, 1 << 31, 1 << 32), replicate=[(8, 16), (12, 20)])
         with pytest.raises(ValueError, match="shard bounds"):
             pipeline.shard_fibs(paper_fib, (0, 4))
         with pytest.raises(ValueError, match="ascending"):

@@ -1,11 +1,13 @@
 """Unit tests for FIB entropy and the space bounds of §2."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.barrier import entropy_barrier
 from repro.core.entropy import (
     bits_per_prefix,
     compression_efficiency,
@@ -17,7 +19,10 @@ from repro.core.entropy import (
 )
 from repro.core.fib import Fib
 from repro.core.leafpush import leaf_pushed_trie
+from repro.core.prefixdag import PrefixDag
 from repro.core.trie import BinaryTrie
+from repro.datasets import TABLE1_PROFILES, build_profile_fib
+from tests.conftest import random_fib
 
 
 class TestShannonEntropy:
@@ -100,6 +105,55 @@ class TestFibEntropy:
         assert bits_per_prefix(600, 6) == pytest.approx(100.0)
         with pytest.raises(ValueError):
             bits_per_prefix(100, 0)
+
+
+def assert_counts_like_the_pushed_copy(fib: Fib):
+    """``trie_entropy`` counts the leaf-pushed form's leaves without
+    building it; every field must equal the report of the built form,
+    the histogram in the same order and ``h0`` bit for bit. Returns the
+    built form's report."""
+    trie = BinaryTrie.from_fib(fib)
+    direct = trie_entropy(trie)
+    built = trie_entropy(leaf_pushed_trie(trie), assume_normalized=True)
+    assert direct == built
+    assert list(direct.label_histogram.items()) == list(built.label_histogram.items())
+    assert direct.h0.hex() == built.h0.hex()
+    assert direct.entropy_bits.hex() == built.entropy_bits.hex()
+    return built
+
+
+class TestCountingWithoutThePushedCopy:
+    @pytest.mark.parametrize("name", sorted(TABLE1_PROFILES))
+    def test_table1_profiles(self, name):
+        fib = build_profile_fib(TABLE1_PROFILES[name], scale=0.01)
+        built = assert_counts_like_the_pushed_copy(fib)
+        assert PrefixDag(fib).barrier == entropy_barrier(built.leaves, built.h0, fib.width)
+
+    @pytest.mark.parametrize(
+        "entries, leaves, delta",
+        [
+            ([], 1, 1),
+            ([(0, 0, 5)], 1, 1),
+            ([(0xC0A80001, 32, 7)], 33, 2),
+            ([(0, 0, 5), (0xC0A80001, 32, 7)], 33, 2),
+        ],
+        ids=["empty", "default-only", "single-host-route", "default-and-host-route"],
+    )
+    def test_degenerate_fibs(self, entries, leaves, delta):
+        fib = Fib()
+        for prefix, length, label in entries:
+            fib.add(prefix, length, label)
+        built = assert_counts_like_the_pushed_copy(fib)
+        assert (built.leaves, built.delta) == (leaves, delta)
+
+    def test_random_8_bit_fibs(self):
+        rng = random.Random(18)
+        for _ in range(250):
+            fib = random_fib(
+                rng, rng.randint(0, 40), rng.randint(1, 6), max_length=8, width=8
+            )
+            built = assert_counts_like_the_pushed_copy(fib)
+            assert PrefixDag(fib).barrier == entropy_barrier(built.leaves, built.h0, 8)
 
 
 class TestDistributionWithEntropy:

@@ -399,6 +399,33 @@ class TestPatching:
         assert saw_recompile, "patch garbage never triggered a recompile"
         assert trie.lookup_batch([0xABCDEF42]) == [trie.lookup(0xABCDEF42)]
 
+    @pytest.mark.skipif(not have_numpy(), reason="the decode table is the vector walk's")
+    def test_decode_table_outlives_patches_until_a_label_outgrows_it(self, rng):
+        fib = random_fib(rng, 150, 4, max_length=14)
+        trie = BinaryTrie.from_fib(fib)
+        program = compile_binary(trie.root, 32, 8)
+        probes = [rng.getrandbits(32) for _ in range(400)]
+        program.lookup_batch(probes)
+        table = program._decode_table()
+        assert len(table) == program.max_label + 1 == 5
+        # A patch that leaves max_label alone keeps the same table.
+        trie.insert(0xC0A800, 24, 3)
+        program.patch(0xC0A800, 24, trie.root)
+        assert program.lookup_batch(probes + [0xC0A80001]) == [
+            trie.lookup(address) for address in probes + [0xC0A80001]
+        ]
+        assert program._decode_table() is table
+        # One that raises it grows the table, and the new label decodes.
+        trie.insert(0x0A, 8, 40)
+        program.patch(0x0A, 8, trie.root)
+        assert program.lookup_batch([0x0A010203]) == [40]
+        grown = program._decode_table()
+        assert grown is not table and len(grown) == 41
+        # Delta runs ridden into the overlay grow it the same way.
+        program.overlay_ingest([(0, 1, 77)])
+        assert program.lookup_batch([0]) == [77]
+        assert len(program._decode_table()) == 78
+
     def test_program_reports_bloat(self, paper_fib):
         program = compile_binary(BinaryTrie.from_fib(paper_fib).root, 32, 8)
         assert not program.bloated

@@ -9,7 +9,10 @@ the lifecycle promise is *zero* leaked segments, close or crash.
 
 from __future__ import annotations
 
+import os
 import random
+import secrets
+from multiprocessing import shared_memory
 
 import pytest
 
@@ -24,6 +27,7 @@ from repro.serve.shm import (
     RingPeerDied,
     ShmRing,
     attach_program,
+    create_segment,
     detach_program,
     leaked_segments,
     publish_program,
@@ -143,6 +147,23 @@ class TestRing:
         name = ring.name
         ring.close()
         assert name not in leaked_segments()
+
+    def test_leak_check_reports_only_this_process(self):
+        # Another process's live segment (a second test run on the same
+        # host) is not this run's leak; one this process leaves is.
+        other = os.getpid() ^ 0x40000000
+        foreign = shared_memory.SharedMemory(
+            name=f"repro_{other:x}_{secrets.token_hex(4)}", create=True, size=64
+        )
+        mine = create_segment(64)
+        try:
+            assert mine.name in leaked_segments()
+            assert foreign.name not in leaked_segments()
+        finally:
+            for segment in (foreign, mine):
+                segment.close()
+                segment.unlink()
+        assert mine.name not in leaked_segments()
 
 
 class TestProgramImages:

@@ -1,11 +1,14 @@
 """Unit tests for the binary prefix tree."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fib import Fib
-from repro.core.trie import BinaryTrie
+from repro.core.prefixdag import PrefixDag
+from repro.core.trie import BinaryTrie, gc_paused
 
 from tests.conftest import random_fib
 
@@ -118,6 +121,27 @@ class TestTraversalsAndStats:
         duplicate.insert(0b111, 3, 9)
         assert paper_trie.get(0b111, 3) is None
         assert duplicate.get(0b111, 3) == 9
+
+    def test_builders_leave_the_collector_as_they_found_it(self, paper_fib, paper_trie):
+        # The bulk builders pause the cyclic collector; it must come back
+        # on after them, after a build that raises, and stay off for a
+        # caller that had switched it off.
+        assert gc.isenabled()
+        BinaryTrie.from_fib(paper_fib)
+        paper_trie.copy()
+        PrefixDag(paper_fib)
+        assert gc.isenabled()
+        with pytest.raises(ValueError, match="barrier"):
+            PrefixDag(paper_fib, barrier=99)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            with gc_paused():
+                pass
+            PrefixDag(paper_fib)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     def test_map_labels(self, paper_trie):
         paper_trie.map_labels(lambda label: label + 10)
