@@ -15,12 +15,12 @@ climb back to at least ``EFFICIENCY_FLOOR`` of perfect overlap.
 
 **How efficiency is measured.** The gate runs on per-shard busy
 *totals* over each window: ``sum(shard_busy) / (shards *
-max(shard_busy))``, from the report's ``shard_rows`` deltas. This is
-``parallel_efficiency`` with the per-batch critical path integrated
-out: the per-batch variant charges every batch its slowest shard, so
-one scheduler hiccup in a 2ms window reads as imbalance — it measures
-jitter as much as placement, and a placement gate must not fail on
-jitter. The per-batch numbers still ride in the JSON rows, ungated.
+max(shard_busy))``, from the report's ``shard_rows`` deltas — the
+share of the window's shard time a perfectly placed cut would spread
+evenly. Busy totals rather than per-batch maxima: one scheduler hiccup
+in a 2ms batch would read as imbalance, and a placement gate must not
+fail on jitter. The count-based ``lookup_imbalance`` rides in the JSON
+rows, ungated.
 
 Three acceptance gates:
 
@@ -59,7 +59,7 @@ SHARDS = 4
 BATCH_SIZE = 8192
 SEED = 42
 REPRESENTATION = "prefix-dag"
-REPEAT = 3  # best-of, like the cluster bench
+REPEAT = 3  # best-of
 #: Batches the drift phase may take before the re-plan must have fired.
 MAX_DRIFT_BATCHES = 48
 #: Converged-window batches the floor is measured over.

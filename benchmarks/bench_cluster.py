@@ -1,24 +1,36 @@
-"""Sharded serving cluster — scaling curve and parity gate.
+"""Sharded serving cluster — measured scaling curve and parity gate.
 
 The cluster replays one 2^16-address bgp-churn scenario script (the
 mixed lookup/update workload of ``bench_serve_throughput``) through
 ``repro.serve.cluster`` at 1/2/4/8 prefix-partitioned shards, plus a
 4-shard hash-partitioned point, and compares aggregate lookup
-throughput against the single ``FibServer`` baseline. Aggregate
-throughput runs on the **critical-path clock**: each batch is charged
-the slowest participating shard (shards are independent workers in a
-deployment), so the curve shows what the fan-out actually buys after
-partition imbalance — the locality trace concentrates both hot ranges
-(prefix mode) and hot flows (hash mode), which is why efficiency sits
-below 1.0.
+throughput against the single ``FibServer`` baseline. Both sides are
+measured wall clock: the cluster's ``lookup_seconds`` is the
+frontend's time from fan-out to merged answer. The in-process shards
+answer one after another in one thread, so this curve prices the
+frontend (owner split, merge, per-shard calls) rather than buying
+parallelism; the scaling claim lives in ``bench_workers``, whose
+4-worker shm pool is gated on real processes.
 
-Two acceptance gates:
+The single server and every cluster point are timed in ``REPEAT``
+interleaved rounds, one replay of each per round, and each point's
+speedup is the median of its per-round ratios to that round's server:
+adjacent replays share the host's momentary speed, so the ratio holds
+steadier than a best-of per point.
+
+Every run records into a live ``Registry``, so the rows carry lookup
+latency quantiles.
+
+Gates:
 
 * **parity** — every cluster run must agree 100% with the single-server
   tabular oracle after quiescence, on every shard count;
-* **scaling floor** — at 4 shards (the better of the prefix and hash
-  points; which one wins is workload- and machine-dependent) aggregate
-  lookup throughput must be at least 2x the single-server baseline.
+* **measured floor** — at 4 shards (the better of the prefix and hash
+  points) aggregate lookup throughput must be at least
+  :data:`CLUSTER_SPEEDUP_FLOOR` x the single-server baseline: the
+  frontend may cost the serial in-process shape no more than that;
+* **replication** — range partitioning replicates only a small share
+  of the table.
 
 Results go to ``results/cluster_scaling.txt`` and the JSON trajectory
 to ``BENCH_cluster.json`` at the repository root (CI uploads it next to
@@ -30,6 +42,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from statistics import median_low
 
 import pytest
 
@@ -37,6 +50,7 @@ from repro import serve
 from repro.analysis import render_cluster_rows
 from repro.analysis.report import banner
 from repro.datasets.profiles import PRIMARY_PROFILE
+from repro.obs import Registry
 
 LOOKUPS = 1 << 16
 UPDATES = 256
@@ -44,9 +58,11 @@ BATCH_SIZE = 8192
 SEED = 42
 REPRESENTATION = "prefix-dag"
 SHARD_CURVE = (1, 2, 4, 8)
-REPEAT = 3  # best-of, like the pipeline bench
-#: Scaling floor: 4-shard aggregate lookup throughput vs one server.
-CLUSTER_SPEEDUP_FLOOR = 2.0
+REPEAT = 5  # interleaved rounds: one replay of every point per round
+#: Measured floor: 4-shard aggregate lookup throughput vs one server.
+#: The in-process shards run one after another, so the cluster cannot
+#: beat the server; the floor bounds what the frontend may cost.
+CLUSTER_SPEEDUP_FLOOR = 0.25
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_cluster.json"
 
@@ -69,66 +85,70 @@ def probes(profile_fib):
     return serve.parity_probes(profile_fib(PRIMARY_PROFILE), 1000, seed=SEED)
 
 
-def _best(reports):
-    """Best-of-N by lookup throughput (the repo's bench discipline)."""
-    return max(reports, key=lambda report: report.lookup_mlps)
-
-
 def _serve_baseline(fib, events, probes):
-    return _best(
-        serve.serve_plane_scenario(
-            REPRESENTATION,
-            fib,
-            events,
-            scenario="bgp-churn",
-            measure_staleness=False,
-            parity_probes=probes,
-        )
-        for _ in range(REPEAT)
+    return serve.serve_plane_scenario(
+        REPRESENTATION,
+        fib,
+        events,
+        scenario="bgp-churn",
+        measure_staleness=False,
+        parity_probes=probes,
+        obs=Registry(),
     )
 
 
 def _serve_cluster(fib, events, probes, shards, partition):
-    """One replay per repeat through a FibCluster of ``shards`` shards
-    (built directly: the plane factory serves one shard from a plain
+    """One replay through a FibCluster of ``shards`` shards (built
+    directly: the plane factory serves one shard from a plain
     FibServer, and the curve's first point is the 1-shard cluster)."""
+    with serve.FibCluster(
+        REPRESENTATION, fib, shards=shards, partition=partition,
+        measure_staleness=False, obs=Registry(),
+    ) as cluster:
+        cluster.replay(events)
+        cluster.quiesce()
+        return cluster.report(
+            scenario="bgp-churn", final_parity=cluster.parity_fraction(probes)
+        )
 
-    def once():
-        with serve.FibCluster(
-            REPRESENTATION, fib, shards=shards, partition=partition,
-            measure_staleness=False,
-        ) as cluster:
-            cluster.replay(events)
-            cluster.quiesce()
-            return cluster.report(
-                scenario="bgp-churn", final_parity=cluster.parity_fraction(probes)
-            )
 
-    return _best(once() for _ in range(REPEAT))
+def _median_round(values):
+    """Index of the round holding the (lower) median of ``values``."""
+    return values.index(median_low(values))
 
 
 def test_cluster_scaling_curve(profile_fib, events, probes, report_writer, scale):
     fib = profile_fib(PRIMARY_PROFILE)
-    baseline = _serve_baseline(fib, events, probes)
-    assert baseline.final_parity == 1.0
-
     runs = [(shards, "prefix") for shards in SHARD_CURVE] + [(4, "hash")]
-    reports = []
-    for shards, partition in runs:
-        report = _serve_cluster(fib, events, probes, shards, partition)
-        # The parity gate: post-quiescence agreement with the oracle on
-        # every shard count and partition mode.
-        assert report.final_parity == 1.0, (shards, partition)
-        assert report.pending_updates == 0
-        reports.append(report)
+    servers = []
+    timed = {run: [] for run in runs}
+    for _ in range(REPEAT):
+        server = _serve_baseline(fib, events, probes)
+        assert server.final_parity == 1.0
+        servers.append(server)
+        for shards, partition in runs:
+            report = _serve_cluster(fib, events, probes, shards, partition)
+            # The parity gate: post-quiescence agreement with the oracle
+            # on every shard count and partition mode.
+            assert report.final_parity == 1.0, (shards, partition)
+            assert report.pending_updates == 0
+            timed[(shards, partition)].append(report)
 
-    speedups = {
-        (report.shards, report.partition): report.lookup_mlps / baseline.lookup_mlps
-        for report in reports
-    }
+    speedups = {}
+    reports = []
+    for run in runs:
+        ratios = [
+            report.lookup_mlps / server.lookup_mlps
+            for report, server in zip(timed[run], servers)
+        ]
+        middle = _median_round(ratios)
+        speedups[run] = ratios[middle]
+        reports.append(timed[run][middle])
+    baseline = servers[_median_round([server.lookup_mlps for server in servers])]
     text = banner(
         f"cluster scaling on {PRIMARY_PROFILE} (scale {scale}, {LOOKUPS} lookups "
-        f"/ {UPDATES} updates, bgp-churn, {REPRESENTATION}, best of {REPEAT})"
+        f"/ {UPDATES} updates, bgp-churn, {REPRESENTATION}, median of "
+        f"{REPEAT} interleaved rounds)"
     )
     text += "\n" + render_cluster_rows(reports)
     text += f"\nsingle-server baseline: {baseline.lookup_mlps:.2f} Mlps"
@@ -158,15 +178,12 @@ def test_cluster_scaling_curve(profile_fib, events, probes, report_writer, scale
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-    # The scaling floor: 4 shards vs one server, better partition wins.
+    # The measured floor: 4 shards vs one server, better partition wins.
     gated = max(speedups[(4, "prefix")], speedups[(4, "hash")])
-    assert gated > CLUSTER_SPEEDUP_FLOOR, (
+    assert gated >= CLUSTER_SPEEDUP_FLOOR, (
         f"4-shard aggregate lookup throughput only {gated:.2f}x the "
         f"single-server baseline (floor {CLUSTER_SPEEDUP_FLOOR}x)"
     )
-    # More workers must not serve *less* than the 1-shard degenerate
-    # cluster (a regression in the fan-out itself).
-    assert speedups[(4, "prefix")] > speedups[(1, "prefix")]
 
 
 def test_cluster_replication_is_bounded(profile_fib):

@@ -150,24 +150,20 @@ def _workers_metrics(payload: dict) -> Iterator[Tuple[str, float, bool]]:
     gated = bool(payload.get("gated"))
     for key, value in sorted(payload.get("speedups", {}).items()):
         yield f"speedup.{key}", value, gated and _scaling_point(key)
-    # compiled_speedup / model_agreement are per-transport dicts since
-    # the shm plane landed ({"shm": x, "pipe": y}); older baselines
-    # recorded a single float, which stays warn-only (a 1-CPU
-    # agreement number is noise, not a ratchet). The shm compiled
-    # ratio is the zero-copy acceptance bar and the agreement ratios
-    # are the model validation — both gate only when the runs on both
-    # sides had the cores; the pipe compiled foil always warns.
-    for field in ("compiled_speedup", "model_agreement"):
-        value = payload.get(field)
-        if isinstance(value, dict):
-            for transport, ratio in sorted(value.items()):
-                gate = gated and (
-                    field == "model_agreement"
-                    or (field == "compiled_speedup" and transport == "shm")
-                )
-                yield f"{field}.{transport}", ratio, gate
-        elif isinstance(value, (int, float)):
-            yield field, value, False
+    # compiled_speedup is a per-transport dict since the shm plane
+    # landed ({"shm": x, "pipe": y}); older baselines recorded a single
+    # float, which stays warn-only. The shm ratio is the zero-copy
+    # acceptance bar and gates only when the runs on both sides had
+    # the cores; the pipe foil always warns.
+    value = payload.get("compiled_speedup")
+    if isinstance(value, dict):
+        for transport, ratio in sorted(value.items()):
+            yield (
+                f"compiled_speedup.{transport}", ratio,
+                gated and transport == "shm",
+            )
+    elif isinstance(value, (int, float)):
+        yield "compiled_speedup", value, False
     if "baseline_mlps" in payload:
         yield "baseline_mlps", payload["baseline_mlps"], False
 

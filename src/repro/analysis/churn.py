@@ -12,9 +12,8 @@ and post-quiescence parity.
 :func:`render_cluster_rows` extends the table for sharded runs
 (:class:`~repro.serve.metrics.ClusterReport`): shard count, replicated
 routes (the boundary-spanning prefixes every covering shard holds),
-mean update fan-out, staggered coordinator swaps, and the
-parallel-efficiency of the lookup fan-out under the critical-path
-clock.
+mean update fan-out, staggered coordinator swaps, and the lookup
+imbalance across shards (1.00 is an even split of the lookups).
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ CLUSTER_HEADERS = CHURN_HEADERS + (
     "repl routes",
     "fanout",
     "swaps",
-    "efficiency",
+    "imbalance",
 )
 
 
@@ -86,7 +85,7 @@ def cluster_row(report) -> tuple:
         report.replicated_routes,
         f"{report.update_fanout:.2f}",
         report.coordinator_swaps,
-        f"{report.parallel_efficiency * 100:.0f}%",
+        f"{report.lookup_imbalance:.2f}",
     )
 
 
@@ -97,8 +96,6 @@ def render_cluster_rows(reports: Iterable) -> str:
 
 
 WORKER_HEADERS = CLUSTER_HEADERS + (
-    "wall Mlps",
-    "agree",
     "transport",
     "attach[ms]",
     "tx[MB]",
@@ -109,18 +106,13 @@ WORKER_HEADERS = CLUSTER_HEADERS + (
 
 def worker_row(report) -> tuple:
     """One table row from a :class:`~repro.serve.metrics.WorkerReport`:
-    the cluster columns, then the *measured* wall-clock lookup
-    throughput, its agreement with the critical-path model (the
-    inherited ``lookup Mlps`` column is the model's prediction), the
-    data-plane transport the pool actually served over, the worst
-    per-worker program-segment attach time (``-`` on the pipe plane,
-    which rebuilds instead of attaching), the data-plane payload the
-    frontend moved each way, and the p99 update-visibility window
-    (ingress to first lookup served with the update visible; ``-``
-    on uninstrumented runs)."""
+    the cluster columns, then the data-plane transport the pool
+    actually served over, the worst per-worker program-segment attach
+    time (``-`` on the pipe plane, which rebuilds instead of
+    attaching), the data-plane payload the frontend moved each way,
+    and the p99 update-visibility window (ingress to first lookup
+    served with the update visible; ``-`` on uninstrumented runs)."""
     return cluster_row(report) + (
-        report.measured_lookup_mlps,
-        f"{report.model_agreement * 100:.0f}%",
         report.transport,
         "-" if report.transport != "shm" else f"{report.attach_seconds * 1e3:.2f}",
         f"{report.bytes_tx / 1e6:.2f}",

@@ -13,16 +13,16 @@ Subcommands regenerate the paper's experiments and operate on FIB files:
 * ``compare`` — run every registered representation over the same trace
   and assert label parity against the tabular oracle;
 * ``serve`` — replay a mixed lookup/update scenario through the online
-  serving engine and report churn throughput, staleness and parity;
-  with ``--shards N`` the scenario runs through a partitioned cluster
-  of N simulated workers (``--partition prefix|hash``) instead of one
-  server, and with ``--workers N`` through N *real* worker processes
-  (shared-nothing shards behind pipes, asyncio-pipelined fan-out)
-  reporting measured wall-clock throughput next to the critical-path
-  model's prediction. Every shape is opened through the one
-  :func:`repro.serve.open_plane` front door; ``--autoscale`` arms the
-  traffic-adaptive control loop (live re-planning under skew, hot-range
-  replication, ``--flow-cache`` frontend caching) on any sharded plane.
+  serving engine and report churn throughput, latency, staleness and
+  parity; with ``--shards N`` the scenario runs through a partitioned
+  cluster of N in-process shards (``--partition prefix|hash``) instead
+  of one server, and with ``--workers N`` through N worker processes
+  (shared-nothing shards, asyncio-pipelined fan-out). Every plane's
+  lookup throughput is measured wall clock. Every shape is opened
+  through the one :func:`repro.serve.open_plane` front door;
+  ``--autoscale`` arms the traffic-adaptive control loop (live
+  re-planning under skew, hot-range replication, ``--flow-cache``
+  frontend caching) on any sharded plane.
 
 Example::
 
@@ -47,7 +47,6 @@ from typing import Dict, Optional, Sequence
 
 from repro import pipeline, serve
 from repro.obs import (
-    NULL_REGISTRY,
     SCHEMA as OBS_SCHEMA,
     MetricsExporter,
     Registry,
@@ -297,7 +296,7 @@ SERVE_DEFAULT_REPRESENTATIONS = ["prefix-dag", "lc-trie", "serialized-dag"]
 def _cmd_serve(args: argparse.Namespace) -> int:
     if args.workers > 0 and args.shards > 1:
         print(
-            "--workers runs real processes, --shards the simulated cluster; "
+            "--workers runs worker processes, --shards in-process shards; "
             "pick one",
             file=sys.stderr,
         )
@@ -355,7 +354,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     names = args.representations or SERVE_DEFAULT_REPRESENTATIONS
     sharded = args.shards > 1
     pooled = args.workers > 0
-    instrumented = args.metrics_json is not None or args.metrics_port is not None
     registries: Dict[str, Registry] = {}
     exporter = None
     if args.metrics_port is not None:
@@ -375,9 +373,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     reports = []
     for name in names:
-        obs_registry = Registry() if instrumented else NULL_REGISTRY
-        if instrumented:
-            registries[name] = obs_registry
+        obs_registry = registries[name] = Registry()
         # Every deployment shape goes through the one front door; the
         # factory picks single server / in-process cluster / worker
         # pool (+ async frontend) from the same argument record.
@@ -806,16 +802,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-json",
         metavar="PATH",
         default=None,
-        help="instrument the runs and write a repro.obs/v1 telemetry "
-        "snapshot per representation to PATH",
+        help="write a repro.obs/v1 telemetry snapshot per "
+        "representation to PATH",
     )
     p.add_argument(
         "--metrics-port",
         type=count_arg,
         default=None,
         metavar="PORT",
-        help="instrument the runs and expose live Prometheus-text metrics "
-        "on http://127.0.0.1:PORT/metrics for the process lifetime "
+        help="expose live Prometheus-text metrics on "
+        "http://127.0.0.1:PORT/metrics for the process lifetime "
         "(0 picks a free port)",
     )
     p.set_defaults(func=_cmd_serve)

@@ -41,11 +41,14 @@ high-water mark stays near ``total + one shard`` instead of the
 :class:`~repro.serve.metrics.ClusterReport` records per-shard
 staleness, the staggered swap count and that aggregate peak.
 
-**Clocks.** Shards are independent workers, so the frontend charges
-each batch the *slowest participating shard's* serving time (the
-critical path — what a deployment with one worker per shard would
-observe) while also accumulating the summed busy time; the ratio is
-the report's ``parallel_efficiency``.
+**Clocks.** Every sharded shape reports one measured lookup clock:
+the frontend's wall time while at least one batch is in flight, from
+fan-out to merged answer, so pipelined batches count once. In process
+the shards answer one after another, and the clock shows it. Shard
+patch drains move to the update clock, as in a single
+:class:`~repro.serve.server.FibServer`; ``busy_lookup_seconds`` sums
+the shards' own serving time, and ``lookup_imbalance`` compares the
+shards' lookup counts.
 
 >>> from repro.core.fib import Fib
 >>> from repro import serve
@@ -250,8 +253,8 @@ class ShardPlan:
 
         Returns ``{shard: (positions, addresses)}`` with both values as
         int64 arrays — the vector twin of :meth:`group`, used by the
-        worker frontend where the per-address Python loop would sit on
-        the serial critical path of every fanned-out batch. Requires
+        worker frontend where the per-address Python loop would run
+        serially ahead of every fanned-out batch. Requires
         NumPy (callers fall back to :meth:`group`) and a width the
         int64 shift can carry.
         """
@@ -312,7 +315,7 @@ class ShardPlan:
 
     def materialize(self, fib: Fib) -> List[ShardSpec]:
         """One :class:`~repro.pipeline.shard.ShardSpec` per shard of
-        this plan — the shared partition step of the simulated cluster
+        this plan — the shared partition step of the in-process cluster
         and the multi-process worker pool. Hash plans (and the 1-shard
         degenerate prefix plan) replicate the full FIB per shard."""
         if self.mode == "hash":
@@ -630,8 +633,7 @@ class ShardedFrontend:
         batch (None when one part is the whole batch), and ``shard``
         None for a part the frontend answered itself (degraded).
     ``_deliver_update(op, owners)``
-        How an accepted update reaches shard state; returns the
-        seconds to charge the update clock.
+        How an accepted update reaches shard state.
     ``_begin_replan()`` / ``_advance_replan(wait)``
         How a pending plan is adopted; the backend calls
         :meth:`_adopt_plan` once its shards serve the new plan.
@@ -680,8 +682,10 @@ class ShardedFrontend:
         self._updates_applied = 0
         self._updates_skipped = 0
         self._fanout_total = 0
-        self._lookup_seconds = 0.0       # critical path: slowest shard per batch
+        self._lookup_seconds = 0.0       # wall time with >= 1 batch in flight
         self._busy_lookup_seconds = 0.0  # summed shard serving time
+        self._inflight = 0               # batches submitted, not yet merged
+        self._flight_started = 0.0
         self._update_seconds = 0.0
         self._replan_seconds = 0.0
         self._row_lookups = [0] * plan.shards
@@ -785,9 +789,13 @@ class ShardedFrontend:
         if self._traffic is not None:
             self._traffic.observe(addresses)
             self._autoscale_step(count)
-        # The fan-out clock starts after the control-loop step, so a
+        # The lookup clock starts after the control-loop step, so a
         # re-plan's replacement builds never land on a batch's latency.
         started = time.perf_counter()
+        with self._account_lock:
+            if not self._inflight:
+                self._flight_started = started
+            self._inflight += 1
         cache = self._flow_cache
         misses, out, positions, epoch = addresses, None, None, 0
         if cache is not None:
@@ -812,6 +820,7 @@ class ShardedFrontend:
             # counts (a dead shard with no recovery path, a bad batch).
             with self._account_lock:
                 self._failed_lookups += len(misses)
+                self._leave_flight(time.perf_counter())
             raise
         return _Batch(parts, misses, out, positions, epoch, started), count
 
@@ -831,6 +840,7 @@ class ShardedFrontend:
         except Exception:
             with self._account_lock:
                 self._failed_lookups += len(token.misses)
+                self._leave_flight(time.perf_counter())
             raise
         self._account(answered)
         merged = _merge(answered, len(token.misses))
@@ -851,8 +861,18 @@ class ShardedFrontend:
         elif decode:
             merged = [label if label else None for label in merged.tolist()]
         with self._account_lock:
-            self._obs_fanout.observe(time.perf_counter() - token.started)
+            now = time.perf_counter()
+            self._obs_fanout.observe(now - token.started)
+            self._leave_flight(now)
         return merged
+
+    def _leave_flight(self, now: float) -> None:
+        """One batch left flight (caller holds ``_account_lock``); the
+        last one out folds the span into the lookup clock, so batches
+        that overlapped count once."""
+        self._inflight -= 1
+        if not self._inflight:
+            self._lookup_seconds += now - self._flight_started
 
     def _split(self, batch):
         """Owner split -> ``[(shard, positions, slice)]``; ``positions``
@@ -870,10 +890,7 @@ class ShardedFrontend:
 
     def _account(self, answered) -> None:
         """Fold one batch's answered parts into the shard rows and the
-        clocks: the batch is charged its slowest shard (the critical
-        path a one-worker-per-shard deployment observes), while the
-        summed busy time feeds ``parallel_efficiency``."""
-        critical = busy = 0.0
+        summed shard busy time."""
         with self._account_lock:
             for shard, _, labels, seconds in answered:
                 served = len(labels) // 8
@@ -883,11 +900,7 @@ class ShardedFrontend:
                 self._row_lookups[shard] += served
                 self._row_seconds[shard] += seconds
                 self._obs_shard_busy[shard].add(seconds)
-                busy += seconds
-                if seconds > critical:
-                    critical = seconds
-            self._busy_lookup_seconds += busy
-            self._lookup_seconds += critical
+                self._busy_lookup_seconds += seconds
 
     # ---------------------------------------------------------------- updates
 
@@ -915,8 +928,8 @@ class ShardedFrontend:
             if self._pending_plan is not None:
                 pending = self._pending_plan.owners(op.prefix, op.length)
                 owners = tuple(sorted(set(owners) | set(pending)))
+            self._deliver_update(op, owners)
             spent = time.perf_counter() - started
-            spent += self._deliver_update(op, owners)
         with self._account_lock:
             self._update_seconds += spent
         self._invalidate_flow_cache()
@@ -1285,18 +1298,25 @@ class FibCluster(ShardedFrontend):
     # ---------------------------------------------------------------- backend
 
     def _dispatch(self, batch):
-        """In-process shards answer their slices right away."""
+        """In-process shards answer their slices right away, one after
+        another. Patch-log drains inside a shard are churn-induced
+        work: they move from the running lookup clock to the update
+        clock."""
         parts = []
+        drained = 0.0
         for shard, positions, part in self._split(batch):
             server = self._shards[shard].server
             lookup_before = server.lookup_seconds
             update_before = server.update_seconds
             labels = server.lookup_batch_packed(part)
-            # Patch-log drains inside the shard are churn-induced work.
-            self._update_seconds += server.update_seconds - update_before
+            drained += server.update_seconds - update_before
             parts.append(
                 (shard, positions, labels, server.lookup_seconds - lookup_before)
             )
+        if drained:
+            with self._account_lock:
+                self._lookup_seconds -= drained
+                self._update_seconds += drained
         return parts
 
     def _collect(self, parts):
@@ -1305,22 +1325,16 @@ class FibCluster(ShardedFrontend):
     def _probe(self, shard: int, addresses: Sequence[int]):
         return self._shards[shard].server.representation.lookup_batch(addresses)
 
-    def _deliver_update(self, op: UpdateOp, owners: Sequence[int]) -> float:
+    def _deliver_update(self, op: UpdateOp, owners: Sequence[int]) -> None:
         """Apply to every owning shard — and to the replacement shards
         an in-flight re-plan already built from an older oracle
-        snapshot, or the flip would time-travel. Charged the slowest
-        shard (the shards apply concurrently in a deployment)."""
-        critical = 0.0
+        snapshot, or the flip would time-travel."""
         for index in owners:
-            server = self._shards[index].server
-            update_before = server.update_seconds
-            server.apply_update(op)
-            critical = max(critical, server.update_seconds - update_before)
+            self._shards[index].server.apply_update(op)
             if self._pending_built and self._pending_built[index] is not None:
                 self._pending_built[index].apply_update(op)
         if self._updates_applied % self._rebuild_every == 0:
             self._sample_size()
-        return critical
 
     def _tick(self) -> None:
         """The coordinator's per-event chance to stagger a swap, with

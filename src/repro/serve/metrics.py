@@ -17,30 +17,19 @@ scenario script through one :class:`~repro.serve.server.FibServer`:
   from the continuously-updated tabular oracle. Incremental planes
   report zero for both.
 
-A :class:`WorkerReport` extends :class:`ClusterReport` to the
-multi-process plane (:mod:`repro.serve.workers`). The simulated cluster
-can only *model* concurrency — its ``lookup_seconds`` critical path is
-a prediction of what one-worker-per-shard hardware would do. The worker
-pool actually runs that deployment, so the report carries both clocks
-side by side: the inherited critical-path prediction and the
-**measured** wall-clock fields (``wall_lookup_seconds`` is the span
-during which at least one lookup batch was in flight, so pipelined
-batches are not double-counted). ``model_agreement`` is their ratio —
-the validation the ROADMAP's "wall-clock scaling matches the
-critical-path model" item asks for.
-
 A :class:`ClusterReport` extends the same record to a sharded
-deployment (:mod:`repro.serve.cluster`). The aggregate counters keep
-their single-server meaning, with one deliberate change of clock:
-``lookup_seconds`` is the **critical-path** time — per batch, the
-slowest shard's serving time, since in a deployment the shards are
-independent workers answering their slices concurrently — while
-``busy_lookup_seconds`` keeps the summed per-shard busy time, so
-``parallel_efficiency`` exposes how much of the fan-out was actually
-overlapped. ``peak_size_bits`` is sampled across the whole cluster and
-shows the coordinator's staggering: with shard-by-shard epoch swaps at
-most *one* shard holds two generations at a time, so the aggregate
-high-water mark stays near total + one shard instead of 2x total.
+deployment (:mod:`repro.serve.cluster`), and a :class:`WorkerReport`
+extends that to the multi-process plane (:mod:`repro.serve.workers`).
+The aggregate counters keep their single-server meaning.
+``lookup_seconds`` is **measured** by the frontend: wall time while at
+least one lookup batch was in flight, from fan-out to merged answer,
+so pipelined batches count once. ``busy_lookup_seconds`` keeps the
+summed per-shard serving time, and ``lookup_imbalance`` compares the
+shards' lookup counts. ``peak_size_bits`` is sampled across the whole
+cluster and shows the coordinator's staggering: with shard-by-shard
+epoch swaps at most *one* shard holds two generations at a time, so
+the aggregate high-water mark stays near total + one shard instead of
+2x total.
 """
 
 from __future__ import annotations
@@ -167,8 +156,8 @@ class ClusterReport(ServeReport):
     """Aggregate outcome of one scenario replay through a sharded cluster.
 
     Inherited counters aggregate across shards (sums for counts and
-    memory; ``lookup_seconds`` switches to the critical-path clock, see
-    the module docstring). ``generation`` is the summed shard
+    memory; ``lookup_seconds`` is the frontend's in-flight wall clock,
+    see the module docstring). ``generation`` is the summed shard
     generation counter and ``coordinator_swaps`` the subset of those
     epochs the coordinator staggered mid-stream (quiescence drains make
     up the difference).
@@ -182,7 +171,7 @@ class ClusterReport(ServeReport):
     #: Mean number of shards each applied update fanned out to.
     update_fanout: float = 0.0
     #: Summed per-shard lookup busy time (lookup_seconds holds the
-    #: critical path — the slowest shard per batch).
+    #: frontend's wall clock).
     busy_lookup_seconds: float = 0.0
     #: Mid-stream epoch swaps the coordinator performed, one shard at a
     #: time (never a global pause).
@@ -218,15 +207,6 @@ class ClusterReport(ServeReport):
         return self.flow_cache_hits / self.flow_cache_lookups
 
     @property
-    def parallel_efficiency(self) -> float:
-        """Busy time over ``shards x critical-path`` time: 1.0 means the
-        fan-out kept every shard busy for the whole batch, 1/shards
-        means one shard did all the work."""
-        if not self.lookup_seconds or not self.shards:
-            return 0.0
-        return self.busy_lookup_seconds / (self.shards * self.lookup_seconds)
-
-    @property
     def lookup_imbalance(self) -> float:
         """Largest shard's lookup share over the fair 1/shards share of
         the lookups the shards served (flow-cache hits and degraded or
@@ -249,7 +229,6 @@ class ClusterReport(ServeReport):
         record = super().to_dict()
         record.update(
             shard_rows=[dict(row) for row in self.shard_rows],
-            parallel_efficiency=self.parallel_efficiency,
             lookup_imbalance=self.lookup_imbalance,
             max_shard_staleness=self.max_shard_staleness,
             flow_cache_hit_rate=self.flow_cache_hit_rate,
@@ -262,12 +241,9 @@ class WorkerReport(ClusterReport):
     """Aggregate outcome of one scenario replay through a pool of real
     worker processes.
 
-    Inherited counters keep their cluster meaning — ``lookup_seconds``
-    stays the critical-path *model* (per batch, the slowest worker's
-    self-reported serving time), which is now a prediction to be
-    validated rather than the headline number. The headline is
-    ``wall_lookup_seconds``: frontend wall clock while lookup batches
-    were in flight, fan-out/serialize/merge overhead and all.
+    Inherited counters keep their cluster meaning: ``lookup_seconds``
+    is the frontend's wall clock while lookup batches were in flight,
+    fan-out, transport and merge included.
     """
 
     #: Process start method the pool used (``spawn`` or ``fork``).
@@ -275,8 +251,6 @@ class WorkerReport(ClusterReport):
     #: Wall seconds from first process start to the last ready ack
     #: (process boot + shard build + compile, off the serving path).
     spawn_seconds: float = 0.0
-    #: Wall seconds during which >= 1 lookup batch was in flight.
-    wall_lookup_seconds: float = 0.0
     #: Wall seconds for the whole replay (lookups, updates, swaps).
     wall_seconds: float = 0.0
     #: Data-plane transport the pool served over: ``shm`` (shared-memory
@@ -319,32 +293,6 @@ class WorkerReport(ClusterReport):
         return self.shards
 
     @property
-    def measured_lookup_mlps(self) -> float:
-        """Million lookups per second of *measured* wall clock."""
-        if not self.wall_lookup_seconds:
-            return 0.0
-        return self.lookups / self.wall_lookup_seconds / 1e6
-
-    @property
-    def predicted_lookup_mlps(self) -> float:
-        """The critical-path model's throughput prediction (what
-        :class:`ClusterReport` calls ``lookup_mlps``)."""
-        return self.lookup_mlps
-
-    @property
-    def model_agreement(self) -> float:
-        """Measured over predicted throughput, deliberately uncapped in
-        both directions: below 1.0 the shortfall is fan-out overhead
-        the critical-path model does not price (serialization, pipes,
-        the frontend's merge); above 1.0 means pipelining overlapped
-        more than the model assumed."""
-        predicted = self.predicted_lookup_mlps
-        measured = self.measured_lookup_mlps
-        if not predicted or not measured:
-            return 0.0
-        return measured / predicted
-
-    @property
     def availability(self) -> float:
         """Fraction of offered lookups that were answered — by a
         worker, a retry, or the degraded frontend path; only
@@ -366,9 +314,6 @@ class WorkerReport(ClusterReport):
         record = super().to_dict()
         record.update(
             workers=self.workers,
-            measured_lookup_mlps=self.measured_lookup_mlps,
-            predicted_lookup_mlps=self.predicted_lookup_mlps,
-            model_agreement=self.model_agreement,
             availability=self.availability,
             mean_recovery_seconds=self.mean_recovery_seconds,
         )

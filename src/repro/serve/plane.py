@@ -2,8 +2,8 @@
 
 The serving layer grew four frontends, one per deployment shape: the
 in-process :class:`~repro.serve.server.FibServer` (one representation,
-no sharding), the simulated-clock :class:`~repro.serve.cluster.FibCluster`
-(N shards, one process), the multi-process
+no sharding), the :class:`~repro.serve.cluster.FibCluster` (N shards
+in one process), the multi-process
 :class:`~repro.serve.workers.WorkerPool` (N worker processes over shm
 or pipe transports) and the pipelining
 :class:`~repro.serve.workers.AsyncFibFrontend` on top of the pool. They
@@ -143,8 +143,9 @@ def open_plane(
       ``workers`` shard processes over ``transport``; ``window > 0``
       additionally wraps it in the pipelining
       :class:`AsyncFibFrontend` (awaitable lookups).
-    * ``workers == 0, shards > 1`` — the in-process simulated-clock
-      :class:`FibCluster` with ``shards`` shards.
+    * ``workers == 0, shards > 1`` — the in-process
+      :class:`FibCluster` with ``shards`` shards, answered one after
+      another in the caller's thread.
     * ``workers == 0, shards <= 1`` — a single :class:`FibServer`.
 
     ``autoscale`` hands any sharded plane an

@@ -238,7 +238,7 @@ class FibServer:
     @property
     def lookup_seconds(self) -> float:
         """Accumulated lookup-plane serving time (read-only; a cluster
-        reads per-batch deltas to compute its critical-path clock)."""
+        reads per-batch deltas into its shard rows)."""
         return self._lookup_seconds
 
     @property

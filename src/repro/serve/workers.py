@@ -81,8 +81,8 @@ fan-out: scripted lookup batches are submitted in event order but up to
 split, packing, merge) overlaps the workers' parallel lookups instead
 of alternating with them. :func:`~repro.serve.plane.serve_plane_scenario`
 with ``workers`` and ``window`` set replays a scenario through it and
-reports a :class:`~repro.serve.metrics.WorkerReport` with measured
-wall-clock throughput next to the critical-path model's prediction.
+reports a :class:`~repro.serve.metrics.WorkerReport` whose lookup
+clock is the frontend's wall time with at least one batch in flight.
 """
 
 from __future__ import annotations
@@ -990,10 +990,6 @@ class WorkerPool(ShardedFrontend):
         self._bytes_tx = 0
         self._bytes_rx = 0
         self._rebuild_seconds = 0.0      # acked swap / publish costs
-        self._inflight = 0               # lookup batches currently in flight
-        self._inflight_lock = threading.Lock()
-        self._inflight_started = 0.0
-        self._wall_lookup_seconds = 0.0
         self._restarts = 0
         self._retried_batches = 0
         self._recovery_seconds = 0.0
@@ -1509,53 +1505,30 @@ class WorkerPool(ShardedFrontend):
 
     # ---------------------------------------------------------------- lookups
 
-    def _enter_flight(self) -> None:
-        with self._inflight_lock:
-            if self._inflight == 0:
-                self._inflight_started = time.perf_counter()
-            self._inflight += 1
-
-    def _leave_flight(self) -> None:
-        with self._inflight_lock:
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._wall_lookup_seconds += (
-                    time.perf_counter() - self._inflight_started
-                )
-
     def _dispatch(self, batch):
         """Ship a batch to the workers without waiting: whole to every
         worker (broadcast, one ``bytes`` sent N times) or owner-split
-        into per-worker slices. The measured wall clock opens here and
-        closes after the merge, so it prices fan-out, waiting AND
-        merge."""
-        self._enter_flight()
-        try:
-            if self._broadcast:
-                packed = _pack_addresses(batch)
-                sent = len(packed) * len(self._handles)
-                parts = [
-                    (handle, None, self._request_or_defer(handle, "bcast", packed),
-                     "bcast", packed)
-                    for handle in self._handles
-                ]
-            else:
-                parts = []
-                sent = 0
-                for shard, positions, part in self._split(batch):
-                    handle = self._handles[shard]
-                    packed = _pack_addresses(part)
-                    sent += len(packed)
-                    parts.append(
-                        (handle, positions,
-                         self._request_or_defer(handle, "lookup", packed),
-                         "lookup", packed)
-                    )
-        except Exception:
-            # Never leak the in-flight counter, or the wall clock never
-            # folds again for the rest of the run.
-            self._leave_flight()
-            raise
+        into per-worker slices."""
+        if self._broadcast:
+            packed = _pack_addresses(batch)
+            sent = len(packed) * len(self._handles)
+            parts = [
+                (handle, None, self._request_or_defer(handle, "bcast", packed),
+                 "bcast", packed)
+                for handle in self._handles
+            ]
+        else:
+            parts = []
+            sent = 0
+            for shard, positions, part in self._split(batch):
+                handle = self._handles[shard]
+                packed = _pack_addresses(part)
+                sent += len(packed)
+                parts.append(
+                    (handle, positions,
+                     self._request_or_defer(handle, "lookup", packed),
+                     "lookup", packed)
+                )
         with self._account_lock:
             self._bytes_tx += sent
         return parts
@@ -1566,21 +1539,18 @@ class WorkerPool(ShardedFrontend):
         (shard None) when supervision allows, and raises otherwise."""
         answered = []
         received = 0
-        try:
-            for handle, positions, future, kind, packed in parts:
-                shard = handle.index
-                try:
-                    payload = self._await(future, handle=handle, op=kind)
-                except WorkerError as error:
-                    shard, payload = self._recover_part(handle, kind, packed, error)
-                if kind == "bcast":
-                    # The workers did the owner split: adopt their positions.
-                    positions, payload = payload[0], payload[1:]
-                    received += len(positions)
-                received += len(payload[0])
-                answered.append((shard, positions, payload[0], payload[1]))
-        finally:
-            self._leave_flight()
+        for handle, positions, future, kind, packed in parts:
+            shard = handle.index
+            try:
+                payload = self._await(future, handle=handle, op=kind)
+            except WorkerError as error:
+                shard, payload = self._recover_part(handle, kind, packed, error)
+            if kind == "bcast":
+                # The workers did the owner split: adopt their positions.
+                positions, payload = payload[0], payload[1:]
+                received += len(positions)
+            received += len(payload[0])
+            answered.append((shard, positions, payload[0], payload[1]))
         if self._transport == "pipe":  # shm replies were counted by the ring pump
             with self._account_lock:
                 self._bytes_rx += received
@@ -1655,12 +1625,11 @@ class WorkerPool(ShardedFrontend):
 
     # ---------------------------------------------------------------- updates
 
-    def _deliver_update(self, op: UpdateOp, owners: Sequence[int]) -> float:
+    def _deliver_update(self, op: UpdateOp, owners: Sequence[int]) -> None:
         """Route one accepted operation to the owning workers (under the
         pool lock, so it cannot interleave with a respawn: either it
         lands before the snapshot or publish the fresh worker boots
         from, or after the new handle is installed — never both)."""
-        started = time.perf_counter()
         if self._transport == "shm":
             # The update never crosses a process boundary per-op: the
             # frontend-hosted publisher absorbs it (a patch on the
@@ -1680,7 +1649,7 @@ class WorkerPool(ShardedFrontend):
                 # the next OP_ATTACH so the workers can close the
                 # cross-process visibility window.
                 self._vis_ingress_ns = now_ns()
-            return time.perf_counter() - started
+            return
         for index in owners:
             handle = self._handles[index]
             if handle.dead and self._recoverable(index):
@@ -1695,7 +1664,6 @@ class WorkerPool(ShardedFrontend):
                 raise
             if not self._incremental:
                 self._proxies[index].pending.append(op)
-        return time.perf_counter() - started
 
     def _begin_replan(self) -> None:
         if self._transport == "shm":
@@ -2030,7 +1998,6 @@ class WorkerPool(ShardedFrontend):
             **plane,
             spawn_method=self._start_method,
             spawn_seconds=self._spawn_seconds,
-            wall_lookup_seconds=self._wall_lookup_seconds,
             wall_seconds=wall_seconds,
             transport=self._transport,
             attach_seconds=self._attach_seconds,
@@ -2179,9 +2146,8 @@ class AsyncFibFrontend:
     sees the same lookup/update interleaving the script prescribes) but
     merged concurrently: up to ``window`` batches stay in flight, which
     overlaps the frontend's serial split/pack/merge work with the
-    workers' parallel serving time instead of strictly alternating —
-    the difference between the critical-path model and what a
-    sequential fan-out actually achieves.
+    workers' parallel serving time instead of strictly alternating.
+    The pool's lookup clock counts overlapping batches once.
     """
 
     def __init__(self, pool: WorkerPool, window: int = DEFAULT_WINDOW):

@@ -310,16 +310,17 @@ class TestFibCluster:
         # one shard's worth: staggering keeps it well under 2x total.
         assert report.size_bits < report.peak_size_bits < 2 * report.size_bits
 
-    def test_critical_path_clock(self, rng):
+    def test_lookup_clock_is_measured_wall_time(self, rng):
         fib = random_fib(rng, 200, 4, max_length=14)
         events = self._script(fib, lookups=800, updates=0)
         report = serve.serve_plane_scenario(
             "binary-trie", fib, events, scenario="uniform", shards=4,
         )
-        # Critical path <= summed busy time <= shards x critical path.
-        assert report.lookup_seconds <= report.busy_lookup_seconds
-        assert report.busy_lookup_seconds <= 4 * report.lookup_seconds
-        assert 0.0 < report.parallel_efficiency <= 1.0
+        # In process the shards answer one after another: the frontend's
+        # wall clock spans every shard's serving time and then some.
+        assert report.busy_lookup_seconds > 0
+        assert report.lookup_seconds >= report.busy_lookup_seconds
+        assert report.lookup_mlps == report.lookups / report.lookup_seconds / 1e6
 
     def test_single_shard_degenerates_to_server(self, rng):
         fib = random_fib(rng, 100, 3, max_length=12)
@@ -342,7 +343,7 @@ class TestFibCluster:
         assert record["partition"] == "prefix"
         assert len(record["shard_rows"]) == 2
         assert record["plane"] == "rebuild"
-        assert 0.0 <= record["parallel_efficiency"] <= 1.0
+        assert record["lookup_imbalance"] >= 1.0
 
 
 # ------------------------------------------------------------------------- CLI
@@ -361,7 +362,7 @@ class TestClusterCli:
         )
         out = capsys.readouterr().out
         assert "4 prefix-partitioned shards" in out
-        assert "shards" in out and "fanout" in out and "efficiency" in out
+        assert "shards" in out and "fanout" in out and "imbalance" in out
 
     def test_serve_shards_json(self, tmp_path, capsys):
         path = tmp_path / "BENCH_cluster.json"

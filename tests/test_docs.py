@@ -87,7 +87,7 @@ def test_benchmarks_doc_covers_every_trajectory():
         assert (REPO / trajectory).is_file(), f"{trajectory} baseline not committed"
     for floor in ("1.5x", "2.5x", "2.0x", "30%", "90%"):
         assert floor in text, f"docs/benchmarks.md misses the {floor} floor"
-    for field in ("wall_lookup_seconds", "model_agreement", "spawn_seconds", "gated"):
+    for field in ("wall_seconds", "spawn_seconds", "attach_seconds", "gated"):
         assert field in text, f"docs/benchmarks.md misses WorkerReport field {field}"
 
 

@@ -364,14 +364,15 @@ class TestServeCliWorkers:
         )
         captured = capsys.readouterr()
         assert "2 prefix-partitioned spawn workers" in captured.out
-        assert "wall Mlps" in captured.out
+        assert "lookup Mlps" in captured.out and "transport" in captured.out
         assert "serve parity OK" in captured.err
         payload = json.loads(path.read_text())
         assert payload["workers"] == 2
         assert payload["start_method"] == "spawn"
         (row,) = payload["rows"]
         assert row["final_parity"] == 1.0
-        assert row["measured_lookup_mlps"] > 0
+        assert row["lookup_mlps"] > 0
+        assert row["lookup_latency_p99"] is not None
 
     def test_workers_and_shards_are_mutually_exclusive(self, capsys):
         assert (
@@ -406,13 +407,15 @@ class TestServeCliWorkers:
             == 0
         )
         payload = json.loads(path.read_text())
-        # Strip wall-clock fields: determinism covers the script and
-        # every counter, not machine timing.
+        # Strip wall-clock fields, the latency quantiles and the
+        # telemetry snapshot among them: determinism covers the script
+        # and every counter, not machine timing.
         (row,) = payload["rows"]
+        timed = ("second", "mlps", "kops", "per_", "latency", "visibility")
         return {
             key: value
             for key, value in row.items()
-            if not any(part in key for part in ("second", "mlps", "kops", "per_"))
+            if key != "obs" and not any(part in key for part in timed)
         }
 
     def test_seed_makes_smoke_runs_deterministic(self, tmp_path, capsys):

@@ -296,9 +296,14 @@ class TestPoolLifecycle:
         try:
             victim = pool._handles[1]
             victim.process.kill()
+            # Addresses from both shards: without NumPy the frontend
+            # splits instead of broadcasting, so the victim must own
+            # part of the batch for it to be asked at all.
+            lo, _ = pool.plan.shard_range(1)
+            batch = list(range(128)) + list(range(lo, lo + 128))
             with pytest.raises(WorkerError):
                 for _ in range(50):
-                    pool.lookup_batch(list(range(256)))
+                    pool.lookup_batch(batch)
         finally:
             pool.close()
         assert leaked_segments() == []

@@ -43,18 +43,16 @@ def _workers(four_worker, gated=True, shm_compiled=2.5):
         "speedups": {"4-prefix": four_worker},
         "gated": gated,
         "compiled_speedup": {"shm": shm_compiled, "pipe": 0.9},
-        "model_agreement": {"shm": 0.8, "pipe": 0.5},
         "baseline_mlps": 1.0,
     }
 
 
 def _workers_legacy(four_worker, gated=True):
-    # Pre-shm schema: compiled_speedup/model_agreement were floats.
+    # Pre-shm schema: compiled_speedup was a float.
     return {
         "speedups": {"4-prefix": four_worker},
         "gated": gated,
         "compiled_speedup": 0.9,
-        "model_agreement": 0.5,
         "baseline_mlps": 1.0,
     }
 
@@ -153,29 +151,6 @@ class TestCompare:
         assert len(failures) == 1
         assert "compiled_speedup.shm" in failures[0]
         assert any("compiled_speedup.pipe" in warning for warning in warnings)
-
-    def test_model_agreement_gates_per_transport_when_both_gated(self, tmp_path):
-        base = _workers(3.0, gated=True)
-        fresh = _workers(3.0, gated=True)
-        fresh["model_agreement"] = {"shm": 0.1, "pipe": 0.5}
-        _write(tmp_path / "base", "BENCH_workers.json", base)
-        _write(tmp_path / "new", "BENCH_workers.json", fresh)
-        failures, _ = check_trajectory.check(tmp_path / "base", tmp_path / "new")
-        assert len(failures) == 1
-        assert "model_agreement.shm" in failures[0]
-
-    def test_model_agreement_warns_when_ungated(self, tmp_path):
-        # A 1-CPU agreement number is noise, never a ratchet.
-        base = _workers(3.0, gated=False)
-        fresh = _workers(3.0, gated=False)
-        fresh["model_agreement"] = {"shm": 0.05, "pipe": 0.05}
-        _write(tmp_path / "base", "BENCH_workers.json", base)
-        _write(tmp_path / "new", "BENCH_workers.json", fresh)
-        failures, warnings = check_trajectory.check(
-            tmp_path / "base", tmp_path / "new"
-        )
-        assert failures == []
-        assert any("model_agreement.shm" in warning for warning in warnings)
 
     def test_legacy_float_compiled_speedup_still_compares(self, tmp_path):
         # A pre-shm float baseline against a per-transport fresh run:

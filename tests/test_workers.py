@@ -116,8 +116,8 @@ class TestPoolServing:
         record = report.to_dict()
         assert record["workers"] == 2
         assert record["transport"] == pool.transport
-        assert "measured_lookup_mlps" in record
-        assert "model_agreement" in record
+        assert record["lookup_mlps"] > 0
+        assert "busy_lookup_seconds" in record
         assert len(record["shard_rows"]) == 2
 
 
@@ -380,15 +380,17 @@ class TestAsyncFrontend:
             )
         )
         probes = serve.parity_probes(small_fib, 300, seed=11)
-        report = serve.serve_plane_scenario(
-            "prefix-dag", small_fib, events,
-            scenario="flap-storm", workers=2, window=4,
-            parity_probes=probes,
-        )
-        assert report.final_parity == 1.0
-        assert report.batches == sum(1 for e in events if e.is_lookup)
-        assert report.wall_lookup_seconds > 0
-        assert report.wall_seconds >= report.wall_lookup_seconds
+        for transport in serve.TRANSPORTS:
+            report = serve.serve_plane_scenario(
+                "prefix-dag", small_fib, events,
+                scenario="flap-storm", workers=2, window=4,
+                transport=transport, parity_probes=probes,
+            )
+            assert report.final_parity == 1.0, transport
+            assert report.batches == sum(1 for e in events if e.is_lookup)
+            # Overlapping batches count once: the lookup clock fits
+            # inside the replay's wall time.
+            assert 0 < report.lookup_seconds <= report.wall_seconds, transport
 
     def test_window_must_be_positive(self, pool):
         with pytest.raises(ValueError, match="window"):
