@@ -165,14 +165,8 @@ class RepresentationAdapter:
             except FlatCompileError:
                 self._flat = None  # patch hit the ceiling: recompile below
             self._flat_log.clear()
-            if self._flat is not None:
-                if program.bloated:
-                    self._flat = None  # recompile below, from the live state
-                elif program.overlay_bloated:
-                    # Enough side-table entries to slow the per-lookup
-                    # probe: fold them into the base image (a handful of
-                    # slice writes, still off the per-update clock).
-                    program.merge_overlay()
+            if self._flat is not None and program.bloated:
+                self._flat = None  # recompile below, from the live state
         if self._flat is None:
             try:
                 self._flat = self._compile_flat()

@@ -84,15 +84,10 @@ skipping slots whose subtree and inherited label are unchanged (the
 per-slot source cache), pruning slots owned by longer prefixes (for
 structures whose labels are the routes themselves — leaf-pushed DAGs
 must not prune, see ``leaf_pushed``), and collapsing empty subtrees
-into contiguous **terminal runs**. Wide runs land in the
-:class:`FlatOverlay` — a sorted ``[start, end) -> label`` side table
-every walk probes before the root row (an empty overlay costs
-nothing) — and :meth:`~FlatProgram.merge_overlay` folds them into the
-image off the lookup clock. Terminal runs are also journaled
-(:meth:`~FlatProgram.take_patch_delta`) so the shm serving plane can
-ship a *clean* window of them to attached workers as a delta
-(:meth:`~FlatProgram.overlay_ingest`) instead of republishing the
-whole image. Replaced blocks are abandoned in the cell arrays and the
+into contiguous **terminal runs**, each one C-level slice write over
+the root row however wide it is. The walks read the two rows and
+nothing else, so the patched program *is* the image a publisher
+copies. Replaced blocks are abandoned in the cell arrays and the
 program reports itself :attr:`~FlatProgram.bloated` once the garbage
 would exceed the original image, at which point the owning adapter
 recompiles from scratch. This is what keeps incremental
@@ -108,8 +103,7 @@ strictly an acceleration, never a correctness risk.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 try:  # NumPy is optional: the pure-Python program is always available.
     import numpy as _np
@@ -167,109 +161,6 @@ _DECODE_TABLE_MAX = 1 << 11
 #: :data:`repro.pipeline.batch.MAX_STRIDE`).
 MAX_ROOT_STRIDE = 20
 
-#: Patched terminal runs at least this many root slots wide land in the
-#: delta overlay instead of being written across the root row — one
-#: side-table entry versus ``2^(stride-length)`` slot writes. Narrower
-#: runs are cheaper as direct C-level slice assignments.
-OVERLAY_SPAN_MIN = 4096
-
-#: Overlay occupancy past which the owning adapter folds the side table
-#: back into the base image (:meth:`FlatProgram.merge_overlay`) at the
-#: next drain — the bound that keeps the per-lookup overlay probe cheap.
-OVERLAY_LIMIT = 1024
-
-#: Terminal patch-journal entries kept between epoch publishes; past
-#: this a delta is not worth riding and the publisher ships a full
-#: image instead.
-DELTA_JOURNAL_LIMIT = 4096
-
-
-class FlatOverlay:
-    """Sorted, non-overlapping ``[start, end) -> label`` root-slot runs.
-
-    The delta-program side table of the patch compiler: a short-prefix
-    edit whose uncovered gap spans thousands of root slots records one
-    interval here instead of rewriting every slot, and the lookup walks
-    probe it (binary search over a handful of entries) before the main
-    arrays. Entries are *terminal* answers only — a slot owned by a
-    longer prefix is never overlaid, so a hit ends the walk.
-    """
-
-    __slots__ = ("starts", "ends", "vals")
-
-    def __init__(self):
-        self.starts: List[int] = []
-        self.ends: List[int] = []
-        self.vals: List[int] = []
-
-    # array-of-columns with __slots__: spell out the pickle protocol.
-    def __getstate__(self):
-        return (self.starts, self.ends, self.vals)
-
-    def __setstate__(self, state):
-        self.starts, self.ends, self.vals = state
-
-    def __len__(self) -> int:
-        return len(self.starts)
-
-    def get(self, slot: int):
-        """Label covering ``slot``, or None when the base image rules."""
-        i = bisect_right(self.starts, slot) - 1
-        if i >= 0 and slot < self.ends[i]:
-            return self.vals[i]
-        return None
-
-    def items(self) -> List[Tuple[int, int, int]]:
-        return list(zip(self.starts, self.ends, self.vals))
-
-    def set(self, start: int, end: int, val: int) -> None:
-        """Overlay ``[start, end)`` with ``val``, splicing out whatever
-        the run overlaps."""
-        i = self._splice(start, end)
-        self.starts.insert(i, start)
-        self.ends.insert(i, end)
-        self.vals.insert(i, val)
-
-    def discard(self, start: int, end: int) -> bool:
-        """Drop overlay coverage of ``[start, end)``; True if any entry
-        overlapped the range (and was removed or trimmed)."""
-        starts, ends = self.starts, self.ends
-        i = bisect_left(starts, start)
-        overlapped = (i > 0 and ends[i - 1] > start) or (
-            i < len(starts) and starts[i] < end
-        )
-        if overlapped:
-            self._splice(start, end)
-        return overlapped
-
-    def _splice(self, start: int, end: int) -> int:
-        """Remove or trim every interval overlapping ``[start, end)``;
-        returns the insertion index for a new interval at ``start``."""
-        starts, ends, vals = self.starts, self.ends, self.vals
-        i = bisect_left(starts, start)
-        if i and ends[i - 1] > start:
-            j = i - 1
-            if ends[j] > end:
-                # the run splits an existing interval: keep both flanks
-                starts.insert(i, end)
-                ends.insert(i, ends[j])
-                vals.insert(i, vals[j])
-                ends[j] = start
-                return i
-            ends[j] = start
-        j = i
-        while j < len(starts) and starts[j] < end:
-            if ends[j] <= end:
-                j += 1  # fully covered: drop
-            else:
-                starts[j] = end  # overhangs the right edge: trim
-                break
-        del starts[i:j]
-        del ends[i:j]
-        del vals[i:j]
-        return i
-
-
 class FlatCompileError(ValueError):
     """A representation cannot be compiled into a flat program."""
 
@@ -324,17 +215,12 @@ class FlatProgram:
         "_initial_cells",
         "_views",
         "_decode",
-        "_overlay",
-        "_ov_views",
         "_src",
-        "overlay_span_min",
         "patch_slots_total",
         "patch_spans_total",
         "patch_cells_total",
         "patch_skips_total",
         "last_patch_slots",
-        "_delta_journal",
-        "_delta_dirty",
     )
 
     #: Retired label rows, read as one shared empty row:
@@ -384,31 +270,20 @@ class FlatProgram:
         self._views = None
         #: The vector walk's label-decode table (:meth:`_decode_table`).
         self._decode = None
-        #: Delta overlay (:class:`FlatOverlay`), or None while empty so
-        #: the lookup walks pay a single attribute load when no patch is
-        #: pending — the empty fast path costs nothing.
-        self._overlay = None
-        self._ov_views = None
         #: Per-root-slot source cache: ``slot -> (node, best)`` of the
         #: last block emitted for the slot by a patch, letting a replay
         #: skip re-emitting a subtree the edit did not change. Populated
         #: only by the patch paths (compilation never needs it).
         self._src = {}
-        self.overlay_span_min = OVERLAY_SPAN_MIN
         #: Root-slot *write operations* by the patch compiler — a
-        #: contiguous run written as one span (overlay entry or slice
-        #: assignment) counts once. The pre-patch-compiler cost of the
-        #: same edit was one tree walk per covered slot.
+        #: contiguous run written as one slice assignment counts once.
+        #: The pre-patch-compiler cost of the same edit was one tree
+        #: walk per covered slot.
         self.patch_slots_total = 0
         self.patch_spans_total = 0
         self.patch_cells_total = 0
         self.patch_skips_total = 0
         self.last_patch_slots = 0
-        #: Terminal writes since the last :meth:`take_patch_delta`, as
-        #: ``(start, end, val)`` runs — the delta a publisher can ride
-        #: to live workers instead of re-imaging the whole program.
-        self._delta_journal = []
-        self._delta_dirty = False
 
     # ------------------------------------------------------------- pickling
 
@@ -424,14 +299,10 @@ class FlatProgram:
         typecode, so the pickled twin outlives the segment it came
         from.
 
-        Caches and process-local bookkeeping are dropped alongside the
-        views: the source cache holds live node references, and the
-        delta journal belongs to the publisher that owns the original.
-        A pending overlay *is* shipped — it is part of the program's
-        answer function — so a pickled twin keeps serving patched runs.
+        Caches are dropped alongside the views: the source cache holds
+        live node references.
         """
-        transient = ("_views", "_decode", "_ov_views", "_src",
-                     "_delta_journal", "_delta_dirty")
+        transient = ("_views", "_decode", "_src")
         state = {
             name: getattr(self, name)
             for name in self.__slots__
@@ -506,99 +377,6 @@ class FlatProgram:
         patches abandon replaced blocks in place, so after enough churn
         the dead cells would exceed the original image."""
         return self.appended_cells > max(4096, self._initial_cells)
-
-    @property
-    def overlay_len(self) -> int:
-        """Pending delta-overlay intervals (0 = empty fast path)."""
-        overlay = self._overlay
-        return len(overlay) if overlay is not None else 0
-
-    @property
-    def overlay_bloated(self) -> bool:
-        """True once the overlay probe is worth folding away: the side
-        table has grown past :data:`OVERLAY_LIMIT` entries."""
-        return self.overlay_len > OVERLAY_LIMIT
-
-    def _overlay_table(self) -> FlatOverlay:
-        overlay = self._overlay
-        if overlay is None:
-            overlay = self._overlay = FlatOverlay()
-        return overlay
-
-    def _journal(self, start: int, end: int, val: int) -> None:
-        """Record a terminal run write for the publishable delta; past
-        the cap the delta stops being worth riding (dirty = ship a full
-        image)."""
-        journal = self._delta_journal
-        if len(journal) < DELTA_JOURNAL_LIMIT:
-            journal.append((start, end, val))
-        else:
-            self._delta_dirty = True
-
-    def take_patch_delta(self) -> Tuple[List[Tuple[int, int, int]], bool]:
-        """Drain the terminal patch journal: ``(entries, clean)``.
-
-        ``entries`` are the ``(start, end, val)`` root-slot runs written
-        since the last take; ``clean`` is False when a patch in the
-        window also rewrote block structure (or overflowed the journal),
-        in which case the delta cannot represent the change and the
-        caller must publish a full image. Resets the journal either way.
-        """
-        entries = self._delta_journal
-        clean = not self._delta_dirty
-        self._delta_journal = []
-        self._delta_dirty = False
-        return entries, clean
-
-    def merge_overlay(self) -> int:
-        """Fold every pending overlay interval into the base image.
-
-        Runs off the lookup clock (epoch swap, or the adapter's
-        :attr:`overlay_bloated` policy): each interval becomes one
-        C-level slice assignment over the root row, after which the
-        overlay probe disappears from the walks entirely. Idempotent —
-        a second call is a no-op returning 0.
-        """
-        if self.frozen:
-            raise FlatCompileError(
-                "attached flat programs are immutable; publish a new "
-                "segment generation instead of merging in place"
-            )
-        overlay = self._overlay
-        if overlay is None or not len(overlay):
-            self._overlay = None
-            self._ov_views = None
-            return 0
-        self._views = None
-        self._ov_views = None
-        root_ptr = self.root_ptr
-        src = self._src
-        merged = 0
-        for start, end, val in overlay.items():
-            root_ptr[start:end] = array(root_ptr.typecode, [~val]) * (end - start)
-            if src:
-                for slot in [s for s in src if start <= s < end]:
-                    del src[slot]
-            merged += 1
-        self._overlay = None
-        return merged
-
-    def overlay_ingest(self, entries: Iterable[Tuple[int, int, int]]) -> None:
-        """Apply published terminal delta runs to this program's overlay.
-
-        The receiving half of the delta-publish path: a worker attached
-        to a frozen image cannot write the shared arrays, but its side
-        table is process-local, so ridden updates land here and the
-        walks see them immediately. Allowed on frozen programs.
-        """
-        overlay = self._overlay_table()
-        max_label = self.max_label
-        for start, end, val in entries:
-            overlay.set(start, end, val)
-            if val > max_label:
-                max_label = val
-        self.max_label = max_label
-        self._ov_views = None
 
     @property
     def vectorized(self) -> bool:
@@ -719,9 +497,8 @@ class FlatProgram:
         * a labelled node *deeper than the edit* owns everything below
           it, so that subtree's slots are untouched (the edit cannot be
           their best match) and the descent prunes;
-        * an absent child is a contiguous terminal run — one overlay
-          entry (:data:`OVERLAY_SPAN_MIN` or wider) or one C-level
-          slice write, never per-slot work;
+        * an absent child is a contiguous terminal run — one C-level
+          slice write over the root row, never per-slot work;
         * a subtree reaching the slot boundary re-emits its block only
           when its ``(node, best)`` pair differs from what the slot
           already encodes (the per-slot source cache).
@@ -818,8 +595,8 @@ class FlatProgram:
         if label is not None:
             if depth > prune_depth:
                 # Owned by a longer route: the edit can never be the
-                # best match anywhere below — the slots (arrays and
-                # overlay alike) are already current.
+                # best match anywhere below — the slots are already
+                # current.
                 return
             best = label
         if hi - lo == 1:
@@ -847,38 +624,30 @@ class FlatProgram:
             self._admit_label(best)
         self.root_ptr[slot] = ~best
         self._src.pop(slot, None)
-        overlay = self._overlay
-        if overlay is not None and overlay.starts:
-            if overlay.discard(slot, slot + 1):
-                self._ov_views = None
         self.patch_slots_total += 1
-        self._journal(slot, slot + 1, best)
 
     def _write_run(self, lo: int, hi: int, val: int) -> None:
         """A contiguous terminal run (an absent subtree's gap): one
-        overlay entry when wide, one slice assignment when narrow."""
+        slice assignment over the root row, and the run's slots leave
+        the source cache at O(min(run, cache)) — walking the run when
+        it is the shorter, scanning the cache otherwise."""
         n = hi - lo
         if n <= 0:
             return
         if val > self.max_label:
             self._admit_label(val)
-        if n >= self.overlay_span_min:
-            self._overlay_table().set(lo, hi, val)
-            self._ov_views = None
-        else:
-            self.root_ptr[lo:hi] = array(self.root_ptr.typecode, [~val]) * n
-            src = self._src
-            if src:
+        self.root_ptr[lo:hi] = array(self.root_ptr.typecode, [~val]) * n
+        src = self._src
+        if src:
+            if n < len(src):
+                for slot in range(lo, hi):
+                    src.pop(slot, None)
+            else:
                 for slot in [s for s in src if lo <= s < hi]:
                     del src[slot]
-            overlay = self._overlay
-            if overlay is not None and overlay.starts:
-                if overlay.discard(lo, hi):
-                    self._ov_views = None
         if n > 1:
             self.patch_spans_total += 1
         self.patch_slots_total += 1
-        self._journal(lo, hi, val)
 
     def _write_block(self, slot: int, node, best: int, memo: dict,
                      depths: dict, *, cacheable: bool) -> None:
@@ -886,21 +655,12 @@ class FlatProgram:
         (or skip, when the source cache proves the arrays current) the
         child block."""
         src = self._src
-        overlay = self._overlay
-        covered = False
-        if overlay is not None and overlay.starts:
-            covered = overlay.discard(slot, slot + 1)
-            if covered:
-                self._ov_views = None
         cached = src.get(slot) if cacheable else None
         if cached is not None and cached[0] is node and cached[1] == best:
             # The arrays already encode exactly this (node, best) block:
             # every root write funnels through the patch paths, which
-            # keep the cache coherent, so skipping is sound. Uncovering
-            # a previously overlaid slot still changed the answer.
+            # keep the cache coherent, so skipping is sound.
             self.patch_skips_total += 1
-            if covered:
-                self._delta_dirty = True
             return
         if best > self.max_label:
             self._admit_label(best)
@@ -909,7 +669,6 @@ class FlatProgram:
         )
         src[slot] = (node, best)
         self.patch_slots_total += 1
-        self._delta_dirty = True
 
     # --------------------------------------------------------------- lookups
 
@@ -917,13 +676,7 @@ class FlatProgram:
         """Scalar LPM over the program arrays (mirrors the batch walk)."""
         if address < 0 or address >> self.width:
             raise ValueError(f"address {address:#x} outside {self.width}-bit space")
-        slot = address >> self.root_shift
-        overlay = self._overlay
-        if overlay is not None and overlay.starts:
-            label = overlay.get(slot)
-            if label is not None:
-                return label if label else None
-        encoded = self.root_ptr[slot]
+        encoded = self.root_ptr[address >> self.root_shift]
         shift = self.root_shift
         cell_ptr = self.cell_ptr
         while encoded >= 0:
@@ -994,18 +747,8 @@ class FlatProgram:
         cell_ptr = self.cell_ptr
         stride_mask = STRIDE_MASK
         stride_bits = STRIDE_BITS
-        overlay = self._overlay
-        overlay_get = (
-            overlay.get if overlay is not None and overlay.starts else None
-        )
         for position, address in enumerate(addresses):
-            slot = address >> root_shift
-            if overlay_get is not None:
-                label = overlay_get(slot)
-                if label is not None:
-                    dest[position] = label
-                    continue
-            encoded = root_ptr[slot]
+            encoded = root_ptr[address >> root_shift]
             shift = root_shift
             while encoded >= 0:
                 stride = encoded & stride_mask
@@ -1084,21 +827,6 @@ class FlatProgram:
             decode[0] = None
         return decode
 
-    def _ensure_overlay_views(self):
-        """Int64 column vectors over the overlay intervals, for the
-        vector walk's searchsorted probe (rebuilt after any change)."""
-        views = self._ov_views
-        if views is None:
-            np = _np
-            overlay = self._overlay
-            views = (
-                np.array(overlay.starts, dtype=np.int64),
-                np.array(overlay.ends, dtype=np.int64),
-                np.array(overlay.vals, dtype=np.int64),
-            )
-            self._ov_views = views
-        return views
-
     def _resolve_vector(self, np, batch, root_ptr, cell_ptr):
         """Resolve an int64 address vector to an int64 label vector.
 
@@ -1108,22 +836,9 @@ class FlatProgram:
         The root cells are the one widening: ``out`` starts as their
         ``~cell`` in int64, the answer of every root terminal, and each
         deeper terminal overwrites its live slot."""
-        slot = batch >> self.root_shift
-        encoded = root_ptr[slot]
+        encoded = root_ptr[batch >> self.root_shift]
         out = encoded.astype(np.int64)
         np.invert(out, out=out)
-        overlay = self._overlay
-        if overlay is not None and overlay.starts:
-            # Delta-overlay fixup: covered slots are terminal answers,
-            # applied before the gather walk (encoded/out are fancy-
-            # index copies, so in-place writes never touch the image).
-            starts, ends, vals = self._ensure_overlay_views()
-            idx = np.searchsorted(starts, slot, side="right") - 1
-            clamped = np.maximum(idx, 0)
-            covered = (idx >= 0) & (slot < ends[clamped])
-            if covered.any():
-                out[covered] = vals[clamped[covered]]
-                encoded[covered] = TERMINAL
         live = np.nonzero(encoded >= 0)[0]
         if live.size:
             enc_live = encoded[live]
@@ -1188,20 +903,10 @@ class FlatProgram:
         cell_ptr = self.cell_ptr
         stride_mask = STRIDE_MASK
         stride_bits = STRIDE_BITS
-        overlay = self._overlay
-        overlay_get = (
-            overlay.get if overlay is not None and overlay.starts else None
-        )
         out: List[Optional[int]] = []
         append = out.append
         for address in addresses:
-            slot = address >> root_shift
-            if overlay_get is not None:
-                label = overlay_get(slot)
-                if label is not None:
-                    append(label if label else None)
-                    continue
-            encoded = root_ptr[slot]
+            encoded = root_ptr[address >> root_shift]
             shift = root_shift
             while encoded >= 0:
                 stride = encoded & stride_mask
@@ -1229,12 +934,6 @@ class FlatProgram:
         size = self.root_ptr.itemsize
         slot = address >> self.root_shift
         trace = [slot * size]
-        overlay = self._overlay
-        if overlay is not None and overlay.starts:
-            label = overlay.get(slot)
-            if label is not None:
-                # One side-table touch; modeled as the root entry's line.
-                return (label if label else None), trace
         encoded = self.root_ptr[slot]
         shift = self.root_shift
         cells_base = self.cells_base

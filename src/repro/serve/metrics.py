@@ -35,7 +35,7 @@ the aggregate high-water mark stays near total + one shard instead of
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 from repro.obs import snapshot_quantile
 
@@ -69,6 +69,9 @@ class ServeReport:
     #: the frontend registry with every worker registry merged in.
     obs: Optional[dict] = None
 
+    #: The histogram a batch's lookup latency is read from.
+    latency_metric: ClassVar[str] = "serve_lookup_latency_seconds"
+
     def obs_quantile(self, metric: str, q: float) -> Optional[float]:
         """One quantile of a histogram in the attached obs snapshot
         (None when uninstrumented or the histogram is empty)."""
@@ -77,12 +80,12 @@ class ServeReport:
     @property
     def lookup_latency_p50(self) -> Optional[float]:
         """Median per-batch lookup latency, seconds (obs runs only)."""
-        return self.obs_quantile("serve_lookup_latency_seconds", 0.50)
+        return self.obs_quantile(self.latency_metric, 0.50)
 
     @property
     def lookup_latency_p99(self) -> Optional[float]:
         """p99 per-batch lookup latency, seconds (obs runs only)."""
-        return self.obs_quantile("serve_lookup_latency_seconds", 0.99)
+        return self.obs_quantile(self.latency_metric, 0.99)
 
     @property
     def visibility_p99(self) -> Optional[float]:
@@ -199,6 +202,10 @@ class ClusterReport(ServeReport):
     #: recovery path (no supervision, or its restart budget was spent).
     failed_lookups: int = 0
 
+    #: A batch's latency runs from fan-out to merged answer on the
+    #: frontend; the shards' own histogram times one slice each.
+    latency_metric: ClassVar[str] = "cluster_fanout_seconds"
+
     @property
     def flow_cache_hit_rate(self) -> float:
         """Flow-cache hits over flow-cache lookups (0.0 when disabled)."""
@@ -264,10 +271,6 @@ class WorkerReport(ClusterReport):
     #: Program-segment generations published over the pool's lifetime
     #: (shm transport; 0 on pipe).
     publishes: int = 0
-    #: Updates that rode to the workers as terminal patch deltas
-    #: (``OP_DELTA`` into each worker's process-local overlay) instead
-    #: of forcing a full segment re-image (shm transport; 0 on pipe).
-    delta_publishes: int = 0
     #: Data-plane payload bytes the frontend moved to the workers
     #: (request rings / lookup pipes; probes excluded).
     bytes_tx: int = 0

@@ -192,10 +192,6 @@ class FibServer:
             "flat_patch_seconds",
             "drain spans in which the patch compiler rewrote slots",
         )
-        self._obs_overlay = obs.gauge(
-            "flat_overlay_entries",
-            "pending delta-overlay intervals on the serving program",
-        )
         self._patch_program = None
         self._patch_slots_seen = 0
         self._visibility = VisibilityTracker(
@@ -285,7 +281,6 @@ class FibServer:
                 self._obs_patch_slots.inc(slots - self._patch_slots_seen)
                 self._patch_slots_seen = slots
                 self._obs_patch_seconds.observe(elapsed)
-            self._obs_overlay.set(program.overlay_len)
         return program
 
     def serving_program(self):

@@ -95,8 +95,6 @@ OP_POSITIONS = 6     #: reply: positions + labels (aux2 = owned count)
 OP_PROBED = 7        #: reply: packed labels for a probe
 OP_ATTACHED = 8      #: reply: generation adopted (aux1 = attach ns)
 OP_ERROR = 9         #: reply: utf-8 traceback for the request's seq
-OP_DELTA = 10        #: request: packed (start, end, val) int64 patch runs
-OP_DELTAED = 11      #: reply: delta adopted (aux1 = ingest ns)
 
 
 class RingClosed(RuntimeError):
@@ -472,10 +470,6 @@ def publish_program(program: FlatProgram, generation: int, prefix: str = "repro"
     eventually unlinks it. The segment is immutable once this returns:
     epoch swaps publish a new segment instead of editing a mapped one.
     """
-    if not program.frozen and program.overlay_len:
-        # A pending delta overlay is part of the answer function but
-        # not of the two rows; fold it in so the image is complete.
-        program.merge_overlay()
     rows = [getattr(program, row) for row in ROWS]
     lengths = [len(row) for row in rows]
     typecode = row_typecode(rows[0])
@@ -531,7 +525,6 @@ def detach_program(program: FlatProgram, segment) -> None:
     """Release an attached program's views so the segment can unmap;
     each row becomes an empty row of its own type."""
     program._views = None  # numpy views export the rows; drop them first
-    program._ov_views = None
     for name in ROWS:
         row = getattr(program, name)
         empty = array(row_typecode(row))

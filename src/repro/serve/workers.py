@@ -130,8 +130,6 @@ from repro.serve.shm import (
     OP_ATTACH,
     OP_ATTACHED,
     OP_BCAST,
-    OP_DELTA,
-    OP_DELTAED,
     OP_ERROR,
     OP_LABELS,
     OP_LOOKUP,
@@ -185,7 +183,6 @@ _OP_NAMES = {
     OP_BCAST: "bcast",
     OP_PROBE: "probe",
     OP_ATTACH: "attach",
-    OP_DELTA: "delta",
 }
 
 #: Seconds the frontend's ring pump sleeps between idle sweeps.
@@ -613,28 +610,6 @@ def shm_worker_main(conn, spec) -> None:
                         OP_ATTACHED, seq=record.seq, generation=generation,
                         aux1=int(adopted * 1e9), alive=alive,
                     )
-                elif op == OP_DELTA:
-                    # Terminal patch runs riding an update instead of a
-                    # full re-image: land them in the attached program's
-                    # process-local overlay (the mapped rows stay
-                    # untouched). FIFO with lookups, so adoption falls
-                    # exactly between batches, like an attach.
-                    t0 = time.perf_counter()
-                    triples = record.payload.cast("q")
-                    program.overlay_ingest(
-                        [
-                            (triples[i], triples[i + 1], triples[i + 2])
-                            for i in range(0, len(triples), 3)
-                        ]
-                    )
-                    adopted = time.perf_counter() - t0
-                    if record.aux1:  # frontend ingress stamp (monotonic ns)
-                        visibility.stamp(record.aux1)
-                    res.send(
-                        OP_DELTAED, seq=record.seq,
-                        generation=record.generation,
-                        aux1=int(adopted * 1e9), alive=alive,
-                    )
                 else:
                     raise ValueError(f"unknown request opcode {op}")
             except RingPeerDied:
@@ -863,8 +838,8 @@ class WorkerPool(ShardedFrontend):
         is terminal, exactly the pre-supervision behavior. Positive
         values start a :class:`~repro.serve.supervisor.Supervisor`
         that respawns failed shards with bounded exponential backoff,
-        re-attaches the current published generation, replays the
-        post-crash update delta, transparently retries in-flight
+        re-attaches the current published generation, publishes the
+        updates it lacks, transparently retries in-flight
         batches, and serves a down shard's range *degraded* from the
         frontend (publisher on shm, control oracle on pipe) so
         availability never drops to zero.
@@ -979,13 +954,6 @@ class WorkerPool(ShardedFrontend):
         self._handles: List[_WorkerHandle] = []
         self._generation = 0
         self._publishes = 0
-        self._delta_publishes = 0
-        #: The program object behind the live segment, plus how many
-        #: delta publishes have ridden since it was last re-imaged —
-        #: a light publish is only sound while the publisher still
-        #: serves the *same* program the workers attached.
-        self._published_program = None
-        self._deltas_since_image = 0
         self._attach_seconds = 0.0
         self._bytes_tx = 0
         self._bytes_rx = 0
@@ -1032,10 +1000,9 @@ class WorkerPool(ShardedFrontend):
         try:
             if self._transport == "shm":
                 self._generation = 1
-                program = self._publisher.serving_program()
-                self._program_segment = publish_program(program, self._generation)
-                self._published_program = program
-                program.take_patch_delta()  # image is current: drop journal
+                self._program_segment = publish_program(
+                    self._publisher.serving_program(), self._generation
+                )
                 self._segments.append(self._program_segment)
                 for index in range(plan.shards):
                     handle, ack = self._spawn_shm_worker(context, index, len(fib), 0)
@@ -1226,7 +1193,7 @@ class WorkerPool(ShardedFrontend):
         if self._transport != "shm" or self._closed:
             return
         with self._lock:
-            self._publish(force_full=True)
+            self._publish()
 
     def _reap(self, handle: _WorkerHandle, join_timeout: float = 5.0) -> None:
         """Retire one handle's OS resources exactly once (idempotent):
@@ -1261,9 +1228,10 @@ class WorkerPool(ShardedFrontend):
         (supervisor thread). Reaps the old process and rings exactly
         once, spawns against the current state — the published program
         segment on shm, the control oracle on pipe — awaits readiness
-        on the control deadline, replays the post-crash update delta,
-        and installs the new handle. Runs under the pool lock, so it
-        is serialized against publishes, updates and close."""
+        on the control deadline, publishes any updates the attached
+        image lacks, and installs the new handle. Runs under the pool
+        lock, so it is serialized against publishes, updates and
+        close."""
         with self._lock:
             if self._closed:
                 raise WorkerError("pool is closed", worker_index=index)
@@ -1295,13 +1263,11 @@ class WorkerPool(ShardedFrontend):
             self._handles[index] = handle
             if self._transport == "shm":
                 handle.attach_seconds = ack[1]
-                if self._publish_proxy.pending or self._deltas_since_image:
-                    # Replay the delta: the fresh worker attached the
-                    # last *imaged* generation; everything newer lives
-                    # in the publisher (pending updates) or rode past
-                    # as delta publishes the dead incarnation consumed
-                    # — either way, only a full publish catches it up.
-                    self._publish(force_full=True)
+                if self._publish_proxy.pending:
+                    # The fresh worker attached the last published
+                    # generation; updates applied since live only in
+                    # the publisher, so publish to catch it up.
+                    self._publish()
             else:
                 # The worker was rebuilt from the control oracle, which
                 # already carries every accepted update — its backlog
@@ -1496,7 +1462,7 @@ class WorkerPool(ShardedFrontend):
             )
         elif op == OP_PROBED:
             future.set_result(payload)
-        elif op in (OP_ATTACHED, OP_DELTAED):
+        elif op == OP_ATTACHED:
             future.set_result(record.aux1 / 1e9)
         else:  # pragma: no cover - protocol drift
             future.set_exception(
@@ -1764,89 +1730,49 @@ class WorkerPool(ShardedFrontend):
         proxy.pending.clear()
         self._invalidate_flow_cache()
 
-    def _publish(self, force_full: bool = False) -> None:
+    def _publish(self) -> None:
         """Roll one program generation through the pool (shm).
 
-        Two cadences. When the drained program is still the very object
-        the live segment was imaged from and its patch journal is
-        *clean* (terminal root-runs only — see
-        :meth:`FlatProgram.take_patch_delta`), the update **rides as a
-        delta**: the runs go down each worker's request ring
-        (``OP_DELTA``, FIFO with the data plane) and land in the
-        workers' process-local overlays — no segment copy, no re-image.
-        Otherwise — block structure changed, the adapter recompiled,
-        ``force_full`` (respawn/heal), or the journal overflowed — the
-        full path copies the compiled image into a new segment and
-        walks every live worker onto it (``OP_ATTACH``). Either way a
-        worker that fails to adopt is declared dead rather than
-        silently left serving stale answers.
+        Drains the publisher (an epoch rebuild when updates wait on the
+        rebuild plane; the patch-log replay otherwise), copies the
+        compiled image into a fresh segment and walks every live worker
+        onto it (``OP_ATTACH``, FIFO with the data plane). A worker that
+        fails to adopt is declared dead rather than silently left
+        serving stale answers.
         """
         with self._lock:
             started = time.perf_counter()
             publisher = self._publisher
-            rebuilt = False
             if publisher.pending:
                 publisher.rebuild()
-                rebuilt = True
-            program = publisher.serving_program()
-            entries, clean = (
-                program.take_patch_delta() if program is not None else ([], False)
-            )
-            if (
-                not force_full
-                and not rebuilt
-                and clean
-                and program is self._published_program
-                and len(entries) * 24 < DEFAULT_RING_BYTES // 2
+            generation = self._generation + 1
+            segment = publish_program(publisher.serving_program(), generation)
+            if self._faults is not None and self._faults.corrupts_publish(
+                self._publishes + 1
             ):
-                self._publish_delta(entries)
-            else:
-                self._publish_image(program)
+                corrupt_segment_header(segment)
+            self._segments.append(segment)
+            for handle, adopted in self._roll(segment, generation):
+                handle.attach_seconds = max(handle.attach_seconds, adopted)
+                self._attach_seconds = max(self._attach_seconds, adopted)
+            old = self._program_segment
+            self._program_segment = segment
+            self._generation = generation
+            if old is not None:
+                self._segments.remove(old)
+                _release_segment(old)
+            self._publishes += 1
             self._rebuild_seconds += time.perf_counter() - started
             self._publish_proxy.pending.clear()
             self._invalidate_flow_cache()
 
-    def _publish_image(self, program) -> None:
-        """Copy the compiled image into a fresh segment and walk every
-        live worker onto it (``OP_ATTACH``)."""
-        generation = self._generation + 1
-        segment = publish_program(program, generation)
-        self._published_program = program
-        self._deltas_since_image = 0
-        if self._faults is not None and self._faults.corrupts_publish(
-            self._publishes + 1
-        ):
-            corrupt_segment_header(segment)
-        self._segments.append(segment)
-        for handle, adopted in self._roll(
-            OP_ATTACH, segment.name.encode(), generation, "attach"
-        ):
-            handle.attach_seconds = max(handle.attach_seconds, adopted)
-            self._attach_seconds = max(self._attach_seconds, adopted)
-        old = self._program_segment
-        self._program_segment = segment
-        self._generation = generation
-        if old is not None:
-            self._segments.remove(old)
-            _release_segment(old)
-        self._publishes += 1
-
-    def _publish_delta(self, entries) -> None:
-        """Ride a clean terminal patch delta to every live worker. An
-        empty delta still rolls (it closes the visibility window of
-        updates that did not move the compiled plane)."""
-        flat = array("q")
-        for start, end, val in entries:
-            flat.extend((start, end, val))
-        self._roll(OP_DELTA, flat.tobytes(), self._generation, "delta")
-        self._delta_publishes += 1
-        self._deltas_since_image += 1
-
-    def _roll(self, op: int, payload, generation: int, name: str):
-        """Send one adoption record to every live worker and await the
-        acks; returns ``(handle, adopt seconds)`` per adopter. A worker
-        alive but refusing the generation is declared dead: serving
-        stale answers silently is worse than losing the worker."""
+    def _roll(self, segment, generation: int):
+        """Send ``OP_ATTACH`` for a published segment to every live
+        worker and await the acks; returns ``(handle, attach seconds)``
+        per adopter. A worker alive but refusing the generation is
+        declared dead: serving stale answers silently is worse than
+        losing the worker."""
+        payload = segment.name.encode()
         ingress_ns = self._vis_ingress_ns or 0
         self._vis_ingress_ns = None
         submitted = []
@@ -1856,7 +1782,7 @@ class WorkerPool(ShardedFrontend):
             try:
                 submitted.append(
                     (handle, self._submit_ring(
-                        handle, op, payload, generation=generation,
+                        handle, OP_ATTACH, payload, generation=generation,
                         aux1=ingress_ns,
                     ))
                 )
@@ -1866,15 +1792,15 @@ class WorkerPool(ShardedFrontend):
         for handle, future in submitted:
             try:
                 adopters.append((handle, self._await(
-                    future, handle=handle, op=name,
+                    future, handle=handle, op="attach",
                     timeout=self._control_timeout,
                 )))
             except WorkerError as error:
                 if not handle.dead:
                     handle.fail(
                         f"worker {handle.index} failed to adopt "
-                        f"generation {generation} ({name}): {error}",
-                        op=name,
+                        f"generation {generation} (attach): {error}",
+                        op="attach",
                     )
         return adopters
 
@@ -2002,7 +1928,6 @@ class WorkerPool(ShardedFrontend):
             transport=self._transport,
             attach_seconds=self._attach_seconds,
             publishes=self._publishes,
-            delta_publishes=self._delta_publishes,
             bytes_tx=self._bytes_tx,
             bytes_rx=self._bytes_rx,
             retried_batches=self._retried_batches,

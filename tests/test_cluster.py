@@ -19,6 +19,7 @@ from repro import pipeline, serve
 from repro.cli import main
 from repro.core.fib import Fib
 from repro.datasets.updates import UpdateOp
+from repro.obs import Registry, snapshot_quantile
 from repro.pipeline.shard import shard_specs
 from repro.serve.cluster import _balanced_cuts, _mix64, plan_cluster
 
@@ -321,6 +322,22 @@ class TestFibCluster:
         assert report.busy_lookup_seconds > 0
         assert report.lookup_seconds >= report.busy_lookup_seconds
         assert report.lookup_mlps == report.lookups / report.lookup_seconds / 1e6
+
+    def test_latency_quantiles_time_the_whole_batch(self, rng):
+        fib = random_fib(rng, 200, 4, max_length=14)
+        report = serve.serve_plane_scenario(
+            "binary-trie", fib, self._script(fib, lookups=800, updates=0),
+            scenario="uniform", shards=4, obs=Registry(),
+        )
+        # Each shard's FibServer times only its slice; a batch's latency
+        # is the frontend's, from fan-out to merged answer.
+        assert report.lookup_latency_p50 == snapshot_quantile(
+            report.obs, "cluster_fanout_seconds", 0.50
+        )
+        assert report.lookup_latency_p99 == snapshot_quantile(
+            report.obs, "cluster_fanout_seconds", 0.99
+        )
+        assert report.lookup_latency_p99 is not None
 
     def test_single_shard_degenerates_to_server(self, rng):
         fib = random_fib(rng, 100, 3, max_length=12)

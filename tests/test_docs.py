@@ -3,7 +3,8 @@
 The docs tree is part of the contract: every relative link in
 README/ROADMAP/docs must point at a real file, the paper map must cover
 every package and module under ``src/repro``, the benchmark reference
-must document every ``BENCH_*.json`` trajectory, and the doctest
+must document every ``BENCH_*.json`` trajectory, the metric catalogue
+must list exactly the metrics the code registers, and the doctest
 examples embedded in the docs must actually run (CI runs these same
 checks in its docs job).
 """
@@ -89,6 +90,37 @@ def test_benchmarks_doc_covers_every_trajectory():
         assert floor in text, f"docs/benchmarks.md misses the {floor} floor"
     for field in ("wall_seconds", "spawn_seconds", "attach_seconds", "gated"):
         assert field in text, f"docs/benchmarks.md misses WorkerReport field {field}"
+
+
+# obs.counter("name", ...) / .gauge / .histogram, the name possibly on
+# the next line.
+_REGISTERED = re.compile(r"\.(?:counter|gauge|histogram)\(\s*\"([a-z0-9_]+)\"")
+
+
+def _catalogued_metrics():
+    """Every backticked name in the first column of the catalogue
+    tables of docs/observability.md (header rows excluded)."""
+    text = (REPO / "docs" / "observability.md").read_text()
+    catalogue = text.split("## Metric catalogue", 1)[1].split("\n## ", 1)[0]
+    names = set()
+    for line in catalogue.splitlines():
+        if line.startswith("|") and not line.startswith(("| metric", "|---")):
+            names.update(re.findall(r"`([a-z0-9_]+)`", line.split("|")[1]))
+    return names
+
+
+def test_metric_catalogue_matches_the_registered_metrics():
+    registered = set()
+    for module in (REPO / "src" / "repro").rglob("*.py"):
+        registered.update(_REGISTERED.findall(module.read_text()))
+    catalogued = _catalogued_metrics()
+    assert registered, "no obs.counter/gauge/histogram call found under src/repro"
+    assert not registered - catalogued, (
+        f"docs/observability.md misses {sorted(registered - catalogued)}"
+    )
+    assert not catalogued - registered, (
+        f"docs/observability.md lists unregistered {sorted(catalogued - registered)}"
+    )
 
 
 @pytest.mark.parametrize(

@@ -421,10 +421,6 @@ class TestPatching:
         assert program.lookup_batch([0x0A010203]) == [40]
         grown = program._decode_table()
         assert grown is not table and len(grown) == 41
-        # Delta runs ridden into the overlay grow it the same way.
-        program.overlay_ingest([(0, 1, 77)])
-        assert program.lookup_batch([0]) == [77]
-        assert len(program._decode_table()) == 78
 
     def test_program_reports_bloat(self, paper_fib):
         program = compile_binary(BinaryTrie.from_fib(paper_fib).root, 32, 8)

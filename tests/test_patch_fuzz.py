@@ -10,10 +10,11 @@ sequences to minimal counterexamples; ``derandomize=True`` keeps CI
 runs reproducible at a fixed seed.
 
 ``REPRO_FUZZ_EXAMPLES`` scales the example count (CI runs 200; the
-default keeps tier-1 cheap). Deterministic satellites cover the overlay
-edge cases: frozen programs refusing patches, overlay pickling and
-image round-trips, merge idempotence, the empty-overlay fast path, and
-the bounded-growth regression for repeated same-slot patches.
+default keeps tier-1 cheap). Deterministic satellites cover the wide
+terminal run's edge cases: frozen programs refusing patches, pickle
+and published-image round-trips, both branches of the source-cache
+purge, a full publish reaching every worker, and the bounded-growth
+regression for repeated same-slot patches.
 """
 
 from __future__ import annotations
@@ -59,14 +60,12 @@ def unpack(blob: bytes):
 class PatchDifferential(RuleBasedStateMachine):
     """Width-8 FIB so every step checks the *entire* address domain.
 
-    ``overlay_span_min`` is forced tiny so even narrow terminal runs
-    land in the delta overlay — the fuzzer then exercises the overlay
-    probe on every walk, plus ``merge_overlay`` folding it away
-    mid-stream. Labels up to 2^31 - 1 must patch in place: any
-    refusal fails the example. Both ``leaf_pushed`` modes run: ``True``
-    (prune disabled, always sound) and ``False`` (longer-prefix prune
-    enabled, sound for the binary trie whose labels are the routes
-    themselves).
+    Every terminal run, whatever its width, is one slice write over the
+    root row that the walks read. Labels up to 2^31 - 1 must patch in
+    place: any refusal fails the example. Both ``leaf_pushed`` modes
+    run: ``True`` (prune disabled, always sound) and ``False``
+    (longer-prefix prune enabled, sound for the binary trie whose
+    labels are the routes themselves).
     """
 
     def __init__(self):
@@ -74,7 +73,6 @@ class PatchDifferential(RuleBasedStateMachine):
         self.fib = Fib(WIDTH)
         self.trie = BinaryTrie(WIDTH)
         self.program = compile_binary(self.trie.root, WIDTH, STRIDE)
-        self.program.overlay_span_min = 2
 
     @rule(
         bits=st.integers(0, (1 << WIDTH) - 1),
@@ -100,11 +98,6 @@ class PatchDifferential(RuleBasedStateMachine):
         self.program.patch(prefix, length, self.trie.root,
                            leaf_pushed=leaf_pushed)
 
-    @rule()
-    def merge(self):
-        self.program.merge_overlay()
-        assert self.program.overlay_len == 0
-
     @invariant()
     def every_walk_tracks_the_oracle(self):
         want = [self.fib.lookup(address) for address in DOMAIN]
@@ -129,9 +122,8 @@ class TestAdapterFuzz:
 
     Drives the real serve path — ``apply_update`` into the adapter's
     patch log, drained by ``flat_plane`` on the next batch — including
-    bloat-triggered recompiles, the adapter's overlay-merge policy, and
-    (with :data:`WIDE_LABELS` announced now and then) labels up to the
-    widest an int32 cell holds.
+    bloat-triggered recompiles and (with :data:`WIDE_LABELS` announced
+    now and then) labels up to the widest an int32 cell holds.
     """
 
     @pytest.mark.parametrize("name", UPDATABLE)
@@ -165,32 +157,31 @@ class TestAdapterFuzz:
         ]
 
 
-def overlay_program():
-    """A 32-bit program with a live overlay: routes only under 0/1,
-    then a /1 announce across the empty upper half lands as one wide
-    terminal run in the side table."""
+def wide_run_program():
+    """A 32-bit program with routes only under 0/1, then a /1 announce
+    across the empty upper half: wide terminal runs written over the
+    root row."""
     fib = Fib(32)
     fib.add(0b0001, 4, 1)
     fib.add(0b00000001, 8, 2)
     fib.add(0x0ABCD, 20, 3)
     trie = BinaryTrie.from_fib(fib)
     program = compile_binary(trie.root, 32, 8)
-    program.overlay_span_min = 4
     trie.insert(1, 1, 7)
     fib.add(1, 1, 7)
     program.patch(1, 1, trie.root, leaf_pushed=False)
-    assert program.overlay_len >= 1
+    assert program.last_patch_slots == 2  # 128 root slots in two writes
     return fib, trie, program
 
 
-class TestOverlayEdgeCases:
-    def test_frozen_program_refuses_patch_and_merge(self):
+class TestWideRunEdgeCases:
+    def test_frozen_program_refuses_patch(self):
         shm = pytest.importorskip("multiprocessing.shared_memory")
         del shm
         from repro.serve.shm import (
             attach_program, detach_program, publish_program,
         )
-        fib, trie, program = overlay_program()
+        fib, trie, program = wide_run_program()
         segment = publish_program(program, 1)
         try:
             attached, _, mapped = attach_program(segment.name)
@@ -198,21 +189,14 @@ class TestOverlayEdgeCases:
                 attached.patch(0, 0, trie.root)
             with pytest.raises(FlatCompileError, match="immutable"):
                 attached.patch_many([(0, 0)], trie.root)
-            with pytest.raises(FlatCompileError, match="immutable"):
-                attached.merge_overlay()
-            # ...but delta ingest only touches the process-local side
-            # table, so it is allowed on frozen images.
-            attached.overlay_ingest([(0, 2, 9)])
-            assert attached.lookup(0) == 9
             detach_program(attached, mapped)
         finally:
             segment.close()
             segment.unlink()
 
-    def test_overlay_survives_pickle_round_trip(self):
-        fib, trie, program = overlay_program()
+    def test_wide_run_survives_pickle_round_trip(self):
+        fib, trie, program = wide_run_program()
         clone = pickle.loads(pickle.dumps(program))
-        assert clone.overlay_len == program.overlay_len
         rng = random.Random(11)
         probes = [rng.getrandbits(32) for _ in range(400)]
         assert clone.lookup_batch(probes) == program.lookup_batch(probes)
@@ -220,14 +204,13 @@ class TestOverlayEdgeCases:
             fib.lookup(address) for address in probes
         ]
 
-    def test_publish_folds_overlay_into_the_image(self):
+    def test_published_image_serves_wide_runs(self):
         from repro.serve.shm import (
             attach_program, detach_program, publish_program,
         )
-        fib, trie, program = overlay_program()
+        fib, trie, program = wide_run_program()
         segment = publish_program(program, 3)
         try:
-            assert program.overlay_len == 0  # merged before imaging
             attached, _, mapped = attach_program(segment.name)
             rng = random.Random(23)
             probes = [rng.getrandbits(32) for _ in range(400)]
@@ -239,22 +222,38 @@ class TestOverlayEdgeCases:
             segment.close()
             segment.unlink()
 
-    def test_merge_overlay_is_idempotent(self):
-        fib, trie, program = overlay_program()
-        rng = random.Random(5)
-        probes = [rng.getrandbits(32) for _ in range(400)]
-        before = program.lookup_batch(probes)
-        assert program.merge_overlay() >= 1
-        assert program._overlay is None
-        assert program.merge_overlay() == 0
-        assert program.lookup_batch(probes) == before
-        assert before == [fib.lookup(address) for address in probes]
+    def test_terminal_runs_purge_the_source_cache_either_way(self):
+        # A run forgets the cached slots it overwrites by walking its
+        # own slots when it is shorter than the cache, else by scanning
+        # the cache; both must leave exactly the slots outside the run.
+        inside, outside = (0x01, 0x05), range(0xC0, 0x100)
+        fib = Fib(32)
+        for slot in (*inside, *outside):
+            fib.add((slot << 8) | 0xAB, 16, 1 + slot % 4)
+        trie = BinaryTrie.from_fib(fib)
+        program = compile_binary(trie.root, 32, 8)
+        for route in fib:  # a deep patch caches its slot's block
+            program.patch(route.prefix, route.length, trie.root)
+        assert len(program._src) == 66
+        probes = [(slot << 24) | 0xAB0000 for slot in range(256)]
 
-    def test_empty_overlay_fast_path_is_free(self, paper_fib):
-        program = compile_binary(BinaryTrie.from_fib(paper_fib).root, 32, 8)
-        assert program._overlay is None  # compile never allocates one
-        assert program.merge_overlay() == 0
-        assert program._overlay is None
+        def announce_over(prefix, length, label, withdrawn):
+            for slot in withdrawn:
+                fib.update((slot << 8) | 0xAB, 16, None)
+                trie.delete((slot << 8) | 0xAB, 16)
+            fib.add(prefix, length, label)
+            trie.insert(prefix, length, label)
+            program.patch(prefix, length, trie.root, leaf_pushed=False)
+            assert program.lookup_batch(probes) == [
+                fib.lookup(address) for address in probes
+            ]
+
+        # 0/2 is two 32-slot runs against a 66-entry cache: walked.
+        announce_over(0, 2, 8, inside)
+        assert sorted(program._src) == list(outside)
+        # 1/1 is two 64-slot runs against a 64-entry cache: scanned.
+        announce_over(1, 1, 9, outside)
+        assert program._src == {}
 
     def test_repeated_identical_patches_do_not_grow_arrays(self):
         # Regression: re-announcing an unchanged route below the bloat
@@ -279,8 +278,8 @@ class TestOverlayEdgeCases:
         assert program.lookup(0xAB000000) == 1
 
 
-class TestDeltaPublish:
-    def test_terminal_updates_ride_delta_to_workers(self):
+class TestFullPublish:
+    def test_terminal_updates_reach_workers_by_full_publish(self):
         from repro.serve.workers import WorkerPool
 
         rng = random.Random(42)
@@ -296,9 +295,11 @@ class TestDeltaPublish:
             assert pool.apply_update(UpdateOp(1, 1, 7)) is True
             pool.quiesce()
             assert pool.lookup(0xF0F0F0F0) == 7
-            report = pool.report()
-            assert report.delta_publishes >= 1
+            assert pool.report().publishes >= 1
             probes = [rng.getrandbits(32) for _ in range(256)]
+            for shard in range(2):  # each worker's range, both ends
+                lo, hi = pool.plan.shard_range(shard)
+                probes += [lo, hi - 1]
             mirror = fib.copy()
             mirror.update(1, 1, 7)
             assert pool.lookup_batch(probes) == [

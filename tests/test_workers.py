@@ -22,6 +22,7 @@ import pytest
 from repro import serve
 from repro.core.fib import Fib
 from repro.datasets.updates import UpdateOp
+from repro.obs import Registry, snapshot_quantile
 from repro.pipeline import registry
 from repro.pipeline.base import flat_program
 from repro.pipeline.shard import ShardSpec, shard_specs
@@ -119,6 +120,25 @@ class TestPoolServing:
         assert record["lookup_mlps"] > 0
         assert "busy_lookup_seconds" in record
         assert len(record["shard_rows"]) == 2
+
+    def test_latency_quantiles_time_the_whole_batch(self, small_fib):
+        events = serve.build_events(
+            serve.scenario("uniform"), small_fib,
+            lookups=1024, updates=0, seed=11, batch_size=128,
+        )
+        report = serve.serve_plane_scenario(
+            "prefix-dag", small_fib, events, scenario="uniform",
+            workers=2, obs=Registry(),
+        )
+        # The workers' histogram times one slice each; a batch's
+        # latency is the frontend's, from fan-out to merged answer.
+        assert report.lookup_latency_p50 == snapshot_quantile(
+            report.obs, "cluster_fanout_seconds", 0.50
+        )
+        assert report.lookup_latency_p99 == snapshot_quantile(
+            report.obs, "cluster_fanout_seconds", 0.99
+        )
+        assert report.lookup_latency_p99 is not None
 
 
 class TestFanoutModes:
