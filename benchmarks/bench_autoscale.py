@@ -1,7 +1,7 @@
 """Traffic-adaptive autoscaling — convergence curve and parity gate.
 
-The cluster benchmark (``bench_cluster``) shows what fan-out buys on a
-*state*-balanced partition; this one shows the autoscaler closing the
+The cluster benchmark (``bench_cluster``) shows what fan-out buys on
+*state*-balanced prefix ranges; this one shows the autoscaler closing the
 remaining gap. A 4-shard prefix-partitioned cluster serves the
 locality-heavy Zipf flow trace (the same ``caida_like_trace`` family
 the serve scenarios replay): the state-balanced plan gives every shard
@@ -146,7 +146,6 @@ def _converge_once(fib, batches, ops, probes):
         REPRESENTATION,
         fib,
         shards=SHARDS,
-        partition="prefix",
         measure_staleness=False,
         autoscale=POLICY,
     )
@@ -202,7 +201,6 @@ def _serve_flow_cache(fib, ops, probes):
         REPRESENTATION,
         fib,
         shards=SHARDS,
-        partition="prefix",
         measure_staleness=False,
         autoscale=policy,
     )

@@ -2,15 +2,14 @@
 
 The cluster replays one 2^16-address bgp-churn scenario script (the
 mixed lookup/update workload of ``bench_serve_throughput``) through
-``repro.serve.cluster`` at 1/2/4/8 prefix-partitioned shards, plus a
-4-shard hash-partitioned point, and compares aggregate lookup
-throughput against the single ``FibServer`` baseline. Both sides are
-measured wall clock: the cluster's ``lookup_seconds`` is the
-frontend's time from fan-out to merged answer. The in-process shards
-answer one after another in one thread, so this curve prices the
-frontend (owner split, merge, per-shard calls) rather than buying
-parallelism; the scaling claim lives in ``bench_workers``, whose
-4-worker shm pool is gated on real processes.
+``repro.serve.cluster`` at 1/2/4/8 prefix-partitioned shards and
+compares aggregate lookup throughput against the single ``FibServer``
+baseline. Both sides are measured wall clock: the cluster's
+``lookup_seconds`` is the frontend's time from fan-out to merged
+answer. The in-process shards answer one after another in one thread,
+so this curve prices the frontend (owner split, merge, per-shard
+calls) rather than buying parallelism; the scaling claim lives in
+``bench_workers``, whose 4-worker shm pool is gated on real processes.
 
 The single server and every cluster point are timed in ``REPEAT``
 interleaved rounds, one replay of each per round, and each point's
@@ -25,10 +24,9 @@ Gates:
 
 * **parity** — every cluster run must agree 100% with the single-server
   tabular oracle after quiescence, on every shard count;
-* **measured floor** — at 4 shards (the better of the prefix and hash
-  points) aggregate lookup throughput must be at least
-  :data:`CLUSTER_SPEEDUP_FLOOR` x the single-server baseline: the
-  frontend may cost the serial in-process shape no more than that;
+* **measured floor** — at 4 shards aggregate lookup throughput must be
+  at least :data:`CLUSTER_SPEEDUP_FLOOR` x the single-server baseline:
+  the frontend may cost the serial in-process shape no more than that;
 * **replication** — range partitioning replicates only a small share
   of the table.
 
@@ -97,13 +95,13 @@ def _serve_baseline(fib, events, probes):
     )
 
 
-def _serve_cluster(fib, events, probes, shards, partition):
+def _serve_cluster(fib, events, probes, shards):
     """One replay through a FibCluster of ``shards`` shards (built
     directly: the plane factory serves one shard from a plain
     FibServer, and the curve's first point is the 1-shard cluster)."""
     with serve.FibCluster(
-        REPRESENTATION, fib, shards=shards, partition=partition,
-        measure_staleness=False, obs=Registry(),
+        REPRESENTATION, fib, shards=shards, measure_staleness=False,
+        obs=Registry(),
     ) as cluster:
         cluster.replay(events)
         cluster.quiesce()
@@ -119,31 +117,30 @@ def _median_round(values):
 
 def test_cluster_scaling_curve(profile_fib, events, probes, report_writer, scale):
     fib = profile_fib(PRIMARY_PROFILE)
-    runs = [(shards, "prefix") for shards in SHARD_CURVE] + [(4, "hash")]
     servers = []
-    timed = {run: [] for run in runs}
+    timed = {shards: [] for shards in SHARD_CURVE}
     for _ in range(REPEAT):
         server = _serve_baseline(fib, events, probes)
         assert server.final_parity == 1.0
         servers.append(server)
-        for shards, partition in runs:
-            report = _serve_cluster(fib, events, probes, shards, partition)
+        for shards in SHARD_CURVE:
+            report = _serve_cluster(fib, events, probes, shards)
             # The parity gate: post-quiescence agreement with the oracle
-            # on every shard count and partition mode.
-            assert report.final_parity == 1.0, (shards, partition)
+            # on every shard count.
+            assert report.final_parity == 1.0, shards
             assert report.pending_updates == 0
-            timed[(shards, partition)].append(report)
+            timed[shards].append(report)
 
     speedups = {}
     reports = []
-    for run in runs:
+    for shards in SHARD_CURVE:
         ratios = [
             report.lookup_mlps / server.lookup_mlps
-            for report, server in zip(timed[run], servers)
+            for report, server in zip(timed[shards], servers)
         ]
         middle = _median_round(ratios)
-        speedups[run] = ratios[middle]
-        reports.append(timed[run][middle])
+        speedups[shards] = ratios[middle]
+        reports.append(timed[shards][middle])
     baseline = servers[_median_round([server.lookup_mlps for server in servers])]
     text = banner(
         f"cluster scaling on {PRIMARY_PROFILE} (scale {scale}, {LOOKUPS} lookups "
@@ -153,8 +150,7 @@ def test_cluster_scaling_curve(profile_fib, events, probes, report_writer, scale
     text += "\n" + render_cluster_rows(reports)
     text += f"\nsingle-server baseline: {baseline.lookup_mlps:.2f} Mlps"
     text += "\nscaling curve: " + "  ".join(
-        f"{shards}x{partition[0]}={speedups[(shards, partition)]:.2f}"
-        for shards, partition in runs
+        f"{shards} shards {speedup:.2f}x" for shards, speedup in speedups.items()
     )
     report_writer("cluster_scaling.txt", text)
 
@@ -171,15 +167,16 @@ def test_cluster_scaling_curve(profile_fib, events, probes, report_writer, scale
         "floor": CLUSTER_SPEEDUP_FLOOR,
         "baseline": baseline.to_dict(),
         "rows": [report.to_dict() for report in reports],
+        # Keyed "<shards>-prefix": the trajectory gate matches these
+        # keys against the committed baseline's.
         "speedups": {
-            f"{shards}-{partition}": speedup
-            for (shards, partition), speedup in speedups.items()
+            f"{shards}-prefix": speedup for shards, speedup in speedups.items()
         },
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-    # The measured floor: 4 shards vs one server, better partition wins.
-    gated = max(speedups[(4, "prefix")], speedups[(4, "hash")])
+    # The measured floor: 4 shards vs one server.
+    gated = speedups[4]
     assert gated >= CLUSTER_SPEEDUP_FLOOR, (
         f"4-shard aggregate lookup throughput only {gated:.2f}x the "
         f"single-server baseline (floor {CLUSTER_SPEEDUP_FLOOR}x)"
@@ -188,9 +185,9 @@ def test_cluster_scaling_curve(profile_fib, events, probes, report_writer, scale
 
 def test_cluster_replication_is_bounded(profile_fib):
     # Range partitioning replicates only boundary-spanning routes: a
-    # small fraction of the table (hash mode replicates everything).
+    # small fraction of the table.
     fib = profile_fib(PRIMARY_PROFILE)
-    cluster = serve.FibCluster(REPRESENTATION, fib, shards=4, partition="prefix")
+    cluster = serve.FibCluster(REPRESENTATION, fib, shards=4)
     report = cluster.report()
     assert report.replicated_routes < len(fib) * 0.05
     assert sum(shard.routes for shard in cluster.shards) <= len(fib) + 3 * report.replicated_routes

@@ -14,8 +14,8 @@ Subcommands regenerate the paper's experiments and operate on FIB files:
   and assert label parity against the tabular oracle;
 * ``serve`` — replay a mixed lookup/update scenario through the online
   serving engine and report churn throughput, latency, staleness and
-  parity; with ``--shards N`` the scenario runs through a partitioned
-  cluster of N in-process shards (``--partition prefix|hash``) instead
+  parity; with ``--shards N`` the scenario runs through a cluster of N
+  in-process shards, each serving one contiguous prefix range, instead
   of one server, and with ``--workers N`` through N worker processes
   (shared-nothing shards, asyncio-pipelined fan-out). Every plane's
   lookup throughput is measured wall clock. Every shape is opened
@@ -33,7 +33,7 @@ Example::
     repro-fib bench --profile taz --scale 0.02 --packets 20000
     repro-fib compare --scale 0.01
     repro-fib serve --scenario bgp-churn --updates 500 --lookups 5000
-    repro-fib serve --shards 4 --partition prefix --scenario flap-storm
+    repro-fib serve --shards 4 --scenario flap-storm
     repro-fib serve --workers 4 --scenario uniform --seed 7
     repro-fib serve --shards 4 --autoscale --flow-cache 4096
 """
@@ -388,7 +388,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 window=args.window if pooled else 0,
                 transport=args.transport,
-                partition=args.partition,
                 options=overrides.get(name, {}),
                 rebuild_every=args.rebuild_every,
                 start_method=args.start_method,
@@ -403,11 +402,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if pooled:
         served_transports = sorted({report.transport for report in reports})
         cluster_banner = (
-            f", {args.workers} {args.partition}-partitioned "
+            f", {args.workers} prefix-partitioned "
             f"{args.start_method} workers over {'/'.join(served_transports)}"
         )
     elif sharded:
-        cluster_banner = f", {args.shards} {args.partition}-partitioned shards"
+        cluster_banner = f", {args.shards} prefix-partitioned shards"
     else:
         cluster_banner = ""
     print(
@@ -448,7 +447,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "workers": args.workers,
                 "start_method": args.start_method if pooled else None,
                 "transport": args.transport if pooled else None,
-                "partition": args.partition if (sharded or pooled) else None,
                 "max_restarts": args.max_restarts if pooled else None,
                 "chaos": args.chaos,
                 "autoscale": autoscaled,
@@ -681,15 +679,17 @@ def build_parser() -> argparse.ArgumentParser:
         type=positive_int,
         default=1,
         metavar="N",
-        help="serve through a partitioned cluster of N workers (default 1)",
+        help="serve through N in-process shards, each owning one contiguous "
+        "prefix range balanced by trie leaf counts (default 1)",
     )
     p.add_argument(
         "--workers",
         type=count_arg,
         default=0,
         metavar="N",
-        help="serve through N real worker processes (multi-process plane; "
-        "0 = off, mutually exclusive with --shards)",
+        help="serve through N real worker processes, each owning one "
+        "contiguous prefix range (multi-process plane; 0 = off, mutually "
+        "exclusive with --shards)",
     )
     p.add_argument(
         "--start-method",
@@ -712,13 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=serve.DEFAULT_WINDOW,
         help="in-flight lookup batches the async front-end pipelines "
         f"(default {serve.DEFAULT_WINDOW})",
-    )
-    p.add_argument(
-        "--partition",
-        choices=serve.PARTITION_MODES,
-        default="prefix",
-        help="cluster partition: prefix ranges balanced by trie leaf "
-        "counts, or splitmix64 flow hashing (default prefix)",
     )
     p.add_argument(
         "--max-restarts",

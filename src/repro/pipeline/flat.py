@@ -599,14 +599,18 @@ class FlatProgram:
                 # current.
                 return
             best = label
-        if hi - lo == 1:
-            if node.left is None and node.right is None:
+        left, right = node.left, node.right
+        if left is None and right is None:
+            # An empty subtree: its whole region is one terminal run.
+            if hi - lo == 1:
                 self._write_terminal(lo, best)
             else:
-                self._write_block(lo, node, best, memo, depths, cacheable=True)
+                self._write_run(lo, hi, best)
+            return
+        if hi - lo == 1:
+            self._write_block(lo, node, best, memo, depths, cacheable=True)
             return
         mid = (lo + hi) >> 1
-        left, right = node.left, node.right
         if left is None:
             self._write_run(lo, mid, best)
         else:

@@ -175,8 +175,7 @@ def shard_specs(
 ) -> List[ShardSpec]:
     """One :class:`ShardSpec` per contiguous range of an ascending cut
     list (the spec form of :func:`shard_fibs`). A range covering the
-    whole space gets a plain copy — the full-state replica of hash
-    partitioning and of the 1-shard degenerate plan. ``replicate``
+    whole space — the 1-shard plan — gets a plain copy. ``replicate``
     ranges (hot, sprayed ranges) land in *every* spec, so any shard can
     answer for a sprayed address.
 

@@ -49,7 +49,6 @@ from repro.serve.scenarios import (
 from repro.serve.server import DEFAULT_REBUILD_EVERY, FibServer
 from repro.serve.cluster import (
     DEFAULT_GRANULARITY_BITS,
-    PARTITION_MODES,
     EpochCoordinator,
     FibCluster,
     ShardedFrontend,
@@ -100,7 +99,6 @@ __all__ = [
     "DEFAULT_TRANSPORT",
     "DEFAULT_WINDOW",
     "FAULT_KINDS",
-    "PARTITION_MODES",
     "SCENARIOS",
     "TRANSPORTS",
     "AsyncFibFrontend",

@@ -1,11 +1,12 @@
 """repro.serve.autoscale — traffic feedback for the serving planes.
 
-The cluster and worker planes partition the address space by *state*
-(binary-trie leaf counts): every shard compiles a similar share of the
-structure, but a locality-heavy trace still pins its lookups onto one
-hot shard, and that shard's clock bounds the whole fan-out win
-(``lookup_imbalance`` in the cluster reports). This module closes the
-loop the ROADMAP's "millions of users" item asks for:
+The cluster and worker planes cut the address space into contiguous
+prefix ranges balanced by *state* (binary-trie leaf counts): every
+shard compiles a similar share of the structure, but a locality-heavy
+trace still pins its lookups onto one hot shard, and that shard's
+clock bounds the whole fan-out win (``lookup_imbalance`` in the
+cluster reports). This module closes the loop the ROADMAP's "millions
+of users" item asks for:
 
 * :class:`TrafficStats` — frontend-side per-slot lookup counters (the
   same ``2^G``-slot grid the planner cuts on), cheap enough to ride
@@ -14,8 +15,10 @@ loop the ROADMAP's "millions of users" item asks for:
   :func:`~repro.serve.cluster.plan_cluster` balances on.
 * :class:`AutoscalePolicy` — the knobs of the control loop: when to
   check drift, how much imbalance triggers a re-plan, how finely to
-  cut, what traffic share makes a slot *hot* (replicated + sprayed),
-  and how large a frontend flow cache to run.
+  cut, what traffic share makes a slot *hot* (replicated into every
+  shard and sprayed across them by a seeded splitmix64 hash, while
+  every other route keeps one owner), and how large a frontend flow
+  cache to run.
 * :class:`FlowCache` — an LRU of address → label in front of the
   fan-out, invalidated wholesale on any accepted update or generation
   swap (pessimistic but correct: labels are only ever served from a
@@ -190,17 +193,11 @@ class TrafficStats:
 
         Hot-range slots spread evenly (that is what spraying does);
         contiguous slots charge the shard owning their base address.
-        A prefix plan owns runs of consecutive slots, so each load is a
+        A plan owns runs of consecutive slots, so each load is a
         difference of the grid's running sums, not a walk over its slots.
         """
         counts = self.snapshot()
         shift = self.shift
-        if plan.mode == "hash":
-            shards = [0] * plan.shards
-            for slot, count in enumerate(counts):
-                if count:
-                    shards[plan.owner(slot << shift)] += count
-            return shards
         running = [0, *accumulate(counts)]
 
         def load(lo: int, hi: int) -> int:

@@ -11,22 +11,18 @@ only the shards differ. :class:`FibCluster` runs them in process (the
 deterministic reference), :class:`~repro.serve.workers.WorkerPool` as
 worker processes.
 
-**Partitioning.** Two :class:`ShardPlan` modes:
-
-* ``prefix`` — contiguous address ranges, cut on coarse slot
-  boundaries and balanced by binary-trie **leaf counts** (state, not
-  traffic: every shard compiles a similar share of the structure).
-  Each shard serves the sub-FIB of routes whose address interval
-  intersects its range (:func:`repro.pipeline.shard.restrict_fib`), so
-  per-shard LPM answers equal the unsharded table's exactly; prefixes
-  spanning a cut — short prefixes, ultimately the default route —
-  **replicate** into every covering shard, which is what keeps
-  boundary addresses correct.
-* ``hash`` — flows spread by a splitmix64 hash of the address, the
-  ECMP-style load balancer. Lookup load is near-perfectly even, but
-  hash classes are not prefix-aligned, so every shard must hold the
-  full table and every update fans out to all N workers: replication
-  of *all* state is the price of perfect balance.
+**Partitioning.** A :class:`ShardPlan` cuts the space into contiguous
+address ranges on coarse slot boundaries, balanced by binary-trie
+**leaf counts** (state, not traffic: every shard compiles a similar
+share of the structure). Each shard serves the sub-FIB of routes whose
+address interval intersects its range
+(:func:`repro.pipeline.shard.restrict_fib`), so per-shard LPM answers
+equal the unsharded table's exactly; prefixes spanning a cut — short
+prefixes, ultimately the default route — **replicate** into every
+covering shard, which is what keeps boundary addresses correct. Under
+skew the autoscaler re-cuts on observed traffic and may carve *hot*
+ranges that every shard holds, sprayed across shards by a seeded
+splitmix64 hash (:class:`ShardPlan`).
 
 **The epoch coordinator.** Shard servers are built with
 ``auto_rebuild=False``: a pending-updates threshold never triggers a
@@ -96,9 +92,6 @@ from repro.serve.metrics import ClusterReport, ServeReport
 from repro.serve.scenarios import ServeEvent
 from repro.serve.server import DEFAULT_REBUILD_EVERY, FibServer
 
-#: Partition modes a plan understands.
-PARTITION_MODES = ("prefix", "hash")
-
 try:  # the owner split and the merge vectorize when available
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
@@ -131,11 +124,10 @@ def _mix64_vector(np, values):
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """A partition of the ``width``-bit address space into ``shards``.
-
-    ``prefix`` mode stores the ascending cut list ``bounds`` (length
-    ``shards + 1``, from 0 to ``2^width``); ``hash`` mode owns by a
-    splitmix64 hash and every shard's range is the whole space.
+    """A partition of the ``width``-bit address space into ``shards``
+    contiguous ranges: shard ``i`` owns ``[bounds[i], bounds[i + 1])``
+    of the ascending cut list ``bounds`` (length ``shards + 1``, from 0
+    to ``2^width``).
 
     ``hot`` names half-open address ranges replicated into *every*
     shard (traffic-weighted planning marks slots whose observed load
@@ -146,37 +138,26 @@ class ShardPlan:
     any fixed (seed, batch) pair replays identically.
     """
 
-    mode: str
     width: int
     shards: int
-    bounds: Tuple[int, ...] = ()
+    bounds: Tuple[int, ...]
     hot: Tuple[Tuple[int, int], ...] = ()
     spray_seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in PARTITION_MODES:
-            raise ValueError(
-                f"unknown partition mode {self.mode!r}; "
-                f"choose one of {', '.join(PARTITION_MODES)}"
-            )
         if self.shards < 1:
             raise ValueError(f"shard count must be positive, got {self.shards}")
-        if self.mode == "prefix":
-            if len(self.bounds) != self.shards + 1:
-                raise ValueError(
-                    f"prefix plan needs {self.shards + 1} bounds, "
-                    f"got {len(self.bounds)}"
-                )
-            if self.bounds[0] != 0 or self.bounds[-1] != (1 << self.width):
-                raise ValueError("prefix plan bounds must span the address space")
-            if any(
-                self.bounds[i] >= self.bounds[i + 1]
-                for i in range(len(self.bounds) - 1)
-            ):
-                raise ValueError("prefix plan bounds must be strictly ascending")
-        elif self.hot:
-            raise ValueError("hash plans spread load already; hot ranges "
-                             "only apply to prefix partitioning")
+        if len(self.bounds) != self.shards + 1:
+            raise ValueError(
+                f"plan needs {self.shards + 1} bounds, got {len(self.bounds)}"
+            )
+        if self.bounds[0] != 0 or self.bounds[-1] != (1 << self.width):
+            raise ValueError("plan bounds must span the address space")
+        if any(
+            self.bounds[i] >= self.bounds[i + 1]
+            for i in range(len(self.bounds) - 1)
+        ):
+            raise ValueError("plan bounds must be strictly ascending")
         # Flattened hot bounds for O(log n) membership (frozen dataclass:
         # a derived cache, not a field).
         object.__setattr__(self, "_hot_flat", hot_bounds(self.width, self.hot))
@@ -195,16 +176,12 @@ class ShardPlan:
 
     def owner(self, address: int) -> int:
         """The shard serving ``address`` (position-0 spray when hot)."""
-        if self.mode == "hash":
-            return _mix64(address) % self.shards
         if self.is_hot(address):
             return self.spray_owner(address)
         return bisect_right(self.bounds, address) - 1
 
     def shard_range(self, index: int) -> Tuple[int, int]:
         """Half-open address range shard ``index`` is responsible for."""
-        if self.mode == "hash":
-            return 0, 1 << self.width
         return self.bounds[index], self.bounds[index + 1]
 
     def owners(self, prefix: int, length: int) -> Tuple[int, ...]:
@@ -213,8 +190,6 @@ class ShardPlan:
         than one exactly when the prefix spans a cut, all of them when
         it touches a replicated hot range, since sprayed addresses can
         land anywhere)."""
-        if self.mode == "hash":
-            return tuple(range(self.shards))
         lo, hi = prefix_span(prefix, length, self.width)
         return tuple(route_shards(lo, hi, self.bounds, self._hot_flat))
 
@@ -224,16 +199,6 @@ class ShardPlan:
         """Split a batch by owning shard, remembering input positions
         so merged answers come back in input order."""
         groups: Dict[int, Tuple[List[int], List[int]]] = {}
-        if self.mode == "hash":
-            shards = self.shards
-            for position, address in enumerate(addresses):
-                slot = _mix64(address) % shards
-                entry = groups.get(slot)
-                if entry is None:
-                    entry = groups[slot] = ([], [])
-                entry[0].append(position)
-                entry[1].append(address)
-            return groups
         bounds = self.bounds
         hot_flat = self._hot_flat
         for position, address in enumerate(addresses):
@@ -259,33 +224,25 @@ class ShardPlan:
         int64 shift can carry.
         """
         np = _np
-        if self.mode == "hash":
-            owners = (
-                _mix64_vector(np, batch.astype(np.uint64)) % np.uint64(self.shards)
-            ).astype(np.int64)
-        else:
-            owners = np.searchsorted(
-                np.asarray(self.bounds[1:-1], dtype=np.int64), batch, side="right"
-            )
-            if self.hot:
-                # Replicated owners: a hot address belongs to *every*
-                # shard, so the split chooses one per position with the
-                # same seeded spray as the scalar path (bit-identical,
-                # so vector and portable frontends route alike).
-                flat = np.asarray(self._hot_flat, dtype=np.int64)
-                hot_mask = (
-                    np.searchsorted(flat, batch, side="right") & 1
-                ).astype(bool)
-                if hot_mask.any():
-                    mixed = _mix64_vector(
-                        np,
-                        batch.astype(np.uint64) ^ np.uint64(self.spray_seed),
-                    )
-                    sprayed = (
-                        (mixed + np.arange(batch.shape[0], dtype=np.uint64))
-                        % np.uint64(self.shards)
-                    ).astype(np.int64)
-                    owners = np.where(hot_mask, sprayed, owners)
+        owners = np.searchsorted(
+            np.asarray(self.bounds[1:-1], dtype=np.int64), batch, side="right"
+        )
+        if self.hot:
+            # Replicated owners: a hot address belongs to *every* shard,
+            # so the split chooses one per position with the same seeded
+            # spray as the scalar path (bit-identical, so vector and
+            # portable frontends route alike).
+            flat = np.asarray(self._hot_flat, dtype=np.int64)
+            hot_mask = (np.searchsorted(flat, batch, side="right") & 1).astype(bool)
+            if hot_mask.any():
+                mixed = _mix64_vector(
+                    np, batch.astype(np.uint64) ^ np.uint64(self.spray_seed)
+                )
+                sprayed = (
+                    (mixed + np.arange(batch.shape[0], dtype=np.uint64))
+                    % np.uint64(self.shards)
+                ).astype(np.int64)
+                owners = np.where(hot_mask, sprayed, owners)
         groups = {}
         if self.shards <= 16:
             # One boolean mask per shard beats a stable argsort at the
@@ -316,14 +273,8 @@ class ShardPlan:
     def materialize(self, fib: Fib) -> List[ShardSpec]:
         """One :class:`~repro.pipeline.shard.ShardSpec` per shard of
         this plan — the shared partition step of the in-process cluster
-        and the multi-process worker pool. Hash plans (and the 1-shard
-        degenerate prefix plan) replicate the full FIB per shard."""
-        if self.mode == "hash":
-            full = 1 << self.width
-            return [
-                ShardSpec(index, 0, full, fib.copy())
-                for index in range(self.shards)
-            ]
+        and the multi-process worker pool (the 1-shard plan holds a
+        copy of the full FIB)."""
         return shard_specs(fib, self.bounds, replicate=self.hot)
 
 
@@ -423,7 +374,6 @@ def _merge_slots(slots: Sequence[int], shift: int) -> Tuple[Tuple[int, int], ...
 def plan_cluster(
     fib: Fib,
     shards: int,
-    mode: str = "prefix",
     granularity: Optional[int] = None,
     traffic: Optional[Sequence[float]] = None,
     hot_share: float = 1.0,
@@ -432,12 +382,11 @@ def plan_cluster(
 ) -> ShardPlan:
     """Partition ``fib``'s address space into ``shards`` workers.
 
-    ``prefix`` mode cuts the space on ``2^(width-granularity)``-aligned
-    boundaries, balancing binary-trie leaf counts between the ranges;
+    The space is cut on ``2^(width-granularity)``-aligned boundaries,
+    balancing binary-trie leaf counts between the ranges;
     ``granularity`` defaults to /12 slots
     (:data:`~repro.pipeline.shard.DEFAULT_GRANULARITY_BITS`, raised
-    automatically when the shard count needs finer cuts). ``hash`` mode
-    needs no planning data beyond the shard count.
+    automatically when the shard count needs finer cuts).
 
     ``traffic`` switches the cut weights from state to observed load:
     a vector of per-slot lookup counts (length ``2^G`` for some ``G``,
@@ -450,18 +399,11 @@ def plan_cluster(
     """
     if shards < 1:
         raise ValueError(f"shard count must be positive, got {shards}")
-    if mode not in PARTITION_MODES:
-        raise ValueError(
-            f"unknown partition mode {mode!r}; choose one of "
-            f"{', '.join(PARTITION_MODES)}"
-        )
     width = fib.width
     if shards > (1 << min(width, MAX_GRANULARITY_BITS)):
         raise ValueError(
             f"{shards} shards exceed the {width}-bit planning granularity"
         )
-    if mode == "hash":
-        return ShardPlan(mode="hash", width=width, shards=shards)
     needed = max(1, (shards - 1).bit_length())
     if traffic is not None:
         bits = len(traffic).bit_length() - 1
@@ -506,7 +448,6 @@ def plan_cluster(
         weights = _slot_weights(BinaryTrie.from_fib(fib), bits)
     cuts = _balanced_cuts(weights, shards)
     return ShardPlan(
-        mode="prefix",
         width=width,
         shards=shards,
         bounds=tuple(cut << shift for cut in cuts),
@@ -979,8 +920,7 @@ class ShardedFrontend:
             return
         policy = self._policy
         if (
-            self._plan.mode != "prefix"
-            or self._plan.shards < 2
+            self._plan.shards < 2
             or self._batches % policy.check_every
             or self._traffic.total < policy.min_window
             or self._lookups - self._last_replan_lookups < policy.cooldown
@@ -996,7 +936,6 @@ class ShardedFrontend:
             plan = plan_cluster(
                 self._control,
                 self._plan.shards,
-                mode="prefix",
                 traffic=self._traffic.snapshot(),
                 hot_share=policy.hot_share,
                 max_hot=policy.max_hot,
@@ -1069,8 +1008,6 @@ class ShardedFrontend:
         plan = self._plan
         if plan.shards == 1:
             return 0
-        if plan.mode == "hash":
-            return len(self._control)
         crossing = {
             (route.prefix, route.length)
             for route in boundary_routes(self._control, plan.bounds)
@@ -1113,7 +1050,6 @@ class ShardedFrontend:
             lookup_seconds=self._lookup_seconds,
             final_parity=final_parity,
             shards=self._plan.shards,
-            partition=self._plan.mode,
             replicated_routes=self.replicated_routes,
             update_fanout=(self._fanout_total / applied) if applied else 0.0,
             busy_lookup_seconds=self._busy_lookup_seconds,
@@ -1189,20 +1125,16 @@ def unpack(payload: bytes) -> array:
 
 
 class FibCluster(ShardedFrontend):
-    """Serve one representation from N partitioned in-process
+    """Serve one representation from N prefix-partitioned in-process
     FibServer shards — the deterministic reference shape of the
     sharded frontend.
 
-    Parameters mirror :class:`~repro.serve.server.FibServer`, plus:
+    Parameters mirror :class:`~repro.serve.server.FibServer` (every
+    shard serves batched), plus:
 
     shards:
-        Worker count (1 degenerates to a single-server cluster).
-    partition:
-        ``"prefix"`` (range split balanced by trie leaf counts) or
-        ``"hash"`` (splitmix64 flow spreading, full-state replicas).
-    granularity:
-        Prefix-mode cut alignment in address bits (default /12 slots,
-        :data:`~repro.pipeline.shard.DEFAULT_GRANULARITY_BITS`).
+        Worker count (1 degenerates to a single-server cluster); the
+        ranges are cut by :func:`plan_cluster`.
     autoscale:
         An :class:`~repro.serve.autoscale.AutoscalePolicy` turning the
         traffic control loop on: per-slot lookup counters feed a
@@ -1222,21 +1154,17 @@ class FibCluster(ShardedFrontend):
         fib: Fib,
         *,
         shards: int = 2,
-        partition: str = "prefix",
         options: Optional[Dict[str, Any]] = None,
         rebuild_every: int = DEFAULT_REBUILD_EVERY,
-        batched: bool = True,
         measure_staleness: bool = True,
-        granularity: Optional[int] = None,
         autoscale: Optional[AutoscalePolicy] = None,
         obs: Registry = NULL_REGISTRY,
     ):
-        plan = plan_cluster(fib, shards, mode=partition, granularity=granularity)
+        plan = plan_cluster(fib, shards)
         super().__init__(
             name, fib, plan, rebuild_every=rebuild_every, autoscale=autoscale, obs=obs
         )
         self._options = dict(options or {})
-        self._batched = batched
         self._measure_staleness = measure_staleness
         self._shards = [
             ClusterShard(
@@ -1258,7 +1186,6 @@ class FibCluster(ShardedFrontend):
             fib,
             options=self._options,
             rebuild_every=self._rebuild_every,
-            batched=self._batched,
             measure_staleness=self._measure_staleness,
             auto_rebuild=False,  # the coordinator owns epoch swaps
             # One shared registry: shard servers are threads of the
@@ -1284,7 +1211,6 @@ class FibCluster(ShardedFrontend):
     def __repr__(self) -> str:
         return (
             f"FibCluster(name={self.name!r}, shards={self._plan.shards}, "
-            f"partition={self._plan.mode!r}, "
             f"plane={'incremental' if self.incremental else 'rebuild'})"
         )
 
@@ -1371,11 +1297,7 @@ class FibCluster(ShardedFrontend):
         total_before = self._total_size_bits() + sum(
             server.representation.size_bits() for server in built if server is not None
         )
-        restricted = (
-            self._control.copy()
-            if (lo, hi) == (0, 1 << plan.width)
-            else restrict_fib(self._control, lo, hi, extra=plan.hot)
-        )
+        restricted = restrict_fib(self._control, lo, hi, extra=plan.hot)
         server = built[index] = self._build_server(restricted)
         self._replan_seconds += time.perf_counter() - started
         # Both generations overlap while the re-plan is in flight.

@@ -66,7 +66,9 @@ class ServeReport:
     final_parity: Optional[float] = None
     #: Telemetry snapshot (``repro.obs/v1`` dict) when the run was
     #: instrumented; None otherwise. On the multi-process plane this is
-    #: the frontend registry with every worker registry merged in.
+    #: the frontend registry with every worker registry merged in. Kept
+    #: on the object, left out of :meth:`to_dict` (the quantiles read
+    #: from it are in; ``repro-fib serve --metrics-json`` writes it).
     obs: Optional[dict] = None
 
     #: The histogram a batch's lookup latency is read from.
@@ -139,6 +141,7 @@ class ServeReport:
     def to_dict(self) -> dict:
         """JSON-ready record: raw counters plus the derived rates."""
         record = asdict(self)
+        del record["obs"]
         record.update(
             plane=self.plane,
             serve_seconds=self.serve_seconds,
@@ -167,9 +170,8 @@ class ClusterReport(ServeReport):
     """
 
     shards: int = 1
-    partition: str = "prefix"
-    #: Routes present in more than one shard (boundary-spanning prefixes
-    #: under range partitioning; every route under hash partitioning).
+    #: Routes present in more than one shard (prefixes spanning a cut,
+    #: and every route touching a hot range).
     replicated_routes: int = 0
     #: Mean number of shards each applied update fanned out to.
     update_fanout: float = 0.0

@@ -119,11 +119,9 @@ def open_plane(
     workers: int = 0,
     window: int = 0,
     transport: str = DEFAULT_TRANSPORT,
-    partition: str = "prefix",
     options: Optional[Dict[str, Any]] = None,
     rebuild_every: int = DEFAULT_REBUILD_EVERY,
     batched: bool = True,
-    granularity: Optional[int] = None,
     autoscale: Optional[AutoscalePolicy] = None,
     measure_staleness: bool = True,
     start_method: str = DEFAULT_START_METHOD,
@@ -148,6 +146,8 @@ def open_plane(
       another in the caller's thread.
     * ``workers == 0, shards <= 1`` — a single :class:`FibServer`.
 
+    Sharded planes always serve batched; ``batched=False`` (the scalar
+    baseline) opens a single :class:`FibServer` only.
     ``autoscale`` hands any sharded plane an
     :class:`~repro.serve.autoscale.AutoscalePolicy` (traffic-driven
     live re-planning and the flow-cache tier: one sharded frontend
@@ -163,16 +163,24 @@ def open_plane(
             "pick one sharding axis: workers (multi-process) or "
             "shards (in-process), not both"
         )
+    sharded = workers > 0 or shards > 1
+    if not batched and sharded:
+        raise ValueError(
+            "unbatched serving is a single FibServer's scalar baseline; "
+            "sharded planes always serve batched"
+        )
+    if autoscale is not None and not sharded:
+        raise ValueError(
+            "autoscale needs a sharded plane (shards > 1 or workers > 0); "
+            "a single FibServer has nothing to re-balance"
+        )
     if workers:
         pool = WorkerPool(
             name,
             fib,
             workers=workers,
-            partition=partition,
             options=options,
             rebuild_every=rebuild_every,
-            batched=batched,
-            granularity=granularity,
             start_method=start_method,
             timeout=timeout,
             control_timeout=control_timeout,
@@ -192,19 +200,11 @@ def open_plane(
             name,
             fib,
             shards=shards,
-            partition=partition,
             options=options,
             rebuild_every=rebuild_every,
-            batched=batched,
             measure_staleness=measure_staleness,
-            granularity=granularity,
             autoscale=autoscale,
             obs=obs,
-        )
-    if autoscale is not None:
-        raise ValueError(
-            "autoscale needs a sharded plane (shards > 1 or workers > 0); "
-            "a single FibServer has nothing to re-balance"
         )
     return FibServer(
         name,

@@ -27,9 +27,9 @@ workers onto it through their request rings (``OP_ATTACH``), FIFO with
 the data they serve. The pipe remains connected but carries only the
 low-rate control plane: readiness, ``report``, ``shutdown`` — and its
 EOF is still how a worker death is detected. ``"pipe"`` is the wire
-protocol below, kept for unbatched serving, representations with no
-compiled plane, and hosts without POSIX shared memory; ``"shm"`` falls
-back to it cleanly in those cases.
+protocol below, kept for representations with no compiled plane and
+hosts without POSIX shared memory; ``"shm"`` falls back to it cleanly
+in those cases.
 
 **The pipe wire protocol.** One full-duplex ``multiprocessing`` pipe
 per worker carries pickled tuples; bulk payloads travel as packed int64
@@ -41,23 +41,23 @@ per-address Python conversion loop::
     ("lookup", seq, addr_bytes)             ("ok", seq, (label_bytes,
                                                          lookup_s, update_s))
     ("bcast",  seq, addr_bytes)             ("ok", seq, (position_bytes,
-      (whole batch; the worker filters                   label_bytes,
-       its owned slice in C)                             lookup_s, update_s))
+      (whole batch; the worker keeps                     label_bytes,
+       its [lo, hi) slice in C)                          lookup_s, update_s))
     ("probe",  seq, addr_bytes)             ("ok", seq, label_bytes)
     ("update", prefix, length, label)       (no reply — pipe FIFO orders it)
     ("swap",   seq)                         ("ok", seq, (generation,
                                                          rebuild_s, size_bits))
-    ("reshard", seq, fib, filter)           ("ok", seq, (build_s, size_bits))
+    ("reshard", seq, fib, (lo, hi))         ("ok", seq, (build_s, size_bits))
     ("report", seq, scenario)               ("ok", seq, ServeReport)
     ("shutdown",)                           (worker exits)
 
 Lookups **broadcast** where they can (NumPy, a vectorizable plan, more
 than one worker, no autoscale policy): the packed batch goes whole to
-every worker, which filters the addresses its partition owns with two
-C compares and answers with their input positions — the owner split
-runs in parallel on the workers. Otherwise the frontend owner-splits
-(``ShardPlan.group`` / ``split_vector``) and ships each worker only its
-slice.
+every worker, which keeps the addresses in its own ``[lo, hi)`` range
+with two C compares and answers with their input positions — the owner
+split runs in parallel on the workers. Otherwise the frontend
+owner-splits (``ShardPlan.group`` / ``split_vector``) and ships each
+worker only its slice.
 
 A failing handler answers ``("err", seq, message)``; a worker that dies
 closes the pipe, which the frontend's reader thread turns into a
@@ -95,7 +95,7 @@ import traceback
 from array import array
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as _FutureTimeout
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.fib import Fib
 from repro.datasets.updates import UpdateOp
@@ -105,8 +105,6 @@ from repro.serve.autoscale import AutoscalePolicy
 from repro.serve.cluster import (
     EpochCoordinator,
     ShardedFrontend,
-    _mix64,
-    _mix64_vector,
     plan_cluster,
     plane_totals,
     shard_row_fields,
@@ -168,7 +166,7 @@ DEFAULT_CONTROL_TIMEOUT = 60.0
 DEFAULT_START_METHOD = "spawn"
 
 #: Default data-plane transport; falls back to "pipe" when shared
-#: memory, batching or a compiled program is unavailable.
+#: memory or a compiled program is unavailable.
 DEFAULT_TRANSPORT = "shm"
 
 #: The transports a pool can be asked for.
@@ -251,44 +249,18 @@ def pack_events(events: Sequence[ServeEvent]) -> List[ServeEvent]:
 # --------------------------------------------------------------------- worker
 
 
-def _owned_slice(payload: bytes, filter_spec):
-    """Filter a broadcast batch down to the addresses this worker owns.
+def _owned_slice(payload: bytes, lo: int, hi: int):
+    """Filter a broadcast batch down to the addresses in ``[lo, hi)``.
 
-    ``filter_spec`` is ``("prefix", lo, hi)`` or ``("hash", shards,
-    index)``. Returns ``(positions_bytes, owned_addresses)`` — the
-    input positions of the owned addresses (for the frontend's merge)
-    and the owned slice itself. Vectorized when NumPy is importable in
-    the worker; the portable loop is the fallback.
+    Returns ``(positions_bytes, owned_addresses)`` — the input
+    positions of the owned addresses (for the frontend's merge) and the
+    owned slice itself. Needs NumPy: the frontend broadcasts only when
+    it imports NumPy, and the workers run its interpreter.
     """
-    if _np is not None:
-        batch = _np.frombuffer(payload, dtype=_np.int64)
-        if filter_spec[0] == "prefix":
-            mask = (batch >= filter_spec[1]) & (batch < filter_spec[2])
-        else:
-            shards, index = filter_spec[1], filter_spec[2]
-            mask = (
-                _mix64_vector(_np, batch.astype(_np.uint64))
-                % _np.uint64(shards)
-            ).astype(_np.int64) == index
-        positions = _np.nonzero(mask)[0]
-        owned = array("q")
-        owned.frombytes(batch[positions].tobytes())
-        return positions.tobytes(), owned
-    values = unpack(payload)
-    positions = array("q")
+    batch = _np.frombuffer(payload, dtype=_np.int64)
+    positions = _np.nonzero((batch >= lo) & (batch < hi))[0]
     owned = array("q")
-    if filter_spec[0] == "prefix":
-        lo, hi = filter_spec[1], filter_spec[2]
-        for position, address in enumerate(values):
-            if lo <= address < hi:
-                positions.append(position)
-                owned.append(address)
-    else:
-        shards, index = filter_spec[1], filter_spec[2]
-        for position, address in enumerate(values):
-            if _mix64(address) % shards == index:
-                positions.append(position)
-                owned.append(address)
+    owned.frombytes(batch[positions].tobytes())
     return positions.tobytes(), owned
 
 
@@ -298,8 +270,7 @@ def worker_main(
     fib: Fib,
     options: Optional[Dict[str, Any]],
     rebuild_every: int,
-    batched: bool,
-    filter_spec=None,
+    owned_range: Tuple[int, int],
     obs_enabled: bool = False,
     fault_payload: Sequence[dict] = (),
 ) -> None:
@@ -313,6 +284,7 @@ def worker_main(
     closed pipe. With ``obs_enabled`` the server records into a local
     registry whose snapshot rides home inside the ``report`` reply's
     :class:`~repro.serve.metrics.ServeReport` (the frontend merges it).
+    ``owned_range`` is the ``(lo, hi)`` a broadcast batch is filtered to.
     """
     try:
         server = FibServer(
@@ -320,7 +292,6 @@ def worker_main(
             fib,
             options=options,
             rebuild_every=rebuild_every,
-            batched=batched,
             measure_staleness=False,
             auto_rebuild=False,  # the frontend's coordinator owns swaps
             obs=Registry() if obs_enabled else NULL_REGISTRY,
@@ -360,12 +331,12 @@ def worker_main(
                     conn.send(("err", seq, traceback.format_exc()))
             elif kind == "bcast":
                 # Broadcast fan-out: the whole batch arrives, the worker
-                # keeps only the addresses its filter owns and answers
-                # with their input positions alongside the labels.
+                # keeps only the addresses in its range and answers with
+                # their input positions alongside the labels.
                 seq, payload = message[1], message[2]
                 try:
                     faults.on_batch()
-                    positions, owned = _owned_slice(payload, filter_spec)
+                    positions, owned = _owned_slice(payload, *owned_range)
                     lookup_before = server.lookup_seconds
                     update_before = server.update_seconds
                     labels = server.lookup_batch_packed(owned)
@@ -423,7 +394,7 @@ def worker_main(
                 # this message and apply to the fresh server. On a
                 # build failure the old server keeps serving and the
                 # error reply lets the frontend abandon the transition.
-                seq, shard_fib, new_filter = message[1], message[2], message[3]
+                seq, shard_fib = message[1], message[2]
                 try:
                     build_started = time.perf_counter()
                     server = FibServer(
@@ -431,12 +402,11 @@ def worker_main(
                         shard_fib,
                         options=options,
                         rebuild_every=rebuild_every,
-                        batched=batched,
                         measure_staleness=False,
                         auto_rebuild=False,
                         obs=server.obs,  # counters survive the re-plan
                     )
-                    filter_spec = new_filter
+                    owned_range = message[3]
                     conn.send(
                         (
                             "ok",
@@ -493,7 +463,7 @@ def shm_worker_main(conn, spec) -> None:
             pass
         return
     conn.send(("ok", 0, ("ready", attach_seconds, program.size_in_bits())))
-    filter_spec = spec["filter"]
+    lo, hi = spec["range"]
     parent = multiprocessing.parent_process()
     alive = parent.is_alive if parent is not None else (lambda: True)
     spent = [0]  # written by the fill closures below
@@ -574,7 +544,7 @@ def shm_worker_main(conn, spec) -> None:
                             visibility.observe()
                 elif op == OP_BCAST:
                     faults.on_batch(res)
-                    positions, owned = _owned_slice(record.payload, filter_spec)
+                    positions, owned = _owned_slice(record.payload, lo, hi)
 
                     def fill(view, positions=positions, owned=owned):
                         view[:len(positions)] = positions
@@ -810,13 +780,6 @@ class _PublishProxy:
         self._pool._publish()
 
 
-def _owned_filter(plan, index: int):
-    """The broadcast ownership filter of shard ``index`` of ``plan``."""
-    if plan.mode == "hash":
-        return ("hash", plan.shards, index)
-    return ("prefix",) + plan.shard_range(index)
-
-
 class WorkerPool(ShardedFrontend):
     """N shard-restricted FibServers, each a real OS process, behind the
     sharded frontend (:class:`~repro.serve.cluster.ShardedFrontend`).
@@ -853,9 +816,8 @@ class WorkerPool(ShardedFrontend):
         ``"shm"`` (default) serves over shared-memory rings with the
         compiled program in a published segment the workers attach;
         falls back to ``"pipe"`` — recorded in the report — when shared
-        memory is unavailable, serving is unbatched, or the
-        representation compiles no flat program. ``"pipe"`` forces the
-        pickled-tuple wire protocol.
+        memory is unavailable or the representation compiles no flat
+        program. ``"pipe"`` forces the pickled-tuple wire protocol.
     ring_bytes:
         Per-direction, per-worker ring data capacity (shm transport).
     obs:
@@ -877,11 +839,12 @@ class WorkerPool(ShardedFrontend):
         until the flip.
 
     Lookups **broadcast** — the packed batch whole to every worker,
-    which filters the addresses it owns in C, so the owner split runs
-    in parallel on the workers — when NumPy is present, the plan
-    vectorizes, there is more than one worker and no autoscale policy
-    (a re-plan would move the fixed per-worker filters). Otherwise the
-    frontend owner-splits and ships each worker only its slice.
+    which keeps the addresses in its own ``[lo, hi)`` range in C, so
+    the owner split runs in parallel on the workers — when NumPy is
+    present, the plan vectorizes, there is more than one worker and no
+    autoscale policy (a re-plan would move the fixed per-worker
+    ranges). Otherwise the frontend owner-splits and ships each worker
+    only its slice.
     """
 
     def __init__(
@@ -890,11 +853,8 @@ class WorkerPool(ShardedFrontend):
         fib: Fib,
         *,
         workers: int = 2,
-        partition: str = "prefix",
         options: Optional[Dict[str, Any]] = None,
         rebuild_every: int = DEFAULT_REBUILD_EVERY,
-        batched: bool = True,
-        granularity: Optional[int] = None,
         start_method: str = DEFAULT_START_METHOD,
         timeout: float = DEFAULT_TIMEOUT,
         control_timeout: float = DEFAULT_CONTROL_TIMEOUT,
@@ -923,7 +883,7 @@ class WorkerPool(ShardedFrontend):
             raise ValueError(
                 f"control_timeout must be positive, got {control_timeout}"
             )
-        plan = plan_cluster(fib, workers, mode=partition, granularity=granularity)
+        plan = plan_cluster(fib, workers)
         super().__init__(
             name, fib, plan, rebuild_every=rebuild_every, autoscale=autoscale, obs=obs
         )
@@ -931,7 +891,6 @@ class WorkerPool(ShardedFrontend):
         self._timeout = timeout
         self._control_timeout = control_timeout
         self._start_method = start_method
-        self._batched = batched
         self._ring_bytes = ring_bytes
         self._faults = faults.resolve(plan.shards) if faults else None
         self._max_restarts = max_restarts
@@ -974,14 +933,13 @@ class WorkerPool(ShardedFrontend):
         )
         started = time.perf_counter()
         self._transport = "pipe"
-        if transport == "shm" and batched and shm_available():
+        if transport == "shm" and shm_available():
             try:
                 publisher = FibServer(
                     name,
                     fib,
                     options=self._options,
                     rebuild_every=rebuild_every,
-                    batched=True,
                     measure_staleness=False,
                     auto_rebuild=False,  # the pool's coordinator paces publishes
                     obs=obs,  # frontend-side: shares the pool registry
@@ -1078,7 +1036,7 @@ class WorkerPool(ShardedFrontend):
     def __repr__(self) -> str:
         return (
             f"WorkerPool(name={self.name!r}, workers={self.workers}, "
-            f"partition={self._plan.mode!r}, start={self._start_method!r}, "
+            f"start={self._start_method!r}, "
             f"transport={self._transport!r})"
         )
 
@@ -1105,7 +1063,7 @@ class WorkerPool(ShardedFrontend):
                     "request": req_ring.name,
                     "response": res_ring.name,
                     "program": self._program_segment.name,
-                    "filter": _owned_filter(self._plan, index),
+                    "range": self._plan.shard_range(index),
                     "index": index,
                     "obs": self._obs.enabled,
                     "faults": self._fault_payload(index, incarnation),
@@ -1133,8 +1091,7 @@ class WorkerPool(ShardedFrontend):
                 spec.fib,
                 self._options,
                 self._rebuild_every,
-                self._batched,
-                _owned_filter(self._plan, spec.index),
+                (spec.lo, spec.hi),
                 self._obs.enabled,
                 self._fault_payload(spec.index, incarnation),
             ),
@@ -1557,7 +1514,7 @@ class WorkerPool(ShardedFrontend):
         with self._lock:
             if kind == "bcast":
                 positions, owned = _owned_slice(
-                    packed, _owned_filter(self._plan, index)
+                    packed, *self._plan.shard_range(index)
                 )
                 payload = (positions, self._frontend_labels(owned), 0.0, 0.0)
             elif kind == "lookup":
@@ -1704,8 +1661,7 @@ class WorkerPool(ShardedFrontend):
             self._replan_seconds += time.perf_counter() - started
             try:
                 future = self._submit(
-                    self._handles[index], "reshard", spec.fib,
-                    _owned_filter(plan, index),
+                    self._handles[index], "reshard", spec.fib, (new_lo, new_hi)
                 )
             except WorkerError:
                 self._abort_replan()

@@ -123,7 +123,7 @@ class TestTrafficStats:
             TrafficStats(width=8, bits=0)
 
     def test_imbalance_against_a_hand_plan(self):
-        plan = ShardPlan(mode="prefix", width=8, shards=2, bounds=(0, 128, 256))
+        plan = ShardPlan(width=8, shards=2, bounds=(0, 128, 256))
         stats = TrafficStats(width=8, bits=2)
         assert stats.imbalance(plan) == 1.0  # cold counter says nothing
         stats.observe([0, 1, 2, 3])  # all in shard 0
@@ -131,10 +131,7 @@ class TestTrafficStats:
         assert stats.imbalance(plan) == 2.0
 
     def test_hot_range_load_spreads_evenly(self):
-        plan = ShardPlan(
-            mode="prefix", width=8, shards=2, bounds=(0, 128, 256),
-            hot=((0, 64),),
-        )
+        plan = ShardPlan(width=8, shards=2, bounds=(0, 128, 256), hot=((0, 64),))
         stats = TrafficStats(width=8, bits=2)
         stats.observe([0, 1, 2, 3])  # entirely inside the hot range
         assert stats.per_shard(plan) == [2, 2]
@@ -163,7 +160,7 @@ class TestTrafficStats:
             if with_hot:
                 edges = sorted(rng.sample(range(space + 1), 2 * rng.randint(1, 3)))
                 hot = tuple(zip(edges[::2], edges[1::2]))
-            plan = ShardPlan(mode="prefix", width=width, shards=shards,
+            plan = ShardPlan(width=width, shards=shards,
                              bounds=(0, *cuts, space), hot=hot)
             loads, hot_total = [0] * shards, 0
             for slot, count in enumerate(portable.snapshot()):
@@ -456,6 +453,11 @@ class TestServingPlaneContract:
             open_plane(
                 "prefix-dag", small_fib, autoscale=aggressive_policy()
             )
+        # The scalar baseline is a single server's; sharded planes
+        # always serve batched.
+        for shape in ({"shards": 2}, {"workers": 1}):
+            with pytest.raises(ValueError, match="batched"):
+                open_plane("prefix-dag", small_fib, batched=False, **shape)
 
 
 # ----------------------------------------------- multi-process replan parity

@@ -43,14 +43,14 @@ def serve_cluster(name, fib, events, *, scenario="", parity_probes=(), **kwargs)
 class TestShardPlan:
     def test_prefix_bounds_cover_space(self, medium_fib):
         for shards in (1, 2, 3, 4, 8):
-            plan = plan_cluster(medium_fib, shards, mode="prefix")
+            plan = plan_cluster(medium_fib, shards)
             assert plan.shards == shards
             assert plan.bounds[0] == 0
             assert plan.bounds[-1] == 1 << medium_fib.width
             assert list(plan.bounds) == sorted(set(plan.bounds))
 
     def test_owner_matches_ranges(self, medium_fib, rng):
-        plan = plan_cluster(medium_fib, 4, mode="prefix")
+        plan = plan_cluster(medium_fib, 4)
         for _ in range(200):
             address = rng.getrandbits(32)
             owner = plan.owner(address)
@@ -70,22 +70,13 @@ class TestShardPlan:
         with pytest.raises(ValueError, match="cannot cut"):
             _balanced_cuts([1.0, 1.0], 3)
 
-    def test_hash_owner_deterministic_and_spread(self):
-        fib = Fib.from_entries([(0, 0, 1)])
-        plan = plan_cluster(fib, 4, mode="hash")
-        owners = [plan.owner(address) for address in range(4096)]
-        assert owners == [plan.owner(address) for address in range(4096)]
-        assert set(owners) == {0, 1, 2, 3}
-        counts = [owners.count(shard) for shard in range(4)]
-        assert max(counts) < 2 * min(counts)  # splitmix64 spreads evenly
-
     def test_mix64_is_stable(self):
-        # The hash is part of the partition contract: a changed constant
-        # would silently re-home every flow.
+        # The hash is part of the hot-range spray contract: a changed
+        # constant would silently re-home every sprayed flow.
         assert _mix64(0) == 16294208416658607535
 
     def test_owners_of_spanning_prefix(self, medium_fib):
-        plan = plan_cluster(medium_fib, 4, mode="prefix")
+        plan = plan_cluster(medium_fib, 4)
         assert plan.owners(0, 0) == (0, 1, 2, 3)  # default route: everywhere
         lo, hi = plan.shard_range(2)
         # A full-width address inside shard 2 owns exactly shard 2.
@@ -94,8 +85,6 @@ class TestShardPlan:
     def test_bad_plans_rejected(self, paper_fib):
         with pytest.raises(ValueError, match="positive"):
             plan_cluster(paper_fib, 0)
-        with pytest.raises(ValueError, match="partition mode"):
-            plan_cluster(paper_fib, 2, mode="round-robin")
         with pytest.raises(ValueError, match="granularity"):
             plan_cluster(paper_fib, 2, granularity=30)
 
@@ -203,36 +192,19 @@ class TestFibCluster:
             assert report.lookups == reports[1].lookups
         assert reports[4].shards == 4 and reports[1].shards == 1
 
-    def test_hash_partition_parity(self, rng):
-        fib = random_fib(rng, 150, 4, max_length=12)
-        events = self._script(fib)
-        report = serve.serve_plane_scenario(
-            "prefix-dag", fib, events, scenario="bgp-churn", shards=3,
-            partition="hash", parity_probes=serve.parity_probes(fib, 200, seed=9),
-        )
-        assert report.final_parity == 1.0
-        assert report.partition == "hash"
-        # Full-state replicas: every shard holds the whole (post-churn)
-        # table and the replication count tracks the live control FIB.
-        assert {row["routes"] for row in report.shard_rows} == {report.replicated_routes}
-        assert report.replicated_routes > 0
-        assert report.update_fanout == 3.0            # every update, every shard
-
     def test_batch_merge_preserves_input_order(self, rng):
         fib = random_fib(rng, 200, 5, max_length=14)
         cluster = serve.FibCluster("binary-trie", fib, shards=4)
         addresses = [rng.getrandbits(32) for _ in range(512)]
         assert cluster.lookup_batch(addresses) == [fib.lookup(a) for a in addresses]
 
-    @pytest.mark.parametrize("partition", ["prefix", "hash"])
-    def test_uncompiled_shards_take_vector_slices(self, rng, partition):
+    def test_uncompiled_shards_take_vector_slices(self, rng):
         # Shards without a compiled plane serve through the dispatch
         # engine, which must take the owner split's slices (int64 NumPy
         # vectors when NumPy is present) like any other batch.
         fib = random_fib(rng, 200, 5, max_length=14)
         cluster = serve.FibCluster(
-            "binary-trie", fib, shards=2, partition=partition,
-            options={"compiled": False},
+            "binary-trie", fib, shards=2, options={"compiled": False},
         )
         addresses = [rng.getrandbits(32) for _ in range(512)]
         assert cluster.lookup_batch(addresses) == [fib.lookup(a) for a in addresses]
@@ -353,11 +325,13 @@ class TestFibCluster:
         fib = random_fib(rng, 80, 3, max_length=10)
         report = serve.serve_plane_scenario(
             "lc-trie", fib, self._script(fib, lookups=100, updates=10),
-            scenario="bgp-churn", shards=2,
+            scenario="bgp-churn", shards=2, obs=Registry(),
         )
         record = json.loads(json.dumps(report.to_dict()))
         assert record["shards"] == 2
-        assert record["partition"] == "prefix"
+        # The snapshot stays on the report; the record keeps its quantiles.
+        assert report.obs is not None and "obs" not in record
+        assert record["lookup_latency_p99"] is not None
         assert len(record["shard_rows"]) == 2
         assert record["plane"] == "rebuild"
         assert record["lookup_imbalance"] >= 1.0
@@ -387,7 +361,7 @@ class TestClusterCli:
             main(
                 [
                     "serve", "--scale", "0.002", "--updates", "20",
-                    "--lookups", "200", "--shards", "2", "--partition", "hash",
+                    "--lookups", "200", "--shards", "2",
                     "--representations", "prefix-dag", "--json", str(path),
                 ]
             )
@@ -396,7 +370,6 @@ class TestClusterCli:
         capsys.readouterr()
         payload = json.loads(path.read_text())
         assert payload["shards"] == 2
-        assert payload["partition"] == "hash"
         (row,) = payload["rows"]
         assert row["final_parity"] == 1.0
         assert row["shards"] == 2

@@ -4,18 +4,22 @@ The docs tree is part of the contract: every relative link in
 README/ROADMAP/docs must point at a real file, the paper map must cover
 every package and module under ``src/repro``, the benchmark reference
 must document every ``BENCH_*.json`` trajectory, the metric catalogue
-must list exactly the metrics the code registers, and the doctest
-examples embedded in the docs must actually run (CI runs these same
-checks in its docs job).
+must list exactly the metrics the code registers, every documented
+``repro-fib`` command line must parse, and the doctest examples
+embedded in the docs must actually run (CI runs these same checks in
+its docs job).
 """
 
 from __future__ import annotations
 
 import doctest
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from repro.cli import build_parser
 
 REPO = Path(__file__).resolve().parent.parent
 DOC_FILES = sorted(
@@ -132,3 +136,40 @@ def test_docs_code_blocks_run(name):
     )
     assert results.failed == 0, f"{results.failed} doctest failure(s) in docs/{name}"
     assert results.attempted > 0, f"no doctest examples found in docs/{name}"
+
+
+# A shell line in a fenced code block that runs the CLI: an optional
+# "$ " prompt and VAR=value assignments, then the command at the start
+# of the line (which leaves out the README's alias line and the
+# architecture diagram's indented "repro-fib CLI" box).
+_CLI_LINE = re.compile(
+    r"^(?:\$ )?(?:[A-Z_]+=\S* )*(?:repro-fib|python -m repro\.cli)(?: |$)(.*)$"
+)
+
+
+def _documented_cli_lines():
+    """``(file, line number, argv)`` of every CLI shell line in the
+    code blocks of README.md and docs/*.md."""
+    found = []
+    for path in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]:
+        fenced = False
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if line.startswith("```"):
+                fenced = not fenced
+                continue
+            match = _CLI_LINE.match(line) if fenced else None
+            if match:
+                argv = shlex.split(match.group(1), comments=True)
+                found.append((path.relative_to(REPO).as_posix(), number, argv))
+    return found
+
+
+def test_documented_commands_parse():
+    lines = _documented_cli_lines()
+    assert any(name == "README.md" for name, _, _ in lines), "no CLI line in README.md"
+    parser = build_parser()
+    for name, number, argv in lines:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{name}:{number}: repro-fib {shlex.join(argv)} does not parse")

@@ -159,7 +159,7 @@ class TestAdapterFuzz:
 
 def wide_run_program():
     """A 32-bit program with routes only under 0/1, then a /1 announce
-    across the empty upper half: wide terminal runs written over the
+    across the empty upper half: one wide terminal run written over the
     root row."""
     fib = Fib(32)
     fib.add(0b0001, 4, 1)
@@ -170,7 +170,7 @@ def wide_run_program():
     trie.insert(1, 1, 7)
     fib.add(1, 1, 7)
     program.patch(1, 1, trie.root, leaf_pushed=False)
-    assert program.last_patch_slots == 2  # 128 root slots in two writes
+    assert program.last_patch_slots == 1  # 128 root slots in one write
     return fib, trie, program
 
 
@@ -248,10 +248,10 @@ class TestWideRunEdgeCases:
                 fib.lookup(address) for address in probes
             ]
 
-        # 0/2 is two 32-slot runs against a 66-entry cache: walked.
+        # 0/2 is one 64-slot run against a 66-entry cache: walked.
         announce_over(0, 2, 8, inside)
         assert sorted(program._src) == list(outside)
-        # 1/1 is two 64-slot runs against a 64-entry cache: scanned.
+        # 1/1 is one 128-slot run against a 64-entry cache: scanned.
         announce_over(1, 1, 9, outside)
         assert program._src == {}
 

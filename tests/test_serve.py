@@ -19,6 +19,7 @@ from repro import serve
 from repro.analysis import assert_serve_parity, render_churn_rows
 from repro.cli import main
 from repro.datasets import apply_updates, caida_like_trace, uniform_trace
+from repro.obs import Registry
 from repro.serve.scenarios import _interleave
 
 
@@ -253,13 +254,17 @@ class TestFibServer:
     def test_report_round_trips_to_json(self, rng):
         fib = random_fib(rng, 80, 3, max_length=10)
         report = serve.serve_plane_scenario(
-            "lc-trie", fib, self._script(fib, lookups=100, updates=10), scenario="bgp-churn"
+            "lc-trie", fib, self._script(fib, lookups=100, updates=10),
+            scenario="bgp-churn", obs=Registry(),
         )
         record = json.loads(json.dumps(report.to_dict()))
         assert record["name"] == "lc-trie"
         assert record["plane"] == "rebuild"
         assert record["lookups"] == 100
         assert 0.0 <= record["staleness"] <= 1.0
+        # The snapshot stays on the report; the record keeps its quantiles.
+        assert report.obs is not None and "obs" not in record
+        assert record["lookup_latency_p99"] is not None
 
 
 class TestServeCli:
@@ -407,15 +412,15 @@ class TestServeCliWorkers:
             == 0
         )
         payload = json.loads(path.read_text())
-        # Strip wall-clock fields, the latency quantiles and the
-        # telemetry snapshot among them: determinism covers the script
-        # and every counter, not machine timing.
+        # Strip wall-clock fields, the latency quantiles among them:
+        # determinism covers the script and every counter, not machine
+        # timing.
         (row,) = payload["rows"]
         timed = ("second", "mlps", "kops", "per_", "latency", "visibility")
         return {
             key: value
             for key, value in row.items()
-            if key != "obs" and not any(part in key for part in timed)
+            if not any(part in key for part in timed)
         }
 
     def test_seed_makes_smoke_runs_deterministic(self, tmp_path, capsys):

@@ -143,22 +143,30 @@ class TestPoolServing:
 
 class TestFanoutModes:
     @pytest.mark.parametrize("fanout", ["split", "broadcast"])
-    @pytest.mark.parametrize("partition", ["prefix", "hash"])
-    def test_fanout_partition_matrix(self, small_fib, fanout, partition):
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    def test_fanout_transport_matrix(self, small_fib, fanout, transport):
         # Broadcast wherever it can run (NumPy, a vectorizable plan, more
         # than one worker, no autoscale policy); any policy — here one
-        # that never re-plans — makes the frontend split instead.
+        # that never re-plans — makes the frontend split instead. A
+        # broadcasting worker keeps its own [lo, hi) of the batch, so
+        # the batch probes both sides of every cut.
         rng = random.Random(99)
         addresses = [rng.getrandbits(32) for _ in range(256)]
+        plan = serve.plan_cluster(small_fib, 3)
+        for index in range(plan.shards):
+            lo, hi = plan.shard_range(index)
+            addresses += [address for address in (lo - 1, lo, hi - 1) if address >= 0]
         oracle = [small_fib.lookup(address) for address in addresses]
         policy = (
             serve.AutoscalePolicy(imbalance_threshold=1e9)
             if fanout == "split" else None
         )
         with WorkerPool(
-            "binary-trie", small_fib, workers=3, partition=partition,
+            "binary-trie", small_fib, workers=3, transport=transport,
             autoscale=policy,
         ) as pool:
+            assert pool.plan == plan
+            assert pool.transport == transport
             assert pool.lookup_batch(addresses) == oracle
             # A broadcast ships the whole batch to all three workers.
             copies = 3 if fanout == "broadcast" and numpy is not None else 1
@@ -510,15 +518,14 @@ class TestVectorSplit:
     def test_split_vector_matches_group(self):
         np = pytest.importorskip("numpy")
         fib = build_fib(PAPER_EXAMPLE_ENTRIES)
-        for partition, shards in (("prefix", 4), ("hash", 5)):
-            plan = serve.plan_cluster(fib, shards, mode=partition)
-            rng = random.Random(41)
-            addresses = [rng.getrandbits(32) for _ in range(500)]
-            grouped = plan.group(addresses)
-            batch = np.fromiter(addresses, dtype=np.int64, count=len(addresses))
-            vectored = plan.split_vector(batch)
-            assert set(grouped) == set(vectored)
-            for shard, (positions, slice_) in grouped.items():
-                v_positions, v_slice = vectored[shard]
-                assert v_positions.tolist() == positions
-                assert v_slice.tolist() == slice_
+        plan = serve.plan_cluster(fib, 4)
+        rng = random.Random(41)
+        addresses = [rng.getrandbits(32) for _ in range(500)]
+        grouped = plan.group(addresses)
+        batch = np.fromiter(addresses, dtype=np.int64, count=len(addresses))
+        vectored = plan.split_vector(batch)
+        assert set(grouped) == set(vectored)
+        for shard, (positions, slice_) in grouped.items():
+            v_positions, v_slice = vectored[shard]
+            assert v_positions.tolist() == positions
+            assert v_slice.tolist() == slice_
