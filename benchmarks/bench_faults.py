@@ -99,7 +99,6 @@ def test_fault_recovery_trajectory(profile_fib, events, probes, report_writer, s
             events,
             scenario="uniform",
             workers=WORKERS,
-            window=serve.DEFAULT_WINDOW,
             parity_probes=probes,
             transport="shm",
             timeout=spec["timeout"],

@@ -168,7 +168,6 @@ def _serve_pool(name, fib, events, probes, workers, options, transport=None):
             events,
             scenario="uniform",
             workers=workers,
-            window=serve.DEFAULT_WINDOW,
             options=options,
             parity_probes=probes,
             transport=transport or serve.DEFAULT_TRANSPORT,
@@ -332,7 +331,6 @@ def test_worker_parity(profile_fib, probes, scenario, transport):
             events,
             scenario=scenario,
             workers=PARITY_WORKERS,
-            window=serve.DEFAULT_WINDOW,
             options=options,
             parity_probes=probes,
             transport=transport,

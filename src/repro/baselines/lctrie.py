@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.fib import Fib
-from repro.core.trie import BinaryTrie
 # Kernel-inspired struct sizes (bytes); see module docstring.
 TNODE_HEADER_BYTES = 32
 CHILD_POINTER_BYTES = 8
@@ -336,8 +335,3 @@ class LCTrie:
 def fib_trie(fib: Fib) -> LCTrie:
     """The Linux ``fib_trie`` configuration: fill 0.5, kernel-sized root."""
     return LCTrie(fib, fill_factor=0.5, max_bits=17, root_bits=0)
-
-
-def equivalent_binary_trie(fib: Fib) -> BinaryTrie:
-    """The uncompressed reference for equivalence tests."""
-    return BinaryTrie.from_fib(fib)

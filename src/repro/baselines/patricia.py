@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro.baselines.lctrie import LCTrie
 from repro.core.fib import Fib
-from repro.core.sizemodel import patricia_size_bits
 
 PATRICIA_NODE_BYTES = 24
 
@@ -29,8 +28,3 @@ class PatriciaTrie(LCTrie):
 
     def size_in_bits(self) -> int:
         return self.size_in_bytes() * 8
-
-
-def patricia_size_for_nodes(node_count: int) -> int:
-    """Size in bits of a Patricia tree with ``node_count`` nodes."""
-    return patricia_size_bits(node_count)

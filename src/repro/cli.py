@@ -17,7 +17,8 @@ Subcommands regenerate the paper's experiments and operate on FIB files:
   parity; with ``--shards N`` the scenario runs through a cluster of N
   in-process shards, each serving one contiguous prefix range, instead
   of one server, and with ``--workers N`` through N worker processes
-  (shared-nothing shards, asyncio-pipelined fan-out). Every plane's
+  (shared-nothing shards, a pipelined replay with up to
+  ``serve.DEFAULT_WINDOW`` batches in flight). Every plane's
   lookup throughput is measured wall clock. Every shape is opened
   through the one :func:`repro.serve.open_plane` front door;
   ``--autoscale`` arms the traffic-adaptive control loop (live
@@ -376,7 +377,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         obs_registry = registries[name] = Registry()
         # Every deployment shape goes through the one front door; the
         # factory picks single server / in-process cluster / worker
-        # pool (+ async frontend) from the same argument record.
+        # pool from the same argument record.
         reports.append(
             serve.serve_plane_scenario(
                 name,
@@ -386,7 +387,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 parity_probes=probes,
                 shards=args.shards,
                 workers=args.workers,
-                window=args.window if pooled else 0,
                 transport=args.transport,
                 options=overrides.get(name, {}),
                 rebuild_every=args.rebuild_every,
@@ -705,13 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker data plane: shared-memory rings with published "
         "program segments, or pickled pipes (default shm; falls back to "
         "pipe where shared memory or a compiled program is unavailable)",
-    )
-    p.add_argument(
-        "--window",
-        type=positive_int,
-        default=serve.DEFAULT_WINDOW,
-        help="in-flight lookup batches the async front-end pipelines "
-        f"(default {serve.DEFAULT_WINDOW})",
     )
     p.add_argument(
         "--max-restarts",

@@ -20,7 +20,7 @@ All generators are deterministic under a seed.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.entropy import distribution_with_entropy
 from repro.core.fib import Fib
@@ -214,8 +214,3 @@ def poisson_label_fib(
         truncated_poisson_weights(delta, parameter), values=list(range(1, delta + 1))
     )
     return random_prefix_split_fib(entries, sampler, seed=seed, width=width)
-
-
-def labels_of(fib: Fib) -> Sequence[int]:
-    """All labels in entry order (helper for entropy checks)."""
-    return [route.label for route in fib]

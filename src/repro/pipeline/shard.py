@@ -47,24 +47,6 @@ DEFAULT_GRANULARITY_BITS = 12
 MAX_GRANULARITY_BITS = 16
 
 
-def granularity_bits(
-    width: int, granularity: "int | None" = None, shards: int = 1
-) -> int:
-    """Resolve a cut granularity for a ``width``-bit plan.
-
-    At least ``ceil(log2(shards))`` bits are needed so every shard can
-    receive a distinct slot; the result is clamped to
-    [needed, :data:`MAX_GRANULARITY_BITS`] and never exceeds ``width``.
-    """
-    needed = max(1, (shards - 1).bit_length())
-    bits = max(granularity if granularity is not None else DEFAULT_GRANULARITY_BITS, needed)
-    if granularity is not None and not needed <= granularity <= MAX_GRANULARITY_BITS:
-        raise ValueError(
-            f"granularity {granularity} outside [{needed}, {MAX_GRANULARITY_BITS}]"
-        )
-    return min(bits, width)
-
-
 def prefix_span(prefix: int, length: int, width: int) -> Tuple[int, int]:
     """Half-open address interval ``[lo, hi)`` covered by ``prefix/length``."""
     if length < 0 or length > width:

@@ -21,8 +21,8 @@ shards — in process (:class:`FibCluster`) or as worker processes
 (64, 0.0)
 
 Every deployment shape — single server, in-process cluster,
-multi-process worker pool, pipelining async frontend — answers the
-same :class:`ServingPlane` contract, and :func:`open_plane` is the one
+multi-process worker pool — answers the same synchronous
+:class:`ServingPlane` contract, and :func:`open_plane` is the one
 front door that picks the shape from plain arguments:
 
 >>> with serve.open_plane("prefix-dag", fib, shards=2) as plane:
@@ -83,7 +83,6 @@ from repro.serve.workers import (
     DEFAULT_TRANSPORT,
     DEFAULT_WINDOW,
     TRANSPORTS,
-    AsyncFibFrontend,
     WorkerError,
     WorkerPool,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "FAULT_KINDS",
     "SCENARIOS",
     "TRANSPORTS",
-    "AsyncFibFrontend",
     "AutoscalePolicy",
     "Fault",
     "FaultInjected",

@@ -243,26 +243,12 @@ class ShardPlan:
                     % np.uint64(self.shards)
                 ).astype(np.int64)
                 owners = np.where(hot_mask, sprayed, owners)
+        # One boolean mask per shard: O(shards·n) C compares.
         groups = {}
-        if self.shards <= 16:
-            # One boolean mask per shard beats a stable argsort at the
-            # shard counts a pool actually runs (O(shards·n) C compares
-            # vs the sort's constant-heavy O(n log n)).
-            for shard in range(self.shards):
-                positions = np.nonzero(owners == shard)[0]
-                if positions.size:
-                    groups[shard] = (positions, batch[positions])
-            return groups
-        order = np.argsort(owners, kind="stable")
-        sorted_owners = owners[order]
-        present = np.arange(self.shards, dtype=np.int64)
-        starts = np.searchsorted(sorted_owners, present, side="left")
-        ends = np.searchsorted(sorted_owners, present, side="right")
         for shard in range(self.shards):
-            if starts[shard] == ends[shard]:
-                continue
-            positions = order[starts[shard] : ends[shard]]
-            groups[shard] = (positions, batch[positions])
+            positions = np.nonzero(owners == shard)[0]
+            if positions.size:
+                groups[shard] = (positions, batch[positions])
         return groups
 
     @property
@@ -568,7 +554,11 @@ class ShardedFrontend:
     plane (a re-plan keeps them). A backend supplies only what differs:
 
     ``_dispatch(batch)`` / ``_collect(parts)``
-        How shards answer a batch's slices. ``_collect`` returns one
+        How shards answer a batch's slices. ``_dispatch`` returns the
+        parts in flight and the seconds of churn-induced work it ran
+        inside the call (an in-process shard's patch-log drain), which
+        the frontend moves from the lookup clock to the update clock.
+        ``_collect`` returns one
         ``(shard, positions, labels, seconds)`` per answered part:
         packed int64 labels (0 = no route), ``positions`` indexing the
         batch (None when one part is the whole batch), and ``shard``
@@ -614,8 +604,11 @@ class ShardedFrontend:
         # on a pool also publishes, respawns, degraded serving, close).
         # Re-entrant: a respawn replays the update delta by publishing.
         self._lock = threading.RLock()
-        # Merges may run on executor threads (the async frontend's
-        # window), so counter folding and the flow cache take locks.
+        # Lookups, merges and updates run on the caller's thread, but a
+        # pool has two more: its shm ring pump adds reply bytes to
+        # _bytes_rx, and its supervisor's respawn publish clears the
+        # flow cache and counts the restart. So counter folding and the
+        # flow cache take locks.
         self._account_lock = threading.Lock()
         self._cache_lock = threading.Lock()
         self._lookups = 0
@@ -755,7 +748,7 @@ class ShardedFrontend:
         if self._coordinator.lagging():
             self._stale_lookups += count
         try:
-            parts = self._dispatch(misses) if len(misses) else ()
+            parts, drained = self._dispatch(misses) if len(misses) else ((), 0.0)
         except Exception:
             # Offered but never answered: that is what availability
             # counts (a dead shard with no recovery path, a bad batch).
@@ -763,6 +756,13 @@ class ShardedFrontend:
                 self._failed_lookups += len(misses)
                 self._leave_flight(time.perf_counter())
             raise
+        if drained:
+            # Churn-induced work leaves the lookup clock and this
+            # batch's latency alike.
+            with self._account_lock:
+                self._lookup_seconds -= drained
+                self._update_seconds += drained
+            started += drained
         return _Batch(parts, misses, out, positions, epoch, started), count
 
     def merge_batch(self, token, count: int, decode: bool = True):
@@ -974,7 +974,8 @@ class ShardedFrontend:
     # ----------------------------------------------------------------- replay
 
     def replay(self, events: Sequence[ServeEvent]) -> None:
-        """Run one scenario script (see :mod:`repro.serve.scenarios`)."""
+        """Run one scenario script (see :mod:`repro.serve.scenarios`),
+        one batch in flight at a time."""
         for event in events:
             if event.is_lookup:
                 token, count = self.submit_batch(event.addresses)
@@ -1226,8 +1227,7 @@ class FibCluster(ShardedFrontend):
     def _dispatch(self, batch):
         """In-process shards answer their slices right away, one after
         another. Patch-log drains inside a shard are churn-induced
-        work: they move from the running lookup clock to the update
-        clock."""
+        work, returned for the frontend to move to the update clock."""
         parts = []
         drained = 0.0
         for shard, positions, part in self._split(batch):
@@ -1239,11 +1239,7 @@ class FibCluster(ShardedFrontend):
             parts.append(
                 (shard, positions, labels, server.lookup_seconds - lookup_before)
             )
-        if drained:
-            with self._account_lock:
-                self._lookup_seconds -= drained
-                self._update_seconds += drained
-        return parts
+        return parts, drained
 
     def _collect(self, parts):
         return parts

@@ -1,23 +1,20 @@
 """repro.serve.plane — one API over every serving deployment shape.
 
-The serving layer grew four frontends, one per deployment shape: the
+The serving layer has three frontends, one per deployment shape: the
 in-process :class:`~repro.serve.server.FibServer` (one representation,
 no sharding), the :class:`~repro.serve.cluster.FibCluster` (N shards
-in one process), the multi-process
+in one process) and the multi-process
 :class:`~repro.serve.workers.WorkerPool` (N worker processes over shm
-or pipe transports) and the pipelining
-:class:`~repro.serve.workers.AsyncFibFrontend` on top of the pool. They
-answer the same questions through the same verbs, so this module names
-the shared surface — :class:`ServingPlane` — and provides the one
-front door, :func:`open_plane`, that picks the deployment from plain
-arguments instead of asking callers to memorize four constructors.
+or pipe transports, pipelining its own replay). They answer the same
+questions through the same synchronous verbs, so this module names the
+shared surface — :class:`ServingPlane` — and provides the one front
+door, :func:`open_plane`, that picks the deployment from plain
+arguments instead of asking callers to memorize three constructors.
 
 The contract every plane implements:
 
 ``lookup_batch(addresses)``
     Batched longest-prefix-match; labels (or ``None``) in input order.
-    Synchronous everywhere except :class:`AsyncFibFrontend`, whose
-    lookup verbs are awaitable (it exists to pipeline).
 ``lookup_batch_packed(addresses)``
     The zero-boxing twin: packed native int64 labels, 0 = no route.
 ``apply_updates(ops)``
@@ -39,7 +36,6 @@ parity-probe, report, tear down.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from typing import (
     Any,
@@ -67,7 +63,6 @@ from repro.serve.workers import (
     DEFAULT_START_METHOD,
     DEFAULT_TIMEOUT,
     DEFAULT_TRANSPORT,
-    AsyncFibFrontend,
     WorkerPool,
 )
 
@@ -77,11 +72,8 @@ class ServingPlane(Protocol):
     """The structural contract shared by every serving frontend.
 
     A :class:`typing.Protocol`: conformance is by shape, not by
-    inheritance, so the four planes (and any future one) satisfy it
-    without a common base class. ``lookup_batch`` /
-    ``lookup_batch_packed`` may be coroutines on pipelining planes —
-    callers that must stay plane-agnostic can
-    ``asyncio.run`` the result when ``inspect.isawaitable`` says so.
+    inheritance, so the three planes (and any future one) satisfy it
+    without a common base class.
     """
 
     def lookup_batch(self, addresses: Sequence[int]):
@@ -117,7 +109,6 @@ def open_plane(
     *,
     shards: int = 1,
     workers: int = 0,
-    window: int = 0,
     transport: str = DEFAULT_TRANSPORT,
     options: Optional[Dict[str, Any]] = None,
     rebuild_every: int = DEFAULT_REBUILD_EVERY,
@@ -138,9 +129,7 @@ def open_plane(
     The decision tree mirrors how the deployments nest:
 
     * ``workers > 0`` — a real multi-process :class:`WorkerPool` with
-      ``workers`` shard processes over ``transport``; ``window > 0``
-      additionally wraps it in the pipelining
-      :class:`AsyncFibFrontend` (awaitable lookups).
+      ``workers`` shard processes over ``transport``.
     * ``workers == 0, shards > 1`` — the in-process
       :class:`FibCluster` with ``shards`` shards, answered one after
       another in the caller's thread.
@@ -156,8 +145,8 @@ def open_plane(
     ignored, so callers can thread one uniform configuration record
     through — exactly what ``repro-fib serve`` does.
     """
-    if workers < 0 or shards < 0 or window < 0:
-        raise ValueError("workers, shards and window must be non-negative")
+    if workers < 0 or shards < 0:
+        raise ValueError("workers and shards must be non-negative")
     if workers and shards > 1:
         raise ValueError(
             "pick one sharding axis: workers (multi-process) or "
@@ -175,7 +164,7 @@ def open_plane(
             "a single FibServer has nothing to re-balance"
         )
     if workers:
-        pool = WorkerPool(
+        return WorkerPool(
             name,
             fib,
             workers=workers,
@@ -192,9 +181,6 @@ def open_plane(
             faults=faults,
             autoscale=autoscale,
         )
-        if window:
-            return AsyncFibFrontend(pool, window=window)
-        return pool
     if shards > 1:
         return FibCluster(
             name,
@@ -227,23 +213,20 @@ def serve_plane_scenario(
     **plane_kwargs,
 ) -> ServeReport:
     """Replay one scenario script through any plane the factory opens:
-    open, replay (pipelined when the plane is asynchronous), quiesce,
-    parity-probe against the control oracle, report, and always tear
-    down. The one end-to-end runner for every deployment shape.
+    open, replay (a worker pool pipelines it), quiesce, parity-probe
+    against the control oracle, report, and always tear down. The one
+    end-to-end runner for every deployment shape.
     """
     plane = open_plane(name, fib, **plane_kwargs)
     try:
         started = time.perf_counter()
-        if isinstance(plane, AsyncFibFrontend):
-            asyncio.run(plane.replay(events))
-        else:
-            plane.replay(events)
+        plane.replay(events)
         plane.quiesce()
         wall = time.perf_counter() - started
         parity = (
             plane.parity_fraction(parity_probes) if parity_probes else None
         )
-        if isinstance(plane, (WorkerPool, AsyncFibFrontend)):
+        if isinstance(plane, WorkerPool):
             return plane.report(
                 scenario=scenario, final_parity=parity, wall_seconds=wall
             )

@@ -211,10 +211,6 @@ class ShmRing:
     def name(self) -> str:
         return self._segment.name
 
-    @property
-    def capacity_slots(self) -> int:
-        return self._nslots
-
     def used_slots(self) -> int:
         """Slots currently occupied (produced minus consumed) — the
         ring-occupancy gauge's sample."""

@@ -75,27 +75,27 @@ coordinator still rolls at most one fresh generation through the pool
 per tick — and because the swap ack necessarily follows every update
 already in that worker's pipe, the acked generation is never stale.
 
-**The async front-end.** :class:`AsyncFibFrontend` pipelines the
-fan-out: scripted lookup batches are submitted in event order but up to
-``window`` batches stay in flight, so the frontend's serial work (owner
-split, packing, merge) overlaps the workers' parallel lookups instead
-of alternating with them. :func:`~repro.serve.plane.serve_plane_scenario`
-with ``workers`` and ``window`` set replays a scenario through it and
-reports a :class:`~repro.serve.metrics.WorkerReport` whose lookup
-clock is the frontend's wall time with at least one batch in flight.
+**Pipelined replay.** :meth:`WorkerPool.replay` submits a script's
+lookup batches in event order and applies its updates inline, but
+keeps up to :data:`DEFAULT_WINDOW` batches in flight, merging the
+oldest on the caller's thread when the window is full. The frontend's
+serial work (owner split, packing, merge) overlaps the workers'
+parallel lookups instead of alternating with them, and the reported
+lookup clock is the frontend's wall time with at least one batch in
+flight.
 """
 
 from __future__ import annotations
 
-import asyncio
 import multiprocessing
 import threading
 import time
 import traceback
 from array import array
+from collections import deque
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as _FutureTimeout
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.fib import Fib
 from repro.datasets.updates import UpdateOp
@@ -149,7 +149,7 @@ try:  # the frontend's owner split and merge vectorize when available
 except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
     _np = None
 
-#: Default in-flight lookup-batch window of the async front-end.
+#: Lookup batches :meth:`WorkerPool.replay` keeps in flight.
 DEFAULT_WINDOW = 8
 
 #: Default seconds the frontend waits on any single worker reply.
@@ -387,13 +387,14 @@ def worker_main(
             elif kind == "reshard":
                 # Re-plan adoption: rebuild this worker's server from a
                 # freshly restricted FIB (the union of its old and new
-                # ranges, so lookups routed by either plan keep
-                # answering until the frontend flips). Pipe FIFO makes
-                # the cutover exact: updates sent before the snapshot
-                # are inside the shipped FIB, later ones arrive after
-                # this message and apply to the fresh server. On a
-                # build failure the old server keeps serving and the
-                # error reply lets the frontend abandon the transition.
+                # ranges and both plans' hot ranges, so lookups routed
+                # by either plan keep answering until the frontend
+                # flips). Pipe FIFO makes the cutover exact: updates
+                # sent before the snapshot are inside the shipped FIB,
+                # later ones arrive after this message and apply to
+                # the fresh server. On a build failure the old server
+                # keeps serving and the error reply lets the frontend
+                # abandon the transition.
                 seq, shard_fib = message[1], message[2]
                 try:
                     build_started = time.perf_counter()
@@ -833,7 +834,8 @@ class WorkerPool(ShardedFrontend):
         On the shm transport workers map the *full* published program,
         so adopting a new plan is a frontend-only owner-split flip; on
         the pipe transport the pool walks one worker at a time onto a
-        union-restricted snapshot (old range ∪ new range ∪ hot ranges)
+        union-restricted snapshot (old range ∪ new range ∪ both plans'
+        hot ranges)
         while the old plan keeps serving — no global pause, and parity
         holds throughout because every worker can answer both plans
         until the flip.
@@ -1431,7 +1433,8 @@ class WorkerPool(ShardedFrontend):
     def _dispatch(self, batch):
         """Ship a batch to the workers without waiting: whole to every
         worker (broadcast, one ``bytes`` sent N times) or owner-split
-        into per-worker slices."""
+        into per-worker slices. Nothing drains in this process, so no
+        seconds move to the update clock."""
         if self._broadcast:
             packed = _pack_addresses(batch)
             sent = len(packed) * len(self._handles)
@@ -1454,7 +1457,7 @@ class WorkerPool(ShardedFrontend):
                 )
         with self._account_lock:
             self._bytes_tx += sent
-        return parts
+        return parts, 0.0
 
     def _collect(self, parts):
         """Await every worker's part. A part whose worker died is
@@ -1545,6 +1548,40 @@ class WorkerPool(ShardedFrontend):
                 handle=handle, op="probe",
             )
         )
+
+    def replay(self, events: Sequence[ServeEvent]) -> None:
+        """Pipelined scenario replay.
+
+        Lookup batches are submitted in event order, so every worker
+        sees the lookup/update interleaving the script prescribes, and
+        updates are applied inline. Up to :data:`DEFAULT_WINDOW` batches
+        stay in flight; when the window is full the oldest is merged on
+        this thread first — backpressure that bounds frontend memory
+        and ring depth. Every batch still in flight is merged (or
+        counted as failed) before the replay returns or re-raises, so
+        none is left on the lookup clock.
+        """
+        inflight: Deque[tuple] = deque()
+        try:
+            for event in events:
+                if not event.is_lookup:
+                    self.apply_update(event.op)
+                    continue
+                if len(inflight) == DEFAULT_WINDOW:
+                    self.merge_batch(*inflight.popleft(), decode=False)
+                inflight.append(self.submit_batch(event.addresses))
+            while inflight:
+                self.merge_batch(*inflight.popleft(), decode=False)
+        except BaseException:
+            # Land what is still in flight; a merge that fails as well
+            # was counted failed by merge_batch, and the first error is
+            # the one raised.
+            for token, count in inflight:
+                try:
+                    self.merge_batch(token, count, decode=False)
+                except Exception:  # noqa: BLE001
+                    pass
+            raise
 
     # ---------------------------------------------------------------- updates
 
@@ -1653,9 +1690,11 @@ class WorkerPool(ShardedFrontend):
             # rebuild.
             started = time.perf_counter()
             new_lo, new_hi = plan.shard_range(index)
+            # Until the flip the old plan sprays its own hot ranges over
+            # every worker, so the snapshot keeps them too.
             union = restrict_fib(
                 self._control, new_lo, new_hi,
-                extra=(self._plan.shard_range(index), *plan.hot),
+                extra=(self._plan.shard_range(index), *self._plan.hot, *plan.hot),
             )
             spec = ShardSpec(index, new_lo, new_hi, union, hot=plan.hot)
             self._replan_seconds += time.perf_counter() - started
@@ -2018,113 +2057,3 @@ def _release_segment(segment) -> None:
         segment.unlink()
     except FileNotFoundError:  # pragma: no cover - already gone
         pass
-
-
-class AsyncFibFrontend:
-    """Asyncio front-end pipelining lookups over a :class:`WorkerPool`.
-
-    Lookup batches are submitted in event order (so every worker's pipe
-    sees the same lookup/update interleaving the script prescribes) but
-    merged concurrently: up to ``window`` batches stay in flight, which
-    overlaps the frontend's serial split/pack/merge work with the
-    workers' parallel serving time instead of strictly alternating.
-    The pool's lookup clock counts overlapping batches once.
-    """
-
-    def __init__(self, pool: WorkerPool, window: int = DEFAULT_WINDOW):
-        if window < 1:
-            raise ValueError(f"pipeline window must be positive, got {window}")
-        self._pool = pool
-        self._window = window
-
-    @property
-    def pool(self) -> WorkerPool:
-        return self._pool
-
-    @property
-    def window(self) -> int:
-        return self._window
-
-    async def _merge(self, parts, count: int, decode: bool):
-        """Complete one in-flight batch without blocking the loop."""
-        return await asyncio.get_running_loop().run_in_executor(
-            None, self._pool.merge_batch, parts, count, decode
-        )
-
-    async def lookup_batch(self, addresses: Sequence[int]) -> List[Optional[int]]:
-        """Serve one batch through the pool, awaiting the merge."""
-        parts, count = self._pool.submit_batch(addresses)
-        return await self._merge(parts, count, True)
-
-    async def lookup_batch_packed(self, addresses: Sequence[int]) -> bytes:
-        """Packed twin of :meth:`lookup_batch` (native int64 labels,
-        0 = no route)."""
-        parts, count = self._pool.submit_batch(addresses)
-        if not count:
-            return b""
-        merged = await self._merge(parts, count, False)
-        return merged.tobytes()
-
-    # The update/report/lifecycle surface delegates straight to the
-    # pool (updates are fire-and-forget, reports and teardown are
-    # control-plane), completing the ServingPlane contract; only the
-    # lookup path is genuinely asynchronous here.
-
-    def apply_update(self, op: UpdateOp) -> bool:
-        return self._pool.apply_update(op)
-
-    def apply_updates(self, ops: Sequence[UpdateOp]) -> int:
-        return self._pool.apply_updates(ops)
-
-    def quiesce(self) -> None:
-        self._pool.quiesce()
-
-    def parity_fraction(self, addresses: Sequence[int]) -> float:
-        return self._pool.parity_fraction(addresses)
-
-    def report(self, *args, **kwargs) -> WorkerReport:
-        return self._pool.report(*args, **kwargs)
-
-    def close(self) -> None:
-        self._pool.close()
-
-    def __enter__(self) -> "AsyncFibFrontend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    async def replay(self, events: Sequence[ServeEvent]) -> None:
-        """Pipelined scenario replay.
-
-        Submissions happen inline, in event order — updates are
-        fire-and-forget and batch fan-outs are non-blocking — while
-        merges run as windowed tasks. The window is backpressure: when
-        ``window`` batches are in flight the replay pauses until the
-        oldest merge lands, bounding frontend memory and pipe depth.
-        """
-        merges: List[asyncio.Task] = []
-        gate = asyncio.Semaphore(self._window)
-        try:
-            for event in events:
-                if event.is_lookup:
-                    await gate.acquire()
-                    parts, count = self._pool.submit_batch(event.addresses)
-
-                    async def complete(parts=parts, count=count):
-                        try:
-                            await self._merge(parts, count, False)
-                        finally:
-                            gate.release()
-
-                    merges.append(asyncio.ensure_future(complete()))
-                else:
-                    self._pool.apply_update(event.op)
-            if merges:
-                await asyncio.gather(*merges)
-        finally:
-            for task in merges:
-                if not task.done():  # pragma: no cover - error unwinding
-                    task.cancel()
-
-

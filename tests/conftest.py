@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import asyncio
-import inspect
 import random
 
 import pytest
@@ -30,18 +28,6 @@ FIG3_EXAMPLE_ENTRIES = [
     (0b110, 3, 3),
     (0b111, 3, 1),
 ]
-
-
-def run_awaitable(value):
-    """Await the verb results of a pipelining plane (coroutines), pass
-    anything else through, so plane checks stay shape-agnostic."""
-    if inspect.isawaitable(value):
-        return asyncio.run(_consume(value))
-    return value
-
-
-async def _consume(awaitable):
-    return await awaitable
 
 
 def build_fib(entries, width: int = 32) -> Fib:

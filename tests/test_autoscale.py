@@ -15,7 +15,6 @@ in ``benchmarks/bench_autoscale.py``; correctness lives here.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import random
 import sys
@@ -31,8 +30,8 @@ from repro.serve.cluster import FibCluster, ShardPlan, plan_cluster
 from repro.serve.metrics import ServeReport
 from repro.serve.plane import ServingPlane, open_plane
 from repro.serve.server import FibServer
-from repro.serve.workers import AsyncFibFrontend, WorkerPool
-from tests.conftest import random_fib, run_awaitable as _run
+from repro.serve.workers import WorkerPool
+from tests.conftest import random_fib
 
 try:
     import numpy
@@ -409,10 +408,6 @@ PLANE_SHAPES = {
     "server": (FibServer, {}),
     "cluster": (FibCluster, {"shards": 4}),
     "pool": (WorkerPool, {"workers": 2, "transport": "pipe"}),
-    "async": (
-        AsyncFibFrontend,
-        {"workers": 2, "window": 4, "transport": "pipe"},
-    ),
 }
 
 
@@ -426,8 +421,8 @@ class TestServingPlaneContract:
         with open_plane("prefix-dag", small_fib, **kwargs) as plane:
             assert isinstance(plane, expected_type)
             assert isinstance(plane, ServingPlane)
-            assert _run(plane.lookup_batch(addresses)) == oracle
-            packed = _run(plane.lookup_batch_packed(addresses))
+            assert plane.lookup_batch(addresses) == oracle
+            packed = plane.lookup_batch_packed(addresses)
             assert list(array("q", packed)) == [
                 label if label else 0 for label in oracle
             ]
@@ -487,7 +482,7 @@ class TestWorkerReplanParity:
         report = serve.serve_plane_scenario(
             "prefix-dag", small_fib, events,
             scenario=scenario_name, workers=2, transport=transport,
-            autoscale=aggressive_policy(), parity_probes=probes, window=4,
+            autoscale=aggressive_policy(), parity_probes=probes,
         )
         assert report.final_parity == 1.0
         assert report.lookups == 1200
@@ -514,6 +509,39 @@ class TestWorkerReplanParity:
             probes = serve.parity_probes(small_fib, 256, seed=13)
             assert pool.parity_fraction(probes) == 1.0
 
+    def test_a_resharded_pipe_worker_keeps_the_old_plans_hot_range(
+        self, small_fib
+    ):
+        # Until the flip the old plan sprays its hot addresses over
+        # every worker, so a worker already walked onto the new plan
+        # must still answer them.
+        def start_replan(pool, hot_slot):
+            traffic = [1] * 256
+            traffic[hot_slot] = 10_000
+            pool._pending_plan = plan_cluster(
+                pool.control, 2, traffic=traffic, hot_share=0.5, max_hot=1,
+                spray_seed=7,
+            )
+            pool._begin_replan()
+
+        with WorkerPool(
+            "prefix-dag", small_fib, workers=2, transport="pipe",
+            autoscale=aggressive_policy(imbalance_threshold=1e9),
+        ) as pool:
+            start_replan(pool, 3)
+            while pool._pending_plan is not None:
+                pool._advance_replan(wait=True)
+            old_hot = pool.plan.hot
+            assert old_hot
+            start_replan(pool, 250)
+            pool._advance_replan(wait=True)  # worker 1's reshard is sent
+            assert pool._pending_plan is not None
+            rng = random.Random(17)
+            probes = [rng.randrange(lo, hi) for lo, hi in old_hot for _ in range(256)]
+            # Probes are routed by the old plan and queue behind both
+            # reshards.
+            assert pool.parity_fraction(probes) == 1.0
+
 
 class TestPoolFlowCache:
     """The pool runs the cluster's frontend, flow cache included."""
@@ -530,22 +558,23 @@ class TestPoolFlowCache:
                 events.append(serve.ServeEvent(index / len(feed), "lookup", batch))
             events.append(serve.ServeEvent(index / len(feed), "update", op=op))
         policy = aggressive_policy(imbalance_threshold=1e9, flow_cache=256)
-        # A short switch interval: pipelined merges on executor threads
-        # race the submitting thread on the cache and the counters.
+        # A short switch interval: the pool's reply threads (the shm
+        # ring pump, the pipe readers) race the replaying thread while
+        # batches are in flight.
         interval = sys.getswitchinterval()
         with open_plane(
-            "prefix-dag", small_fib, workers=2, window=4, transport=transport,
+            "prefix-dag", small_fib, workers=2, transport=transport,
             autoscale=policy, timeout=30.0,
         ) as plane:
             sys.setswitchinterval(1e-5)
             try:
-                asyncio.run(plane.replay(events))
+                plane.replay(events)
             finally:
                 sys.setswitchinterval(interval)
             plane.quiesce()
-            oracle = plane.pool.control
+            oracle = plane.control
             for _ in range(2):  # the second pass is served from the cache
-                assert _run(plane.lookup_batch(hot)) == [
+                assert plane.lookup_batch(hot) == [
                     oracle.lookup(address) for address in hot
                 ]
             probes = serve.parity_probes(small_fib, 256, seed=47)

@@ -311,6 +311,19 @@ class TestFibCluster:
         )
         assert report.lookup_latency_p99 is not None
 
+    def test_fanout_latency_sums_to_the_lookup_clock(self, rng):
+        fib = random_fib(rng, 200, 4, max_length=14)
+        events = self._script(fib, lookups=1600, updates=160)
+        obs = Registry()
+        report = serve_cluster("prefix-dag", fib, events, shards=4, obs=obs)
+        # The shards' patch-log drains under churn are update work, on
+        # neither clock: one batch in flight at a time, so the batch
+        # latencies add up to the lookup clock.
+        fanout = obs.histogram("cluster_fanout_seconds")
+        assert report.update_seconds > 0
+        assert fanout.count == sum(1 for event in events if event.is_lookup)
+        assert fanout.sum == pytest.approx(report.lookup_seconds, rel=1e-9)
+
     def test_single_shard_degenerates_to_server(self, rng):
         fib = random_fib(rng, 100, 3, max_length=12)
         events = self._script(fib, lookups=200, updates=10)

@@ -136,7 +136,7 @@ class TestSupervisedRecovery:
         probes = serve.parity_probes(small_fib, 200, seed=3)
         report = serve.serve_plane_scenario(
             "prefix-dag", small_fib, events,
-            scenario="bgp-churn", workers=2, window=8, transport=transport,
+            scenario="bgp-churn", workers=2, transport=transport,
             parity_probes=probes, rebuild_every=16,
             max_restarts=2,
             faults=FaultPlan.parse("kill-worker:1@batch=2"),
@@ -164,7 +164,7 @@ class TestSupervisedRecovery:
         probes = serve.parity_probes(small_fib, 200, seed=3)
         report = serve.serve_plane_scenario(
             "prefix-dag", small_fib, events,
-            scenario="bgp-churn", workers=2, window=8, transport="shm",
+            scenario="bgp-churn", workers=2, transport="shm",
             parity_probes=probes, rebuild_every=8,
             max_restarts=2,
             faults=FaultPlan.parse("fail-attach:0@attach=2"),
@@ -254,7 +254,7 @@ class TestSupervisedRecovery:
         probes = serve.parity_probes(small_fib, 200, seed=3)
         report = serve.serve_plane_scenario(
             "prefix-dag", small_fib, events,
-            scenario="bgp-churn", workers=2, window=8, transport="shm",
+            scenario="bgp-churn", workers=2, transport="shm",
             parity_probes=probes, rebuild_every=8,
             max_restarts=3,
             faults=FaultPlan.parse("corrupt-segment@publish=2"),
@@ -270,7 +270,7 @@ class TestSupervisedRecovery:
         probes = serve.parity_probes(small_fib, 150, seed=5)
         report = serve.serve_plane_scenario(
             "prefix-dag", small_fib, events,
-            scenario=scenario, workers=2, window=8, transport="shm",
+            scenario=scenario, workers=2, transport="shm",
             parity_probes=probes, rebuild_every=16,
             max_restarts=2,
             faults=FaultPlan.parse("kill-worker:*@batch=2", seed=5),

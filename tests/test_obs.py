@@ -265,7 +265,6 @@ class TestCrossProcessMerge:
             events,
             scenario="bgp-churn",
             workers=2,
-            window=8,
             transport="shm",
             obs=Registry(),
         )

@@ -2,12 +2,13 @@
 
 One hypothesis state machine drives the same lookups and churn through
 every deployment shape :func:`repro.serve.open_plane` opens — a single
-server, a 4-shard autoscaled cluster with a flow cache, 2-worker shm
-and pipe pools under the same policy, and the shm pool behind a
-pipelining window — and holds each against the machine's own tabular
-oracle. The policy re-plans at the slightest drift, and the forced
-re-plan rule hammers one shard's range until it does, so plan adoption
-runs under churn on every shape.
+server, a 4-shard autoscaled cluster with a flow cache, and 2-worker
+shm and pipe pools under the same policy — and holds each against the
+machine's own tabular oracle. The policy re-plans at the slightest
+drift, and the forced re-plan rule hammers one shard's range until it
+does, so plan adoption runs under churn on every shape. The replay
+rule sends a mixed script through every shape's ``replay``, which on
+the pools keeps several batches in flight while updates land.
 
 Invariants, after every rule:
 
@@ -41,8 +42,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro import serve
 from repro.datasets.updates import UpdateOp
-from repro.serve.workers import AsyncFibFrontend
-from tests.conftest import random_fib, run_awaitable as run
+from tests.conftest import random_fib
 
 FUZZ_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "6"))
 RULE_SECONDS = 60
@@ -73,10 +73,9 @@ SHAPES = {
     "cluster": dict(shards=4, autoscale=POLICY, rebuild_every=4),
     "shm": dict(workers=2, transport="shm", **POOL),
     "pipe": dict(workers=2, transport="pipe", **POOL),
-    "shm-window": dict(workers=2, transport="shm", window=4, **POOL),
 }
 #: Shapes that adopt an accepted update before the next lookup (the shm
-#: pools publish every ``rebuild_every`` updates, so they may lag).
+#: pool publishes every ``rebuild_every`` updates, so it may lag).
 FRESH = ("server", "cluster", "pipe")
 
 pytestmark = pytest.mark.skipif(
@@ -100,10 +99,6 @@ def within(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
-def plan_of(plane):
-    return plane.pool.plan if isinstance(plane, AsyncFibFrontend) else plane.plan
-
-
 class PlaneDifferential(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
@@ -120,7 +115,7 @@ class PlaneDifferential(RuleBasedStateMachine):
 
     def _lookup(self, addresses, shapes):
         for shape, plane in self.planes.items():
-            labels = run(plane.lookup_batch(addresses))
+            labels = plane.lookup_batch(addresses)
             if shape in shapes:
                 assert labels == [self.oracle.lookup(a) for a in addresses], shape
 
@@ -162,6 +157,36 @@ class PlaneDifferential(RuleBasedStateMachine):
             self._update(UpdateOp(prefix, length, None))
 
     @rule(seed=st.integers(0, 2**16))
+    def replay(self, seed):
+        # A short mixed script (bogus withdrawals included) through
+        # every shape's replay, the same operations on the oracle as
+        # the script is cut.
+        rng = random.Random(seed)
+        events = []
+        for step in range(16):
+            if rng.random() < 0.6:
+                batch = tuple(rng.getrandbits(FIB.width) for _ in range(BATCH))
+                events.append(serve.ServeEvent(step / 16, "lookup", batch))
+                continue
+            kind = rng.randrange(3)
+            if kind == 0:
+                length = rng.randint(0, 12)
+                op = UpdateOp(rng.getrandbits(length), length, rng.randint(1, 5))
+            elif kind == 1 and len(self.oracle):
+                routes = sorted((route.prefix, route.length) for route in self.oracle)
+                op = UpdateOp(*rng.choice(routes), None)
+            else:
+                op = UpdateOp(0x5A5, 11, None)  # rarely present: usually skipped
+            try:
+                self.oracle.update(op.prefix, op.length, op.label)
+            except KeyError:
+                pass
+            events.append(serve.ServeEvent(step / 16, "update", op=op))
+        with within(RULE_SECONDS):
+            for plane in self.planes.values():
+                plane.replay(events)
+
+    @rule(seed=st.integers(0, 2**16))
     def forced_replan(self, seed):
         # Hammer shard 0's range so the drift check fires on every
         # sharded shape (each cut its own plan).
@@ -171,9 +196,9 @@ class PlaneDifferential(RuleBasedStateMachine):
                 for shape, plane in self.planes.items():
                     if shape == "server":
                         continue
-                    lo, hi = plan_of(plane).shard_range(0)
+                    lo, hi = plane.plan.shard_range(0)
                     addresses = [rng.randrange(lo, hi) for _ in range(BATCH)]
-                    labels = run(plane.lookup_batch(addresses))
+                    labels = plane.lookup_batch(addresses)
                     if shape in FRESH:
                         assert labels == [self.oracle.lookup(a) for a in addresses]
 
@@ -186,7 +211,7 @@ class PlaneDifferential(RuleBasedStateMachine):
                 plane.quiesce()
             self._lookup(probes, tuple(SHAPES))
             for shape, plane in self.planes.items():
-                packed = run(plane.lookup_batch_packed(probes))
+                packed = plane.lookup_batch_packed(probes)
                 assert list(array("q", packed)) == [
                     self.oracle.lookup(a) or 0 for a in probes
                 ], shape

@@ -391,7 +391,7 @@ class TestStartMethods:
         probes = serve.parity_probes(small_fib, 200, seed=3)
         report = serve.serve_plane_scenario(
             "prefix-dag", small_fib, events,
-            scenario="bgp-churn", workers=2, window=8,
+            scenario="bgp-churn", workers=2,
             parity_probes=probes, start_method=method,
         )
         assert report.final_parity == 1.0
@@ -399,7 +399,31 @@ class TestStartMethods:
         assert report.lookups == 512
 
 
-class TestAsyncFrontend:
+def count_in_flight(pool):
+    """Wrap one pool's ``submit_batch`` / ``merge_batch`` with counters:
+    returns a dict whose ``inflight`` is the batches submitted and not
+    yet merged, ``peak`` its high-water mark, and ``submits`` /
+    ``merges`` the calls so far."""
+    counts = dict(inflight=0, peak=0, submits=0, merges=0)
+    submit, merge = pool.submit_batch, pool.merge_batch
+
+    def counted_submit(addresses):
+        token = submit(addresses)
+        counts["submits"] += 1
+        counts["inflight"] += 1
+        counts["peak"] = max(counts["peak"], counts["inflight"])
+        return token
+
+    def counted_merge(token, count, decode=True):
+        counts["merges"] += 1
+        counts["inflight"] -= 1
+        return merge(token, count, decode)
+
+    pool.submit_batch, pool.merge_batch = counted_submit, counted_merge
+    return counts
+
+
+class TestPipelinedReplay:
     def test_pipelined_replay_matches_oracle(self, small_fib):
         events = pack_events(
             serve.build_events(
@@ -411,7 +435,7 @@ class TestAsyncFrontend:
         for transport in serve.TRANSPORTS:
             report = serve.serve_plane_scenario(
                 "prefix-dag", small_fib, events,
-                scenario="flap-storm", workers=2, window=4,
+                scenario="flap-storm", workers=2,
                 transport=transport, parity_probes=probes,
             )
             assert report.final_parity == 1.0, transport
@@ -420,9 +444,57 @@ class TestAsyncFrontend:
             # inside the replay's wall time.
             assert 0 < report.lookup_seconds <= report.wall_seconds, transport
 
-    def test_window_must_be_positive(self, pool):
-        with pytest.raises(ValueError, match="window"):
-            serve.AsyncFibFrontend(pool, window=0)
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    def test_replay_keeps_a_bounded_window_in_flight(self, small_fib, transport):
+        events = pack_events(
+            serve.build_events(
+                serve.scenario("bgp-churn"), small_fib,
+                lookups=2048, updates=32, seed=5, batch_size=64,
+            )
+        )
+        with WorkerPool(
+            "prefix-dag", small_fib, workers=2, transport=transport
+        ) as pool:
+            counts = count_in_flight(pool)
+            started = time.perf_counter()
+            pool.replay(events)
+            report = pool.report(wall_seconds=time.perf_counter() - started)
+        assert counts["inflight"] == 0
+        # Pipelined, and never past the window.
+        assert 1 < counts["peak"] <= serve.DEFAULT_WINDOW
+        assert report.batches == sum(1 for e in events if e.is_lookup)
+        assert 0 < report.lookup_seconds <= report.wall_seconds
+
+    def test_replay_lands_every_batch_in_flight_when_it_raises(self, small_fib):
+        events = pack_events(
+            serve.build_events(
+                serve.scenario("uniform"), small_fib,
+                lookups=1024, updates=0, seed=7, batch_size=64,
+            )
+        )
+        with WorkerPool(
+            "prefix-dag", small_fib, workers=2, transport="pipe"
+        ) as pool:
+            counts = count_in_flight(pool)
+            merge = pool.merge_batch
+
+            def failing_merge(token, count, decode=True):
+                merged = merge(token, count, decode)
+                if counts["merges"] == 3:
+                    raise RuntimeError("merge failed")
+                return merged
+
+            pool.merge_batch = failing_merge
+            with pytest.raises(RuntimeError, match="merge failed"):
+                pool.replay(events)
+            report = pool.report()
+        # The third merge raised with a full window behind it: the
+        # replay merged all of them before re-raising.
+        assert counts["submits"] == serve.DEFAULT_WINDOW + 2
+        assert counts["merges"] == counts["submits"]
+        assert counts["inflight"] == 0
+        assert report.lookups == sum(row["lookups"] for row in report.shard_rows)
+        assert report.lookup_seconds > 0
 
 
 class TestShardSpecs:
@@ -518,14 +590,16 @@ class TestVectorSplit:
     def test_split_vector_matches_group(self):
         np = pytest.importorskip("numpy")
         fib = build_fib(PAPER_EXAMPLE_ENTRIES)
-        plan = serve.plan_cluster(fib, 4)
         rng = random.Random(41)
         addresses = [rng.getrandbits(32) for _ in range(500)]
-        grouped = plan.group(addresses)
         batch = np.fromiter(addresses, dtype=np.int64, count=len(addresses))
-        vectored = plan.split_vector(batch)
-        assert set(grouped) == set(vectored)
-        for shard, (positions, slice_) in grouped.items():
-            v_positions, v_slice = vectored[shard]
-            assert v_positions.tolist() == positions
-            assert v_slice.tolist() == slice_
+        for shards in (4, 20):
+            plan = serve.plan_cluster(fib, shards)
+            assert plan.shards == shards
+            grouped = plan.group(addresses)
+            vectored = plan.split_vector(batch)
+            assert set(grouped) == set(vectored), shards
+            for shard, (positions, slice_) in grouped.items():
+                v_positions, v_slice = vectored[shard]
+                assert v_positions.tolist() == positions
+                assert v_slice.tolist() == slice_
