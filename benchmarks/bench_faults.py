@@ -100,7 +100,6 @@ def test_fault_recovery_trajectory(profile_fib, events, probes, report_writer, s
             scenario="uniform",
             workers=WORKERS,
             parity_probes=probes,
-            transport="shm",
             timeout=spec["timeout"],
             max_restarts=MAX_RESTARTS,
             faults=FaultPlan.parse(spec["chaos"], seed=SEED),

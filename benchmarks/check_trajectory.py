@@ -62,6 +62,11 @@ TRAJECTORIES = (
     "BENCH_autoscale.json",
 )
 
+#: Direction tag of an extractor row whose metric is better when lower
+#: (a recovery time, a patch's cost): it is compared inverted, so a
+#: rise past the tolerance is its regression.
+LOWER_IS_BETTER = "lower"
+
 #: Default allowed relative drop of a gated ratio metric.
 DEFAULT_TOLERANCE = 0.30
 
@@ -111,13 +116,14 @@ def _scaling_point(key: str) -> bool:
     return not key.startswith("1-")
 
 
-def _serve_metrics(payload: dict) -> Iterator[Tuple[str, float, bool]]:
+def _serve_metrics(payload: dict) -> Iterator[tuple]:
     """Rows are warn-only: they hold absolute rates (runner lottery)
     and final_parity, whose hard gate is the producing command's. The
     ``patch_cost`` record's bounded ratio (naive region slots over
     write operations actually issued by the worst-case /2 patch) is a
     deterministic counter ratio — machine independent, higher is
-    better — so it gates; its wall-clock and events/sec ride warn-only.
+    better — so it gates; its slot count, wall-clock and events/sec
+    ride warn-only, the first two lower-is-better.
     """
     for row in payload.get("rows", ()):
         name = row.get("name", "?")
@@ -130,10 +136,14 @@ def _serve_metrics(payload: dict) -> Iterator[Tuple[str, float, bool]]:
         ratio = patch.get("bounded_ratio")
         if isinstance(ratio, (int, float)):
             yield "patch_cost.bounded_ratio", ratio, True
-        for field in ("slots_touched", "seconds", "events_per_second"):
+        for field, *direction in (
+            ("slots_touched", LOWER_IS_BETTER),
+            ("seconds", LOWER_IS_BETTER),
+            ("events_per_second",),
+        ):
             value = patch.get(field)
             if isinstance(value, (int, float)):
-                yield f"patch_cost.{field}", value, False
+                yield (f"patch_cost.{field}", value, False, *direction)
 
 
 def _cluster_metrics(payload: dict) -> Iterator[Tuple[str, float, bool]]:
@@ -150,40 +160,26 @@ def _workers_metrics(payload: dict) -> Iterator[Tuple[str, float, bool]]:
     gated = bool(payload.get("gated"))
     for key, value in sorted(payload.get("speedups", {}).items()):
         yield f"speedup.{key}", value, gated and _scaling_point(key)
-    # compiled_speedup is a per-transport dict since the shm plane
-    # landed ({"shm": x, "pipe": y}); older baselines recorded a single
-    # float, which stays warn-only. The shm ratio is the zero-copy
-    # acceptance bar and gates only when the runs on both sides had
-    # the cores; the pipe foil always warns.
-    value = payload.get("compiled_speedup")
-    if isinstance(value, dict):
-        for transport, ratio in sorted(value.items()):
-            yield (
-                f"compiled_speedup.{transport}", ratio,
-                gated and transport == "shm",
-            )
-    elif isinstance(value, (int, float)):
-        yield "compiled_speedup", value, False
     if "baseline_mlps" in payload:
         yield "baseline_mlps", payload["baseline_mlps"], False
 
 
-def _faults_metrics(payload: dict) -> Iterator[Tuple[str, float, bool]]:
+def _faults_metrics(payload: dict) -> Iterator[tuple]:
     # Availability and post-recovery parity are machine-independent
     # correctness ratios — gated. MTTR is wall-clock (dominated by the
     # respawned interpreter's boot, i.e. runner lottery) and the
     # degraded/retry split depends on failure-vs-respawn timing: both
-    # warn-only.
+    # warn-only, MTTR lower-is-better.
     for case, row in sorted(payload.get("cases", {}).items()):
-        for field, gate in (
+        for field, gate, *direction in (
             ("availability", True),
             ("final_parity", True),
-            ("mttr_seconds", False),
+            ("mttr_seconds", False, LOWER_IS_BETTER),
             ("restarts", False),
         ):
             value = row.get(field)
             if isinstance(value, (int, float)):
-                yield f"{case}.{field}", value, gate
+                yield (f"{case}.{field}", value, gate, *direction)
 
 
 def _autoscale_metrics(payload: dict) -> Iterator[Tuple[str, float, bool]]:
@@ -255,10 +251,12 @@ def _config_mismatch(name: str, baseline: dict, fresh: dict) -> List[str]:
     ]
 
 
-def _metrics(name: str, payload: dict) -> Dict[str, Tuple[float, bool]]:
+def _metrics(name: str, payload: dict) -> Dict[str, Tuple[float, bool, bool]]:
+    """metric -> (value, gated, lower_is_better); an extractor row
+    without a direction tag is higher-is-better."""
     return {
-        metric: (value, gated)
-        for metric, value, gated in _EXTRACTORS[name](payload)
+        metric: (value, gated, direction == [LOWER_IS_BETTER])
+        for metric, value, gated, *direction in _EXTRACTORS[name](payload)
     }
 
 
@@ -270,7 +268,8 @@ def compare_trajectory(
     A *gated* metric (a machine-normalized ratio, gated on both sides)
     fails when ``fresh < baseline * (1 - tolerance)``, a byte-count
     ratio past :data:`BYTES_TOLERANCE` instead; any other metric that
-    dropped past the tolerance only warns.
+    dropped past the tolerance only warns. A lower-is-better metric
+    compares inverted: it regresses when ``baseline / fresh`` drops.
     """
     failures: List[str] = []
     warnings: List[str] = []
@@ -307,11 +306,11 @@ def compare_trajectory(
             f"{name}: fresh run yields no comparable metrics; nothing gated"
         )
         return failures, warnings
-    for metric, (base_value, base_gated) in sorted(base.items()):
+    for metric, (base_value, base_gated, lower) in sorted(base.items()):
         if metric not in new:
             warnings.append(f"{name}: {metric} missing from the fresh run")
             continue
-        new_value, new_gated = new[metric]
+        new_value, new_gated, _ = new[metric]
         if new_gated and not base_gated:
             # The fresh run could be gated but the committed baseline
             # was not (e.g. recorded on a <4-CPU box): the gate is
@@ -321,7 +320,7 @@ def compare_trajectory(
                 f"{name}: {metric} baseline was recorded ungated — gate "
                 "inert; regenerate the committed baseline on gated hardware"
             )
-        if base_value <= 0:
+        if base_value <= 0 or (lower and new_value <= 0):
             continue
         gate = base_gated and new_gated
         if gate:  # clamp: see RATIO_CAP
@@ -332,6 +331,8 @@ def compare_trajectory(
         allowed = tolerance
         if metric.endswith(".size_over_program"):
             allowed = min(tolerance, BYTES_TOLERANCE)
+        if lower:
+            compared_base, compared_new = compared_new, compared_base
         drop = 1.0 - compared_new / compared_base
         if drop <= allowed:
             continue

@@ -228,17 +228,11 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.floor is not None and args.no_compiled:
-        print("--floor guards the compiled plane; drop --no-compiled", file=sys.stderr)
-        return 2
     prof = profile(args.profile)
     fib = build_profile_fib(prof, scale=args.scale)
     addresses = uniform_trace(args.packets, seed=42, width=fib.width)
     only = args.representations or None
     overrides = pipeline.option_overrides("dispatch_stride", args.stride)
-    if args.no_compiled:
-        for name, options in pipeline.option_overrides("compiled", False).items():
-            overrides.setdefault(name, {}).update(options)
     rows = pipeline.bench_all(
         fib,
         addresses,
@@ -387,7 +381,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 parity_probes=probes,
                 shards=args.shards,
                 workers=args.workers,
-                transport=args.transport,
                 options=overrides.get(name, {}),
                 rebuild_every=args.rebuild_every,
                 start_method=args.start_method,
@@ -446,7 +439,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "shards": args.shards,
                 "workers": args.workers,
                 "start_method": args.start_method if pooled else None,
-                "transport": args.transport if pooled else None,
                 "max_restarts": args.max_restarts if pooled else None,
                 "chaos": args.chaos,
                 "autoscale": autoscaled,
@@ -472,7 +464,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "seed": args.seed,
                 "shards": args.shards,
                 "workers": args.workers,
-                "transport": args.transport if pooled else None,
                 "rows": [
                     {
                         "name": report.name,
@@ -629,11 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="subset of registered representations",
     )
     p.add_argument(
-        "--no-compiled",
-        action="store_true",
-        help="serve lookup_batch through the PR 1 dispatch engine only",
-    )
-    p.add_argument(
         "--floor",
         type=float,
         default=None,
@@ -697,14 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=serve.DEFAULT_START_METHOD,
         help="worker process start method (default spawn; fork where the "
         "platform offers it)",
-    )
-    p.add_argument(
-        "--transport",
-        choices=serve.TRANSPORTS,
-        default=serve.DEFAULT_TRANSPORT,
-        help="worker data plane: shared-memory rings with published "
-        "program segments, or pickled pipes (default shm; falls back to "
-        "pipe where shared memory or a compiled program is unavailable)",
     )
     p.add_argument(
         "--max-restarts",

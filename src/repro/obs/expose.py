@@ -8,7 +8,7 @@ Three ways out of a :class:`~repro.obs.core.Registry`:
 * :func:`write_json` / :func:`validate_metrics_payload` write and
   check the ``repro.obs/v1`` JSON snapshot `repro-fib serve
   --metrics-json` emits (CI validates the smoke artifact with
-  ``python -m repro.obs.expose --validate PATH``);
+  ``python -m repro.obs --validate PATH``);
 * :class:`MetricsExporter` serves both formats from a stdlib-only
   daemon HTTP thread (``--metrics-port``; port 0 picks a free port).
 
@@ -22,7 +22,7 @@ import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from .core import SCHEMA, ZERO_BUCKET, Registry, bucket_bounds
 
@@ -218,44 +218,3 @@ class MetricsExporter:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.obs.expose --validate PATH`` — CI's schema
-    check of a ``--metrics-json`` artifact; ``--prometheus PATH``
-    prints the text rendering."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="validate or render a repro.obs metrics snapshot"
-    )
-    parser.add_argument("--validate", metavar="PATH",
-                        help="check a metrics JSON file against the schema")
-    parser.add_argument("--prometheus", metavar="PATH",
-                        help="render a metrics JSON file as Prometheus text")
-    args = parser.parse_args(argv)
-    if not args.validate and not args.prometheus:
-        parser.error("one of --validate / --prometheus is required")
-    status = 0
-    if args.validate:
-        payload = json.loads(Path(args.validate).read_text())
-        errors = validate_metrics_payload(payload)
-        for error in errors:
-            print(f"invalid: {error}")
-        if errors:
-            status = 1
-        else:
-            print(f"{args.validate}: valid {SCHEMA} snapshot")
-    if args.prometheus and not status:
-        payload = json.loads(Path(args.prometheus).read_text())
-        if "rows" in payload:
-            merged = Registry()
-            for row in payload["rows"]:
-                merged.merge(row.get("snapshot", {}))
-            payload = merged.snapshot()
-        print(to_prometheus(payload), end="")
-    return status
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -15,11 +15,11 @@ through two planes:
   parity suite);
 * the **dispatch engine** (:mod:`repro.pipeline.batch`, the PR 1 fast
   path, kept as ``lookup_batch_dispatch``): stride-dispatch arrays over
-  Python nodes or the representation's scalar lookup. It serves when
-  compilation is disabled (``compiled=False``) or refused
-  (:class:`~repro.pipeline.flat.FlatCompileError` — e.g. an expansion
-  past the cell ceiling), and is what ``repro-fib bench`` measures the
-  compiled plane against.
+  Python nodes or the representation's scalar lookup. It serves only
+  when the compile is refused
+  (:class:`~repro.pipeline.flat.FlatCompileError` — an expansion past
+  the cell ceiling, or a label no cell can hold), and is what
+  ``repro-fib bench`` measures the compiled plane against.
 
 Updatable representations (tabular, binary trie, prefix DAG) keep their
 compiled program live under churn with a **patch log**: ``apply_update``
@@ -79,15 +79,8 @@ _STRIDE_OPTION = OptionSpec(
     "stride of the batched-lookup root dispatch array (2^s slots, s in [1, 20])",
 )
 
-_COMPILED_OPTION = OptionSpec(
-    "compiled",
-    bool,
-    True,
-    "serve lookup_batch from the compiled flat plane (False = PR 1 dispatch engine)",
-)
-
 #: Options shared by every adapter below.
-_COMMON_OPTIONS = (_STRIDE_OPTION, _COMPILED_OPTION)
+_COMMON_OPTIONS = (_STRIDE_OPTION,)
 
 
 class RepresentationAdapter:
@@ -104,16 +97,10 @@ class RepresentationAdapter:
     #: a plain route trie override this to False.
     _flat_leaf_pushed = True
 
-    def __init__(
-        self,
-        fib: Fib,
-        dispatch_stride: int = DEFAULT_STRIDE,
-        compiled: bool = True,
-    ):
+    def __init__(self, fib: Fib, dispatch_stride: int = DEFAULT_STRIDE):
         self._width = fib.width
         self._dispatch_stride = check_stride(dispatch_stride)
         self._dispatch = None
-        self._compiled_enabled = bool(compiled)
         self._flat: Optional[FlatProgram] = None
         self._flat_failed = False
         self._flat_log: List[Tuple[int, int]] = []
@@ -148,12 +135,12 @@ class RepresentationAdapter:
 
     def flat_plane(self) -> Optional[FlatProgram]:
         """The compiled lookup program, or None when the adapter serves
-        through the dispatch engine (compilation disabled or refused).
+        through the dispatch engine (the compile was refused).
 
         Compiles lazily on first use; drains the patch log first, so the
         program a caller receives always reflects every applied update.
         """
-        if not self._compiled_enabled or self._flat_failed:
+        if self._flat_failed:
             return None
         if self._flat is not None and self._flat_log:
             program = self._flat
@@ -226,13 +213,8 @@ class _FallbackBatchAdapter(RepresentationAdapter):
     from the frozen backend.
     """
 
-    def __init__(
-        self,
-        fib: Fib,
-        dispatch_stride: int = DEFAULT_STRIDE,
-        compiled: bool = True,
-    ):
-        super().__init__(fib, dispatch_stride, compiled)
+    def __init__(self, fib: Fib, dispatch_stride: int = DEFAULT_STRIDE):
+        super().__init__(fib, dispatch_stride)
         self._source_fib = fib.copy()
         self._control: Optional[BinaryTrie] = None
 
@@ -274,14 +256,9 @@ class _FallbackBatchAdapter(RepresentationAdapter):
 class TabularAdapter(_FallbackBatchAdapter):
     _flat_leaf_pushed = False  # patch source is the plain control trie
 
-    def __init__(
-        self,
-        fib: Fib,
-        dispatch_stride: int = DEFAULT_STRIDE,
-        compiled: bool = True,
-    ):
+    def __init__(self, fib: Fib, dispatch_stride: int = DEFAULT_STRIDE):
         # The backend copy doubles as the dispatch snapshot.
-        RepresentationAdapter.__init__(self, fib, dispatch_stride, compiled)
+        RepresentationAdapter.__init__(self, fib, dispatch_stride)
         self._backend = fib.copy()
         self._source_fib = self._backend
         self._control = None
@@ -323,13 +300,8 @@ class TabularAdapter(_FallbackBatchAdapter):
 class BinaryTrieAdapter(RepresentationAdapter):
     _flat_leaf_pushed = False  # labels are the routes themselves
 
-    def __init__(
-        self,
-        fib: Fib,
-        dispatch_stride: int = DEFAULT_STRIDE,
-        compiled: bool = True,
-    ):
-        super().__init__(fib, dispatch_stride, compiled)
+    def __init__(self, fib: Fib, dispatch_stride: int = DEFAULT_STRIDE):
+        super().__init__(fib, dispatch_stride)
         self._backend = BinaryTrie.from_fib(fib)
         self._delta: Optional[int] = fib.delta
         self.lookup = self._backend.lookup
@@ -377,13 +349,8 @@ class BinaryTrieAdapter(RepresentationAdapter):
     supports_flat=True,
 )
 class PatriciaAdapter(_FallbackBatchAdapter):
-    def __init__(
-        self,
-        fib: Fib,
-        dispatch_stride: int = DEFAULT_STRIDE,
-        compiled: bool = True,
-    ):
-        super().__init__(fib, dispatch_stride, compiled)
+    def __init__(self, fib: Fib, dispatch_stride: int = DEFAULT_STRIDE):
+        super().__init__(fib, dispatch_stride)
         self._backend = PatriciaTrie(fib)
         self.lookup = self._backend.lookup
 
@@ -411,12 +378,11 @@ class LCTrieAdapter(_FallbackBatchAdapter):
         self,
         fib: Fib,
         dispatch_stride: int = DEFAULT_STRIDE,
-        compiled: bool = True,
         fill_factor: float = 0.5,
         max_bits: int = 17,
         root_bits: int = 0,
     ):
-        super().__init__(fib, dispatch_stride, compiled)
+        super().__init__(fib, dispatch_stride)
         self._backend = LCTrie(
             fib, fill_factor=fill_factor, max_bits=max_bits, root_bits=root_bits
         )
@@ -436,7 +402,6 @@ class LCTrieAdapter(_FallbackBatchAdapter):
         fib: Fib,
         backend: LCTrie,
         dispatch_stride: int = DEFAULT_STRIDE,
-        compiled: bool = True,
     ) -> "LCTrieAdapter":
         """Adapt an already-built LC-trie *variant* of ``fib``.
 
@@ -445,7 +410,7 @@ class LCTrieAdapter(_FallbackBatchAdapter):
         planes are derived from ``fib``, exactly as in ``__init__``.
         """
         adapter = cls.__new__(cls)
-        RepresentationAdapter.__init__(adapter, fib, dispatch_stride, compiled)
+        RepresentationAdapter.__init__(adapter, fib, dispatch_stride)
         adapter._source_fib = fib.copy()
         adapter._control = None
         adapter._backend = backend
@@ -464,13 +429,8 @@ class LCTrieAdapter(_FallbackBatchAdapter):
     supports_flat=True,
 )
 class OrtcAdapter(RepresentationAdapter):
-    def __init__(
-        self,
-        fib: Fib,
-        dispatch_stride: int = DEFAULT_STRIDE,
-        compiled: bool = True,
-    ):
-        super().__init__(fib, dispatch_stride, compiled)
+    def __init__(self, fib: Fib, dispatch_stride: int = DEFAULT_STRIDE):
+        super().__init__(fib, dispatch_stride)
         self._backend = ortc_compress(fib)
         # One trie over the aggregated entries, null routes kept as ⊥ so
         # they erase any shorter covering label during the walk.
@@ -513,13 +473,8 @@ class OrtcAdapter(RepresentationAdapter):
     supports_flat=True,
 )
 class ShapeGraphAdapter(_FallbackBatchAdapter):
-    def __init__(
-        self,
-        fib: Fib,
-        dispatch_stride: int = DEFAULT_STRIDE,
-        compiled: bool = True,
-    ):
-        super().__init__(fib, dispatch_stride, compiled)
+    def __init__(self, fib: Fib, dispatch_stride: int = DEFAULT_STRIDE):
+        super().__init__(fib, dispatch_stride)
         self._backend = ShapeGraph(fib)
         self.lookup = self._backend.lookup
 
@@ -546,10 +501,9 @@ class XBWAdapter(_FallbackBatchAdapter):
         self,
         fib: Fib,
         dispatch_stride: int = DEFAULT_STRIDE,
-        compiled: bool = True,
         wavelet_shape: str = "huffman",
     ):
-        super().__init__(fib, dispatch_stride, compiled)
+        super().__init__(fib, dispatch_stride)
         self._backend = XBWb.from_fib(fib, wavelet_shape=wavelet_shape)
         self.lookup = self._backend.lookup
         self.lookup_trace = self._backend.lookup_trace
@@ -575,10 +529,9 @@ class PrefixDagAdapter(RepresentationAdapter):
         self,
         fib: Fib,
         dispatch_stride: int = DEFAULT_STRIDE,
-        compiled: bool = True,
         barrier: Optional[int] = None,
     ):
-        super().__init__(fib, dispatch_stride, compiled)
+        super().__init__(fib, dispatch_stride)
         self._backend = PrefixDag(fib, barrier=barrier)
         self.lookup = self._backend.lookup
 
@@ -623,14 +576,13 @@ class PrefixDagAdapter(RepresentationAdapter):
     paper_section="§7",
     size_model="2^s·ptr·interior + lg δ·leaves",
     options=(
-        _COMPILED_OPTION,
         OptionSpec("stride", int, 4, "address bits consumed per node (divides W)"),
     ),
     supports_flat=True,
 )
 class MultibitDagAdapter(RepresentationAdapter):
-    def __init__(self, fib: Fib, compiled: bool = True, stride: int = 4):
-        super().__init__(fib, compiled=compiled)
+    def __init__(self, fib: Fib, stride: int = 4):
+        super().__init__(fib)
         self._backend = MultibitDag(fib, stride=stride)
         self.lookup = self._backend.lookup
 
@@ -669,7 +621,6 @@ class MultibitDagAdapter(RepresentationAdapter):
     paper_section="§5.3",
     size_model="2^λ stride table + packed node/leaf arrays",
     options=(
-        _COMPILED_OPTION,
         OptionSpec("barrier", int, None, "leaf-push barrier λ; None = entropy-chosen (eq. 3)"),
     ),
     supports_trace=True,
@@ -677,8 +628,8 @@ class MultibitDagAdapter(RepresentationAdapter):
     trace_step_cycles=SERIALIZED_DAG_STEP_CYCLES,
 )
 class SerializedDagAdapter(RepresentationAdapter):
-    def __init__(self, fib: Fib, compiled: bool = True, barrier: Optional[int] = None):
-        super().__init__(fib, compiled=compiled)
+    def __init__(self, fib: Fib, barrier: Optional[int] = None):
+        super().__init__(fib)
         self._dag = PrefixDag(fib, barrier=barrier)
         self._backend = SerializedDag(self._dag)
         self.lookup = self._backend.lookup
@@ -699,14 +650,12 @@ class SerializedDagAdapter(RepresentationAdapter):
         return compile_binary(self._dag.root, self._width, DEFAULT_STRIDE)
 
     @classmethod
-    def from_dag(
-        cls, fib: Fib, dag: PrefixDag, compiled: bool = True
-    ) -> "SerializedDagAdapter":
+    def from_dag(cls, fib: Fib, dag: PrefixDag) -> "SerializedDagAdapter":
         """Serialize an already-folded DAG of ``fib``, skipping the
         second trie-folding pass (the image copies everything into flat
         arrays, so sharing the fold is safe)."""
         adapter = cls.__new__(cls)
-        RepresentationAdapter.__init__(adapter, fib, compiled=compiled)
+        RepresentationAdapter.__init__(adapter, fib)
         adapter._dag = dag
         adapter._backend = SerializedDag(dag)
         adapter.lookup = adapter._backend.lookup

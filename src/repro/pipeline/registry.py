@@ -243,12 +243,9 @@ def build_all(
         elif name == "serialized-dag" and prefix_dag is not None:
             from repro.pipeline.adapters import SerializedDagAdapter
 
-            # Sharing the fold must not drop the caller's non-barrier
-            # options (e.g. compiled=False for a dispatch-only bench).
-            resolved = get(name).resolve_options(overrides.get(name, {}))
-            built[name] = SerializedDagAdapter.from_dag(
-                fib, prefix_dag.backend, compiled=resolved["compiled"]
-            )
+            # Sharing the fold must not skip the option check.
+            get(name).resolve_options(overrides.get(name, {}))
+            built[name] = SerializedDagAdapter.from_dag(fib, prefix_dag.backend)
         else:
             built[name] = build(name, fib, **overrides.get(name, {}))
     return built

@@ -80,9 +80,7 @@ from repro.serve.supervisor import (
 from repro.serve.workers import (
     DEFAULT_CONTROL_TIMEOUT,
     DEFAULT_START_METHOD,
-    DEFAULT_TRANSPORT,
     DEFAULT_WINDOW,
-    TRANSPORTS,
     WorkerError,
     WorkerPool,
 )
@@ -95,11 +93,9 @@ __all__ = [
     "DEFAULT_RESTART_WINDOW",
     "DEFAULT_RING_BYTES",
     "DEFAULT_START_METHOD",
-    "DEFAULT_TRANSPORT",
     "DEFAULT_WINDOW",
     "FAULT_KINDS",
     "SCENARIOS",
-    "TRANSPORTS",
     "AutoscalePolicy",
     "Fault",
     "FaultInjected",

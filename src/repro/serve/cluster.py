@@ -416,6 +416,12 @@ def plan_cluster(
                 f"for {shards} shards"
             )
         bits = min(bits, width)
+    if shards == 1:
+        # One range holds everything: no weights to balance, no hot
+        # range to spray.
+        return ShardPlan(
+            width=width, shards=1, bounds=(0, 1 << width), spray_seed=spray_seed
+        )
     shift = width - bits
     hot: Tuple[Tuple[int, int], ...] = ()
     if traffic is not None and sum(traffic) > 0:
@@ -715,16 +721,20 @@ class ShardedFrontend:
         the whole batch counts as stale, flow-cache hits included: the
         cache refills from the generation that lags.
         """
+        ticked = time.perf_counter()
         self._tick()
         self._batches += 1
         count = len(addresses)
-        if not count:
-            return None, 0
-        if self._traffic is not None:
+        if count and self._traffic is not None:
             self._traffic.observe(addresses)
             self._autoscale_step(count)
-        # The lookup clock starts after the control-loop step, so a
-        # re-plan's replacement builds never land on a batch's latency.
+        # The lookup clock starts after the tick and the control-loop
+        # step, so a publish or a re-plan's replacement builds never
+        # land on a batch's latency, nor on the clock of the batches
+        # already in flight.
+        self._off_lookup_clock(ticked)
+        if not count:
+            return None, 0
         started = time.perf_counter()
         with self._account_lock:
             if not self._inflight:
@@ -807,6 +817,15 @@ class ShardedFrontend:
             self._leave_flight(now)
         return merged
 
+    def _off_lookup_clock(self, started: float) -> None:
+        """Take the frontend's own work since ``started`` off the lookup
+        clock while batches are in flight. Only the caller's thread
+        submits and merges, so they were in flight for the whole span;
+        its update-plane work is on the update and rebuild clocks."""
+        with self._account_lock:
+            if self._inflight:
+                self._lookup_seconds -= time.perf_counter() - started
+
     def _leave_flight(self, now: float) -> None:
         """One batch left flight (caller holds ``_account_lock``); the
         last one out folds the span into the lookup clock, so batches
@@ -864,6 +883,7 @@ class ShardedFrontend:
                 self._updates_skipped += 1
                 with self._account_lock:
                     self._update_seconds += time.perf_counter() - started
+                self._off_lookup_clock(started)
                 return False
             owners = self._plan.owners(op.prefix, op.length)
             if self._pending_plan is not None:
@@ -879,6 +899,7 @@ class ShardedFrontend:
         self._tick()
         if self._pending_plan is not None:
             self._advance_replan()
+        self._off_lookup_clock(started)
         return True
 
     def apply_updates(self, ops: Sequence[UpdateOp]) -> int:

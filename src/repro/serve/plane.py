@@ -62,7 +62,6 @@ from repro.serve.workers import (
     DEFAULT_RING_BYTES,
     DEFAULT_START_METHOD,
     DEFAULT_TIMEOUT,
-    DEFAULT_TRANSPORT,
     WorkerPool,
 )
 
@@ -109,7 +108,6 @@ def open_plane(
     *,
     shards: int = 1,
     workers: int = 0,
-    transport: str = DEFAULT_TRANSPORT,
     options: Optional[Dict[str, Any]] = None,
     rebuild_every: int = DEFAULT_REBUILD_EVERY,
     batched: bool = True,
@@ -129,7 +127,8 @@ def open_plane(
     The decision tree mirrors how the deployments nest:
 
     * ``workers > 0`` — a real multi-process :class:`WorkerPool` with
-      ``workers`` shard processes over ``transport``.
+      ``workers`` shard processes (over shared memory when the host and
+      the compiled program allow it, else over pipes).
     * ``workers == 0, shards > 1`` — the in-process
       :class:`FibCluster` with ``shards`` shards, answered one after
       another in the caller's thread.
@@ -173,7 +172,6 @@ def open_plane(
             start_method=start_method,
             timeout=timeout,
             control_timeout=control_timeout,
-            transport=transport,
             ring_bytes=ring_bytes,
             obs=obs,
             max_restarts=max_restarts,

@@ -23,7 +23,9 @@ built — off the lookup path, inside the rebuild timer at every epoch
 swap — and kept live on the incremental plane by draining the adapter's
 patch log *before* the lookup timer starts (the replay is churn-induced
 work, charged to the update plane). When a representation refuses to
-compile, the server transparently degrades to the PR 1 dispatch engine.
+compile (:class:`~repro.pipeline.flat.FlatCompileError`: an image past
+the cell ceiling, or a label no cell holds), the server transparently
+degrades to the stride-dispatch engine; no option forces that path.
 
 The server always keeps a **control FIB** — the continuously-updated
 tabular oracle — which is what rebuilds snapshot from, what the
@@ -284,14 +286,16 @@ class FibServer:
         return program
 
     def serving_program(self):
-        """The live compiled program, patch log drained — or None.
+        """The live compiled program, patch log drained — or None when
+        the compile is refused (the dispatch engine serves instead).
 
         The attach-time publish hook for the shared-memory transport:
         the frontend hosts one FibServer as the *publisher* and, at each
         epoch, drains the patch log here (on the update clock, exactly
         like a batched lookup would) and copies the returned program
         into a fresh shared segment for the workers to attach. The
-        program itself never leaves this process.
+        program itself never leaves this process, and a None here
+        leaves the pool nothing to publish.
         """
         return self._drain_patches()
 

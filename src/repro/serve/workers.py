@@ -13,8 +13,8 @@ worker answers a slice, how an accepted update reaches it, how it
 adopts a new plan, and the transports, supervision, respawn, degraded
 serving and fault injection around that.
 
-**Transports.** The pool serves over one of two data planes
-(``transport=``). The default, ``"shm"``, is the zero-copy plane from
+**Transports.** The pool serves over one of two data planes and picks
+the one it can run. ``"shm"`` is the zero-copy plane from
 :mod:`repro.serve.shm`: per-worker request/response
 :class:`~repro.serve.shm.ShmRing` pairs carry struct-packed records
 whose payloads are raw int64 bytes viewed in place on both ends, and
@@ -27,9 +27,12 @@ workers onto it through their request rings (``OP_ATTACH``), FIFO with
 the data they serve. The pipe remains connected but carries only the
 low-rate control plane: readiness, ``report``, ``shutdown`` — and its
 EOF is still how a worker death is detected. ``"pipe"`` is the wire
-protocol below, kept for representations with no compiled plane and
-hosts without POSIX shared memory; ``"shm"`` falls back to it cleanly
-in those cases.
+protocol below. It serves only where shm cannot: on a host without
+POSIX shared memory (:func:`~repro.serve.shm.shm_available` is false),
+or when the whole FIB's compile is refused
+(:class:`~repro.pipeline.flat.FlatCompileError`: an image past the cell
+ceiling, or a label no cell can hold), so there is no program to
+publish. :attr:`WorkerPool.transport` names the plane that runs.
 
 **The pipe wire protocol.** One full-duplex ``multiprocessing`` pipe
 per worker carries pickled tuples; bulk payloads travel as packed int64
@@ -164,13 +167,6 @@ DEFAULT_CONTROL_TIMEOUT = 60.0
 #: Default process start method ("spawn" imports cleanly everywhere;
 #: pass "fork" where the platform offers it and boot cost matters).
 DEFAULT_START_METHOD = "spawn"
-
-#: Default data-plane transport; falls back to "pipe" when shared
-#: memory or a compiled program is unavailable.
-DEFAULT_TRANSPORT = "shm"
-
-#: The transports a pool can be asked for.
-TRANSPORTS = ("shm", "pipe")
 
 #: Data-plane request opcodes by the pipe protocol's message kind.
 _RING_OPS = {"lookup": OP_LOOKUP, "bcast": OP_BCAST, "probe": OP_PROBE}
@@ -785,6 +781,9 @@ class WorkerPool(ShardedFrontend):
     """N shard-restricted FibServers, each a real OS process, behind the
     sharded frontend (:class:`~repro.serve.cluster.ShardedFrontend`).
 
+    The pool serves over shared memory, and over pipes only where it
+    cannot (:attr:`transport` says which; the module docstring, why).
+
     Parameters mirror :class:`~repro.serve.cluster.FibCluster`, plus:
 
     start_method:
@@ -813,12 +812,6 @@ class WorkerPool(ShardedFrontend):
         A :class:`~repro.serve.faults.FaultPlan` scripting
         deterministic failures into this run (chaos testing). None —
         the default — injects nothing and costs nothing.
-    transport:
-        ``"shm"`` (default) serves over shared-memory rings with the
-        compiled program in a published segment the workers attach;
-        falls back to ``"pipe"`` — recorded in the report — when shared
-        memory is unavailable or the representation compiles no flat
-        program. ``"pipe"`` forces the pickled-tuple wire protocol.
     ring_bytes:
         Per-direction, per-worker ring data capacity (shm transport).
     obs:
@@ -860,7 +853,6 @@ class WorkerPool(ShardedFrontend):
         start_method: str = DEFAULT_START_METHOD,
         timeout: float = DEFAULT_TIMEOUT,
         control_timeout: float = DEFAULT_CONTROL_TIMEOUT,
-        transport: str = DEFAULT_TRANSPORT,
         ring_bytes: int = DEFAULT_RING_BYTES,
         obs: Registry = NULL_REGISTRY,
         max_restarts: int = 0,
@@ -875,11 +867,6 @@ class WorkerPool(ShardedFrontend):
             raise ValueError(
                 f"worker pool wire format carries at most 63-bit addresses, "
                 f"got a {fib.width}-bit FIB (use FibCluster for wider tables)"
-            )
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; "
-                f"choose one of {', '.join(TRANSPORTS)}"
             )
         if control_timeout <= 0:
             raise ValueError(
@@ -935,7 +922,7 @@ class WorkerPool(ShardedFrontend):
         )
         started = time.perf_counter()
         self._transport = "pipe"
-        if transport == "shm" and shm_available():
+        if shm_available():
             try:
                 publisher = FibServer(
                     name,
@@ -953,8 +940,8 @@ class WorkerPool(ShardedFrontend):
             if publisher.serving_program() is not None:
                 self._publisher = publisher
                 self._transport = "shm"
-            # else: no compiled plane to publish (e.g. compiled=False);
-            # the pickled-pipe transport serves instead.
+            # else: the compile was refused, so there is no program to
+            # publish; the pickled-pipe transport serves instead.
         context = multiprocessing.get_context(start_method)
         ready: List[Future] = []
         try:
@@ -1023,8 +1010,8 @@ class WorkerPool(ShardedFrontend):
 
     @property
     def transport(self) -> str:
-        """The data plane actually serving: ``shm`` or ``pipe`` (what
-        was requested may have fallen back; this is what runs)."""
+        """The data plane serving: ``shm``, or ``pipe`` on a host
+        without shared memory or a FIB whose compile was refused."""
         return self._transport
 
     @property
@@ -1204,6 +1191,14 @@ class WorkerPool(ShardedFrontend):
             incarnation = old.incarnation + 1
             context = multiprocessing.get_context(self._start_method)
             if self._transport == "shm":
+                if self._publisher.serving_program() is None:
+                    # The last published image predates a refused
+                    # compile; attaching it would serve stale answers.
+                    raise WorkerError(
+                        f"worker {index} not respawned: no program to "
+                        "attach, the compile was refused",
+                        worker_index=index, op="publish",
+                    )
                 handle, ready = self._spawn_shm_worker(
                     context, index, old.routes, incarnation
                 )
@@ -1734,6 +1729,12 @@ class WorkerPool(ShardedFrontend):
         onto it (``OP_ATTACH``, FIFO with the data plane). A worker that
         fails to adopt is declared dead rather than silently left
         serving stale answers.
+
+        When the publisher's compile is refused mid-run, no image can
+        carry the new generation: every live worker is declared dead for
+        the same reason, and a :class:`WorkerError` (``op="publish"``)
+        is raised unless supervision may still recover every shard (it
+        serves their ranges degraded from the publisher meanwhile).
         """
         with self._lock:
             started = time.perf_counter()
@@ -1741,7 +1742,19 @@ class WorkerPool(ShardedFrontend):
             if publisher.pending:
                 publisher.rebuild()
             generation = self._generation + 1
-            segment = publish_program(publisher.serving_program(), generation)
+            program = publisher.serving_program()
+            if program is None:
+                self._rebuild_seconds += time.perf_counter() - started
+                reason = (
+                    f"no program to publish generation {generation}: "
+                    "the compile was refused"
+                )
+                for handle in self._handles:
+                    handle.fail(reason, op="publish")  # no-op on the dead
+                if all(self._recoverable(h.index) for h in self._handles):
+                    return
+                raise WorkerError(reason, op="publish", generation=generation)
+            segment = publish_program(program, generation)
             if self._faults is not None and self._faults.corrupts_publish(
                 self._publishes + 1
             ):

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 import pytest
 
 from repro.core.fib import Fib
 from repro.core.trie import BinaryTrie
+from repro.serve import workers
+
+#: A label whose ``~label`` no int32 cell holds: a FIB carrying it
+#: refuses to compile, so it serves through the dispatch engine (and a
+#: worker pool over it through the pipe).
+UNCOMPILABLE_LABEL = 1 << 31
 
 PAPER_EXAMPLE_ENTRIES = [
     # The running example of Fig 1: prefix, length, label.
@@ -53,6 +60,16 @@ def random_fib(
         value = rng.getrandbits(length) if length else 0
         fib.add(value, length, rng.randint(1, delta))
     return fib
+
+
+@contextmanager
+def serving_over(transport: str):
+    """Worker pools opened inside serve over ``transport``: ``"pipe"``
+    hides shared memory, as a host without it does."""
+    with pytest.MonkeyPatch.context() as patch:
+        if transport == "pipe":
+            patch.setattr(workers, "shm_available", lambda: False)
+        yield
 
 
 def assert_forwarding_equivalent(reference, candidate, rng, samples=500, width=32):

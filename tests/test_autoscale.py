@@ -31,7 +31,7 @@ from repro.serve.metrics import ServeReport
 from repro.serve.plane import ServingPlane, open_plane
 from repro.serve.server import FibServer
 from repro.serve.workers import WorkerPool
-from tests.conftest import random_fib
+from tests.conftest import random_fib, serving_over
 
 try:
     import numpy
@@ -39,7 +39,6 @@ except ImportError:  # pragma: no cover - the no-numpy CI leg
     numpy = None
 
 ALL_SCENARIOS = ("uniform", "bgp-churn", "flash-renumbering", "flap-storm")
-TRANSPORTS = ("shm", "pipe")
 
 
 def aggressive_policy(**overrides) -> AutoscalePolicy:
@@ -407,7 +406,7 @@ class TestClusterControlLoop:
 PLANE_SHAPES = {
     "server": (FibServer, {}),
     "cluster": (FibCluster, {"shards": 4}),
-    "pool": (WorkerPool, {"workers": 2, "transport": "pipe"}),
+    "pool": (WorkerPool, {"workers": 2}),
 }
 
 
@@ -418,7 +417,11 @@ class TestServingPlaneContract:
         rng = random.Random(37)
         addresses = [rng.getrandbits(32) for _ in range(64)]
         oracle = [small_fib.lookup(a) for a in addresses]
-        with open_plane("prefix-dag", small_fib, **kwargs) as plane:
+        # The pool serves over the pipe here; the plane fuzz holds the
+        # shm pool to the same contract.
+        with serving_over("pipe"):
+            plane = open_plane("prefix-dag", small_fib, **kwargs)
+        with plane:
             assert isinstance(plane, expected_type)
             assert isinstance(plane, ServingPlane)
             assert plane.lookup_batch(addresses) == oracle
@@ -460,7 +463,7 @@ class TestServingPlaneContract:
 
 def _transport_params():
     params = []
-    for transport in TRANSPORTS:
+    for transport in ("shm", "pipe"):
         marks = []
         if transport == "shm" and not serve.shm_available():
             marks.append(pytest.mark.skip(reason="shared memory unavailable"))
@@ -479,11 +482,13 @@ class TestWorkerReplanParity:
             updates=48, seed=11,
         )
         probes = serve.parity_probes(small_fib, 256, seed=5)
-        report = serve.serve_plane_scenario(
-            "prefix-dag", small_fib, events,
-            scenario=scenario_name, workers=2, transport=transport,
-            autoscale=aggressive_policy(), parity_probes=probes,
-        )
+        with serving_over(transport):
+            report = serve.serve_plane_scenario(
+                "prefix-dag", small_fib, events,
+                scenario=scenario_name, workers=2,
+                autoscale=aggressive_policy(), parity_probes=probes,
+            )
+        assert report.transport == transport
         assert report.final_parity == 1.0
         assert report.lookups == 1200
         assert report.replans >= 0  # liveness is forced deterministically below
@@ -492,10 +497,12 @@ class TestWorkerReplanParity:
     def test_forced_replan_fires_and_holds_parity(self, small_fib, transport):
         policy = aggressive_policy(min_window=128)
         rng = random.Random(3)
-        with WorkerPool(
-            "prefix-dag", small_fib, workers=2, transport=transport,
-            autoscale=policy,
-        ) as pool:
+        with serving_over(transport):
+            pool = WorkerPool(
+                "prefix-dag", small_fib, workers=2, autoscale=policy
+            )
+        with pool:
+            assert pool.transport == transport
             lo, hi = pool.plan.shard_range(0)
             oracle = pool.control
             for _ in range(12):
@@ -524,10 +531,13 @@ class TestWorkerReplanParity:
             )
             pool._begin_replan()
 
-        with WorkerPool(
-            "prefix-dag", small_fib, workers=2, transport="pipe",
-            autoscale=aggressive_policy(imbalance_threshold=1e9),
-        ) as pool:
+        with serving_over("pipe"):
+            pool = WorkerPool(
+                "prefix-dag", small_fib, workers=2,
+                autoscale=aggressive_policy(imbalance_threshold=1e9),
+            )
+        with pool:
+            assert pool.transport == "pipe"
             start_replan(pool, 3)
             while pool._pending_plan is not None:
                 pool._advance_replan(wait=True)
@@ -562,10 +572,13 @@ class TestPoolFlowCache:
         # ring pump, the pipe readers) race the replaying thread while
         # batches are in flight.
         interval = sys.getswitchinterval()
-        with open_plane(
-            "prefix-dag", small_fib, workers=2, transport=transport,
-            autoscale=policy, timeout=30.0,
-        ) as plane:
+        with serving_over(transport):
+            plane = open_plane(
+                "prefix-dag", small_fib, workers=2, autoscale=policy,
+                timeout=30.0,
+            )
+        with plane:
+            assert plane.transport == transport
             sys.setswitchinterval(1e-5)
             try:
                 plane.replay(events)
@@ -594,8 +607,7 @@ class TestPoolFlowCache:
         # generation, and the cache refills from it: hits are stale too.
         batch = [0b1010 << 28, 0b0101 << 28]
         with open_plane(
-            "prefix-dag", small_fib, workers=2, transport="shm",
-            rebuild_every=1000,
+            "prefix-dag", small_fib, workers=2, rebuild_every=1000,
             autoscale=aggressive_policy(imbalance_threshold=1e9, flow_cache=64),
         ) as plane:
             assert plane.apply_update(UpdateOp(0b1010, 4, 9))
@@ -624,12 +636,7 @@ class TestPoolFlowCache:
         assert report.flow_cache_hits == len(batch)
         assert report.stale_lookups == 2 * len(batch)
 
-    @pytest.mark.parametrize(
-        "shape",
-        [{"shards": 2}]
-        + [{"workers": 2, "transport": transport} for transport in TRANSPORTS],
-        ids=["cluster", *TRANSPORTS],
-    )
+    @pytest.mark.parametrize("shape", ["cluster", "shm", "pipe"])
     def test_fill_from_before_an_invalidation_is_dropped(self, small_fib, shape):
         # The batch is answered before the update lands (in process, or
         # FIFO ahead of it on the worker's pipe/ring); caching its
@@ -637,11 +644,14 @@ class TestPoolFlowCache:
         address = 0b1010 << 28
         old = small_fib.lookup(address)
         new = (old or 0) % 6 + 1
-        with open_plane(
-            "prefix-dag", small_fib, rebuild_every=1,
-            autoscale=aggressive_policy(imbalance_threshold=1e9, flow_cache=64),
-            **shape,
-        ) as plane:
+        with serving_over(shape):
+            plane = open_plane(
+                "prefix-dag", small_fib, rebuild_every=1,
+                autoscale=aggressive_policy(imbalance_threshold=1e9, flow_cache=64),
+                **({"shards": 2} if shape == "cluster" else {"workers": 2}),
+            )
+        with plane:
+            assert getattr(plane, "transport", "cluster") == shape
             token, count = plane.submit_batch([address])
             assert plane.apply_update(UpdateOp(0b1010, 4, new))
             assert plane.merge_batch(token, count) == [old]

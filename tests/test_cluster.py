@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from tests.conftest import random_fib
+from tests.conftest import UNCOMPILABLE_LABEL, random_fib
 from repro import pipeline, serve
 from repro.cli import main
 from repro.core.fib import Fib
@@ -48,6 +48,13 @@ class TestShardPlan:
             assert plan.bounds[0] == 0
             assert plan.bounds[-1] == 1 << medium_fib.width
             assert list(plan.bounds) == sorted(set(plan.bounds))
+
+    def test_one_shard_plan_builds_no_trie(self, medium_fib, monkeypatch):
+        def refuse(fib):
+            raise AssertionError("a one-shard plan has nothing to weigh")
+
+        monkeypatch.setattr("repro.serve.cluster.BinaryTrie.from_fib", refuse)
+        assert plan_cluster(medium_fib, 1).bounds == (0, 1 << medium_fib.width)
 
     def test_owner_matches_ranges(self, medium_fib, rng):
         plan = plan_cluster(medium_fib, 4)
@@ -203,9 +210,13 @@ class TestFibCluster:
         # engine, which must take the owner split's slices (int64 NumPy
         # vectors when NumPy is present) like any other batch.
         fib = random_fib(rng, 200, 5, max_length=14)
-        cluster = serve.FibCluster(
-            "binary-trie", fib, shards=2, options={"compiled": False},
-        )
+        # One uncompilable route in each half keeps both shards off the
+        # compiled plane.
+        fib.add(0b01, 2, UNCOMPILABLE_LABEL)
+        fib.add(0b11, 2, UNCOMPILABLE_LABEL)
+        cluster = serve.FibCluster("binary-trie", fib, shards=2)
+        for shard in cluster.shards:
+            assert pipeline.flat_program(shard.server.representation) is None
         addresses = [rng.getrandbits(32) for _ in range(512)]
         assert cluster.lookup_batch(addresses) == [fib.lookup(a) for a in addresses]
         assert cluster.report().failed_lookups == 0

@@ -20,7 +20,7 @@ from repro.datasets.updates import UpdateOp
 from repro.serve.faults import Fault, FaultPlan
 from repro.serve.supervisor import RestartBudget
 from repro.serve.workers import WorkerError, WorkerPool, pack_events
-from tests.conftest import random_fib
+from tests.conftest import random_fib, serving_over
 
 
 @pytest.fixture(scope="module")
@@ -134,13 +134,15 @@ class TestSupervisedRecovery:
     def test_kill_recovers_with_parity(self, small_fib, transport):
         events = churn_events(small_fib)
         probes = serve.parity_probes(small_fib, 200, seed=3)
-        report = serve.serve_plane_scenario(
-            "prefix-dag", small_fib, events,
-            scenario="bgp-churn", workers=2, transport=transport,
-            parity_probes=probes, rebuild_every=16,
-            max_restarts=2,
-            faults=FaultPlan.parse("kill-worker:1@batch=2"),
-        )
+        with serving_over(transport):
+            report = serve.serve_plane_scenario(
+                "prefix-dag", small_fib, events,
+                scenario="bgp-churn", workers=2,
+                parity_probes=probes, rebuild_every=16,
+                max_restarts=2,
+                faults=FaultPlan.parse("kill-worker:1@batch=2"),
+            )
+        assert report.transport == transport
         assert report.worker_restarts >= 1
         assert report.workers_abandoned == 0
         assert report.failed_lookups == 0
@@ -164,7 +166,7 @@ class TestSupervisedRecovery:
         probes = serve.parity_probes(small_fib, 200, seed=3)
         report = serve.serve_plane_scenario(
             "prefix-dag", small_fib, events,
-            scenario="bgp-churn", workers=2, transport="shm",
+            scenario="bgp-churn", workers=2,
             parity_probes=probes, rebuild_every=8,
             max_restarts=2,
             faults=FaultPlan.parse("fail-attach:0@attach=2"),
@@ -178,10 +180,13 @@ class TestSupervisedRecovery:
         # supervised pool must skip the dead shard (its respawn rebuilds
         # from the control oracle) and still converge to full parity.
         plan = FaultPlan.parse("kill-worker:0@batch=1").resolve(2)
-        with WorkerPool(
-            "prefix-dag", small_fib, workers=2, transport="pipe",
-            max_restarts=2, faults=plan, timeout=30.0,
-        ) as pool:
+        with serving_over("pipe"):
+            pool = WorkerPool(
+                "prefix-dag", small_fib, workers=2,
+                max_restarts=2, faults=plan, timeout=30.0,
+            )
+        with pool:
+            assert pool.transport == "pipe"
             rng = random.Random(11)
             pool.lookup_batch([rng.getrandbits(32)
                                for _ in range(64)])  # trips the kill
@@ -206,7 +211,7 @@ class TestSupervisedRecovery:
              "kill-worker:0@batch=1,incarnation=1"]
         ).resolve(2)
         pool = WorkerPool(
-            "prefix-dag", small_fib, workers=2, transport="shm",
+            "prefix-dag", small_fib, workers=2,
             max_restarts=1, restart_window=30.0, faults=plan, timeout=30.0,
         )
         try:
@@ -232,7 +237,7 @@ class TestSupervisedRecovery:
         plan = FaultPlan.parse(
             "delay-reply:1@batch=2,seconds=30").resolve(2)
         with WorkerPool(
-            "prefix-dag", small_fib, workers=2, transport="shm",
+            "prefix-dag", small_fib, workers=2,
             max_restarts=1, faults=plan, timeout=2.0,
         ) as pool:
             rng = random.Random(6)
@@ -254,7 +259,7 @@ class TestSupervisedRecovery:
         probes = serve.parity_probes(small_fib, 200, seed=3)
         report = serve.serve_plane_scenario(
             "prefix-dag", small_fib, events,
-            scenario="bgp-churn", workers=2, transport="shm",
+            scenario="bgp-churn", workers=2,
             parity_probes=probes, rebuild_every=8,
             max_restarts=3,
             faults=FaultPlan.parse("corrupt-segment@publish=2"),
@@ -270,7 +275,7 @@ class TestSupervisedRecovery:
         probes = serve.parity_probes(small_fib, 150, seed=5)
         report = serve.serve_plane_scenario(
             "prefix-dag", small_fib, events,
-            scenario=scenario, workers=2, transport="shm",
+            scenario=scenario, workers=2,
             parity_probes=probes, rebuild_every=16,
             max_restarts=2,
             faults=FaultPlan.parse("kill-worker:*@batch=2", seed=5),
@@ -283,7 +288,7 @@ class TestSupervisedRecovery:
         # structured WorkerError the unsupervised pool raised before.
         plan = FaultPlan.parse("kill-worker:0@batch=1").resolve(2)
         pool = WorkerPool(
-            "prefix-dag", small_fib, workers=2, transport="shm",
+            "prefix-dag", small_fib, workers=2,
             max_restarts=0, faults=plan, timeout=30.0,
         )
         try:
@@ -302,7 +307,7 @@ class TestSupervisedRecovery:
     def test_degraded_lookups_counted_in_report(self, small_fib):
         plan = FaultPlan.parse("kill-worker:1@batch=1").resolve(2)
         with WorkerPool(
-            "prefix-dag", small_fib, workers=2, transport="shm",
+            "prefix-dag", small_fib, workers=2,
             max_restarts=1, faults=plan, timeout=30.0,
         ) as pool:
             rng = random.Random(12)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import random_fib
+from tests.conftest import UNCOMPILABLE_LABEL, random_fib
 from repro import pipeline, serve
 from repro.core.fib import Fib
 from repro.core.trie import BinaryTrie
@@ -436,16 +436,21 @@ class TestAdapterPlane:
             assert pipeline.supports_flat(representation)
             assert pipeline.flat_program(representation) is not None
 
-    def test_compiled_option_disables_the_plane(self, rng):
+    def test_a_label_no_cell_holds_serves_through_dispatch(self, rng):
         fib = random_fib(rng, 100, 3, max_length=12)
+        fib.add(0xC0A8, 16, UNCOMPILABLE_LABEL)
         for name in ("prefix-dag", "tabular"):
-            representation = pipeline.build(name, fib, compiled=False)
-            probes = [rng.getrandbits(32) for _ in range(200)]
+            representation = pipeline.build(name, fib)
+            probes = [0xC0A80001] + [rng.getrandbits(32) for _ in range(200)]
             assert pipeline.flat_program(representation) is None
             assert representation.lookup_batch(probes) == [
                 representation.lookup(address) for address in probes
             ]
+            assert representation.lookup_batch(probes)[0] == UNCOMPILABLE_LABEL
             assert representation._flat is None  # dispatch plane served
+            # Only the FIB decides: no option forces the engine.
+            with pytest.raises(ValueError, match="does not accept"):
+                pipeline.build(name, fib, compiled=True)
 
     def test_compile_refusal_falls_back_to_dispatch(self, rng, monkeypatch):
         from repro.pipeline import adapters as adapters_module
@@ -480,8 +485,9 @@ class TestAdapterPlane:
         # Explicit constructor works for natively traceable reps too.
         assert flat_engine(pipeline.build("lc-trie", medium_fib)) is not None
         # ...and the refusal path still raises for uncompiled planes.
+        medium_fib.add(0xC0A8, 16, UNCOMPILABLE_LABEL)
         with pytest.raises(ValueError, match="cost model"):
-            engine_for(pipeline.build("tabular", medium_fib, compiled=False))
+            engine_for(pipeline.build("tabular", medium_fib))
 
 
 class TestServeCompiledGenerations:
@@ -527,9 +533,6 @@ class TestWrappedAdapters:
         assert adapter.lookup_batch(probes) == want
         assert adapter.lookup_batch_dispatch(probes) == want
         assert pipeline.flat_program(adapter) is not None
-        uncompiled = LCTrieAdapter.wrapping(fib, variant, compiled=False)
-        assert pipeline.flat_program(uncompiled) is None
-        assert uncompiled.lookup_batch(probes) == want
 
 
 class TestBenchFloorGate:
@@ -541,14 +544,6 @@ class TestBenchFloorGate:
             "--representations", "prefix-dag", "--floor", "1.0",
         ]) == 0
         assert "bench floor OK" in capsys.readouterr().err
-
-    def test_floor_rejects_no_compiled(self, capsys):
-        from repro.cli import main
-
-        assert main([
-            "bench", "--scale", "0.002", "--packets", "400", "--repeat", "1",
-            "--no-compiled", "--floor", "1.5",
-        ]) == 2
 
     def test_floor_fails_when_plane_missing(self, capsys, monkeypatch):
         # A compile regression must break the gate, not vacuously pass.

@@ -265,7 +265,6 @@ class TestCrossProcessMerge:
             events,
             scenario="bgp-churn",
             workers=2,
-            transport="shm",
             obs=Registry(),
         )
         assert pooled.obs is not None

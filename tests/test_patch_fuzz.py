@@ -287,9 +287,7 @@ class TestFullPublish:
         for _ in range(40):  # routes only under 0/1: upper half empty
             length = rng.randint(4, 14)
             fib.add(rng.getrandbits(length - 1), length, rng.randint(1, 4))
-        with WorkerPool(
-            "prefix-dag", fib, workers=2, transport="shm"
-        ) as pool:
+        with WorkerPool("prefix-dag", fib, workers=2) as pool:
             if pool.transport != "shm":
                 pytest.skip("shared memory unavailable on this host")
             assert pool.apply_update(UpdateOp(1, 1, 7)) is True

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from tests.conftest import random_fib
+from tests.conftest import UNCOMPILABLE_LABEL, random_fib
 from repro import pipeline
 from repro.core.fib import Fib
 from repro.datasets import (
@@ -502,11 +502,11 @@ class TestBench:
                 assert key in payload
 
     def test_bench_rows_degrade_without_compilation(self, paper_fib):
+        paper_fib.add(0b1, 1, UNCOMPILABLE_LABEL)  # refuses to compile
         (row,) = pipeline.bench_all(
             paper_fib,
             uniform_trace(100, seed=5),
             only=["prefix-dag"],
-            overrides={"prefix-dag": {"compiled": False}},
             repeat=1,
         )
         assert not row.compiled

@@ -42,7 +42,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro import serve
 from repro.datasets.updates import UpdateOp
-from tests.conftest import random_fib
+from tests.conftest import random_fib, serving_over
 
 FUZZ_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "6"))
 RULE_SECONDS = 60
@@ -71,8 +71,9 @@ POOL = dict(
 SHAPES = {
     "server": {},
     "cluster": dict(shards=4, autoscale=POLICY, rebuild_every=4),
-    "shm": dict(workers=2, transport="shm", **POOL),
-    "pipe": dict(workers=2, transport="pipe", **POOL),
+    "shm": dict(workers=2, **POOL),
+    # Opened with shared memory hidden, as on a host without it.
+    "pipe": dict(workers=2, **POOL),
 }
 #: Shapes that adopt an accepted update before the next lookup (the shm
 #: pool publishes every ``rebuild_every`` updates, so it may lag).
@@ -106,7 +107,10 @@ class PlaneDifferential(RuleBasedStateMachine):
         self.planes = {}
         with within(RULE_SECONDS):
             for shape, kwargs in SHAPES.items():
-                self.planes[shape] = serve.open_plane("prefix-dag", FIB, **kwargs)
+                with serving_over(shape):
+                    self.planes[shape] = serve.open_plane("prefix-dag", FIB, **kwargs)
+            for shape in ("shm", "pipe"):
+                assert self.planes[shape].transport == shape
 
     def teardown(self):
         for plane in self.planes.values():

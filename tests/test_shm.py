@@ -16,7 +16,7 @@ from multiprocessing import shared_memory
 
 import pytest
 
-from tests.conftest import random_fib
+from tests.conftest import random_fib, serving_over
 from repro import serve
 from repro.core.trie import BinaryTrie
 from repro.datasets.updates import UpdateOp
@@ -265,11 +265,12 @@ class TestPoolLifecycle:
             for length in (rng.randint(3, 10) for _ in range(24))
         ]
         probes = serve.parity_probes(small_fib, 400, seed=7)
-        for transport in serve.TRANSPORTS:
-            with WorkerPool(
-                "prefix-dag", small_fib, workers=2,
-                rebuild_every=8, transport=transport,
-            ) as pool:
+        for transport in ("shm", "pipe"):
+            with serving_over(transport):
+                pool = WorkerPool(
+                    "prefix-dag", small_fib, workers=2, rebuild_every=8
+                )
+            with pool:
                 assert pool.transport == transport
                 for op in ops:
                     pool.apply_update(op)
@@ -283,16 +284,14 @@ class TestPoolLifecycle:
         assert leaked_segments() == []
 
     def test_close_leaves_no_segments(self, small_fib):
-        pool = WorkerPool("prefix-dag", small_fib, workers=2, transport="shm")
+        pool = WorkerPool("prefix-dag", small_fib, workers=2)
         assert pool.transport == "shm"
         assert pool.lookup_batch(list(range(64)))
         pool.close()
         assert leaked_segments() == []
 
     def test_crash_during_in_flight_batch_leaks_nothing(self, small_fib):
-        pool = WorkerPool(
-            "prefix-dag", small_fib, workers=2, transport="shm", timeout=30.0
-        )
+        pool = WorkerPool("prefix-dag", small_fib, workers=2, timeout=30.0)
         try:
             victim = pool._handles[1]
             victim.process.kill()
@@ -321,7 +320,7 @@ class TestPoolLifecycle:
              "kill-worker:1@batch=1,incarnation=1"]
         ).resolve(2)
         pool = WorkerPool(
-            "prefix-dag", small_fib, workers=2, transport="shm",
+            "prefix-dag", small_fib, workers=2,
             max_restarts=2, faults=plan, timeout=30.0,
         )
         try:

@@ -38,22 +38,24 @@ def _cluster(four_shard):
     }
 
 
-def _workers(four_worker, gated=True, shm_compiled=2.5):
+def _workers(four_worker, gated=True):
     return {
         "speedups": {"4-prefix": four_worker},
         "gated": gated,
-        "compiled_speedup": {"shm": shm_compiled, "pipe": 0.9},
         "baseline_mlps": 1.0,
     }
 
 
-def _workers_legacy(four_worker, gated=True):
-    # Pre-shm schema: compiled_speedup was a float.
+def _faults(mttr):
+    return {"cases": {"hang": {"availability": 1.0, "mttr_seconds": mttr}}}
+
+
+def _patch_cost(slots, seconds):
     return {
-        "speedups": {"4-prefix": four_worker},
-        "gated": gated,
-        "compiled_speedup": 0.9,
-        "baseline_mlps": 1.0,
+        "rows": [],
+        "patch_cost": {
+            "bounded_ratio": 4.6, "slots_touched": slots, "seconds": seconds,
+        },
     }
 
 
@@ -136,32 +138,6 @@ class TestCompare:
         _write(tmp_path / "new", "BENCH_workers.json", _workers(1.2, gated=True))
         failures, _ = check_trajectory.check(tmp_path / "base", tmp_path / "new")
         assert len(failures) == 1
-
-    def test_shm_compiled_speedup_gates_when_both_gated(self, tmp_path):
-        # The zero-copy ratio is a gated metric; the pipe compiled
-        # foil only warns.
-        base = _workers(3.0, gated=True, shm_compiled=3.0)
-        fresh = _workers(3.0, gated=True, shm_compiled=1.1)
-        fresh["compiled_speedup"]["pipe"] = 0.1
-        _write(tmp_path / "base", "BENCH_workers.json", base)
-        _write(tmp_path / "new", "BENCH_workers.json", fresh)
-        failures, warnings = check_trajectory.check(
-            tmp_path / "base", tmp_path / "new"
-        )
-        assert len(failures) == 1
-        assert "compiled_speedup.shm" in failures[0]
-        assert any("compiled_speedup.pipe" in warning for warning in warnings)
-
-    def test_legacy_float_compiled_speedup_still_compares(self, tmp_path):
-        # A pre-shm float baseline against a per-transport fresh run:
-        # the keys no longer line up, so nothing gates — the reseeded
-        # baseline picks the new schema up on the next commit.
-        _write(
-            tmp_path / "base", "BENCH_workers.json", _workers_legacy(3.0)
-        )
-        _write(tmp_path / "new", "BENCH_workers.json", _workers(3.0))
-        failures, _ = check_trajectory.check(tmp_path / "base", tmp_path / "new")
-        assert failures == []
 
     def test_missing_fresh_file_skips_unless_strict(self, tmp_path):
         _write(tmp_path / "base", "BENCH_pipeline.json", _pipeline(80.0, 4.0))
@@ -249,6 +225,36 @@ class TestRatioCap:
         _write(tmp_path / "new", "BENCH_pipeline.json", _pipeline(20.0, 4.0))
         failures, _ = check_trajectory.check(tmp_path / "base", tmp_path / "new")
         assert len(failures) == 1
+
+
+class TestLowerIsBetter:
+    """Recovery time and patch cost are better when lower: they warn
+    when they rise, never when they fall, and gate nothing."""
+
+    @pytest.mark.parametrize(
+        ("name", "base", "better", "worse", "metrics"),
+        [
+            ("BENCH_faults.json", _faults(1.458), _faults(0.739), _faults(2.9),
+             ["hang.mttr_seconds"]),
+            ("BENCH_serve.json", _patch_cost(3571, 0.053),
+             _patch_cost(1700, 0.026), _patch_cost(7200, 0.11),
+             ["patch_cost.slots_touched", "patch_cost.seconds"]),
+        ],
+    )
+    def test_a_fall_is_silent_and_a_rise_warns(
+        self, tmp_path, name, base, better, worse, metrics
+    ):
+        _write(tmp_path / "base", name, base)
+        for fresh, warned in ((better, []), (worse, metrics)):
+            _write(tmp_path / "new", name, fresh)
+            failures, warnings = check_trajectory.check(
+                tmp_path / "base", tmp_path / "new"
+            )
+            assert failures == []
+            assert [
+                metric for metric in metrics
+                if any(f"{metric} regressed" in warning for warning in warnings)
+            ] == warned
 
 
 class TestDegeneratePoint:

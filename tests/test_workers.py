@@ -21,6 +21,7 @@ import pytest
 
 from repro import serve
 from repro.core.fib import Fib
+from repro.datasets import build_profile_fib, profile
 from repro.datasets.updates import UpdateOp
 from repro.obs import Registry, snapshot_quantile
 from repro.pipeline import registry
@@ -32,7 +33,13 @@ from repro.serve.workers import (
     WorkerPool,
     pack_events,
 )
-from tests.conftest import PAPER_EXAMPLE_ENTRIES, build_fib, random_fib
+from tests.conftest import (
+    PAPER_EXAMPLE_ENTRIES,
+    UNCOMPILABLE_LABEL,
+    build_fib,
+    random_fib,
+    serving_over,
+)
 
 try:
     import numpy
@@ -55,9 +62,10 @@ def small_fib():
 
 @pytest.fixture(scope="module", params=["shm", "pipe"])
 def pool(small_fib, request):
-    with WorkerPool(
-        "prefix-dag", small_fib, workers=2, transport=request.param
-    ) as pool:
+    with serving_over(request.param):
+        pool = WorkerPool("prefix-dag", small_fib, workers=2)
+    with pool:
+        assert pool.transport == request.param
         yield pool
 
 
@@ -161,10 +169,11 @@ class TestFanoutModes:
             serve.AutoscalePolicy(imbalance_threshold=1e9)
             if fanout == "split" else None
         )
-        with WorkerPool(
-            "binary-trie", small_fib, workers=3, transport=transport,
-            autoscale=policy,
-        ) as pool:
+        with serving_over(transport):
+            pool = WorkerPool(
+                "binary-trie", small_fib, workers=3, autoscale=policy
+            )
+        with pool:
             assert pool.plan == plan
             assert pool.transport == transport
             assert pool.lookup_batch(addresses) == oracle
@@ -213,9 +222,10 @@ class TestEpochSwapOverControlChannel:
         # Staggering is a pipe-transport behavior: each worker rebuilds
         # from its own backlog, so the coordinator must pace them one at
         # a time. (On shm a publish adopts globally — covered below.)
-        with WorkerPool(
-            "lc-trie", small_fib, workers=2, rebuild_every=4, transport="pipe"
-        ) as pool:
+        with serving_over("pipe"):
+            pool = WorkerPool("lc-trie", small_fib, workers=2, rebuild_every=4)
+        with pool:
+            assert pool.transport == "pipe"
             # Default-route updates replicate to every worker, so both
             # backlogs hit the threshold on the same event — yet the
             # coordinator may swap at most one worker per tick.
@@ -231,7 +241,7 @@ class TestEpochSwapOverControlChannel:
         # and every worker attaches it, so a swap moves all workers to
         # the same generation in the same tick.
         with WorkerPool(
-            "lc-trie", small_fib, workers=2, rebuild_every=4, transport="shm"
+            "lc-trie", small_fib, workers=2, rebuild_every=4
         ) as pool:
             if pool.transport != "shm":
                 pytest.skip("shared memory unavailable on this host")
@@ -327,10 +337,13 @@ class TestReaderLifecycle:
         shim.Thread = AckFirstThread
         monkeypatch.setattr(workers, "threading", shim)
         addresses = [random.Random(3).getrandbits(32) for _ in range(64)]
-        with WorkerPool(
-            "prefix-dag", small_fib, workers=2, transport=transport,
-            start_method=fast_start_method(),
-        ) as pool:
+        with serving_over(transport):
+            pool = WorkerPool(
+                "prefix-dag", small_fib, workers=2,
+                start_method=fast_start_method(),
+            )
+        with pool:
+            assert pool.transport == transport
             assert pool.lookup_batch(addresses) == [
                 small_fib.lookup(address) for address in addresses
             ]
@@ -343,10 +356,12 @@ class TestReaderLifecycle:
             threading, "excepthook", lambda args: died.append(args.exc_value)
         )
         for transport in ("shm", "pipe"):
-            pool = WorkerPool(
-                "prefix-dag", small_fib, workers=2, transport=transport,
-                start_method=fast_start_method(),
-            )
+            with serving_over(transport):
+                pool = WorkerPool(
+                    "prefix-dag", small_fib, workers=2,
+                    start_method=fast_start_method(),
+                )
+            assert pool.transport == transport
             pool.lookup_batch(list(range(64)))
             readers = [handle.reader for handle in pool._handles]
             pool.close()
@@ -432,12 +447,13 @@ class TestPipelinedReplay:
             )
         )
         probes = serve.parity_probes(small_fib, 300, seed=11)
-        for transport in serve.TRANSPORTS:
-            report = serve.serve_plane_scenario(
-                "prefix-dag", small_fib, events,
-                scenario="flap-storm", workers=2,
-                transport=transport, parity_probes=probes,
-            )
+        for transport in ("shm", "pipe"):
+            with serving_over(transport):
+                report = serve.serve_plane_scenario(
+                    "prefix-dag", small_fib, events,
+                    scenario="flap-storm", workers=2, parity_probes=probes,
+                )
+            assert report.transport == transport
             assert report.final_parity == 1.0, transport
             assert report.batches == sum(1 for e in events if e.is_lookup)
             # Overlapping batches count once: the lookup clock fits
@@ -452,9 +468,10 @@ class TestPipelinedReplay:
                 lookups=2048, updates=32, seed=5, batch_size=64,
             )
         )
-        with WorkerPool(
-            "prefix-dag", small_fib, workers=2, transport=transport
-        ) as pool:
+        with serving_over(transport):
+            pool = WorkerPool("prefix-dag", small_fib, workers=2)
+        with pool:
+            assert pool.transport == transport
             counts = count_in_flight(pool)
             started = time.perf_counter()
             pool.replay(events)
@@ -472,9 +489,10 @@ class TestPipelinedReplay:
                 lookups=1024, updates=0, seed=7, batch_size=64,
             )
         )
-        with WorkerPool(
-            "prefix-dag", small_fib, workers=2, transport="pipe"
-        ) as pool:
+        with serving_over("pipe"):
+            pool = WorkerPool("prefix-dag", small_fib, workers=2)
+        with pool:
+            assert pool.transport == "pipe"
             counts = count_in_flight(pool)
             merge = pool.merge_batch
 
@@ -495,6 +513,78 @@ class TestPipelinedReplay:
         assert counts["inflight"] == 0
         assert report.lookups == sum(row["lookups"] for row in report.shard_rows)
         assert report.lookup_seconds > 0
+
+
+    @pytest.mark.skipif(not serve.shm_available(), reason="shared memory unavailable")
+    def test_update_work_stays_off_the_lookup_clock(self):
+        # The replay applies updates, and the publishes they trigger,
+        # while batches are in flight. Their time is on the update and
+        # rebuild clocks, so it must leave the lookup clock.
+        fib = build_profile_fib(profile("taz"), scale=0.01)
+        events = pack_events(
+            serve.build_events(
+                serve.scenario("bgp-churn"), fib, lookups=5000, updates=500,
+                seed=42,
+            )
+        )
+        report = serve.serve_plane_scenario(
+            "prefix-dag", fib, events, scenario="bgp-churn", workers=2
+        )
+        assert report.transport == "shm"
+        assert report.publishes > 0
+        assert 0 < report.lookup_seconds
+        assert (
+            report.lookup_seconds + report.update_seconds + report.rebuild_seconds
+            <= report.wall_seconds
+        )
+
+
+class TestCompileRefusal:
+    """A FIB whose compile is refused serves through the dispatch
+    engine, so a pool over it has no program to publish."""
+
+    def test_a_pool_over_an_uncompilable_fib_serves_over_pipe(self, small_fib):
+        fib = small_fib.copy()
+        fib.add(0b1010, 4, UNCOMPILABLE_LABEL)
+        with WorkerPool("prefix-dag", fib, workers=2) as pool:
+            assert pool.transport == "pipe"
+            assert pool.lookup(0b1010 << 28) == UNCOMPILABLE_LABEL
+            probes = serve.parity_probes(fib, 300, seed=3)
+            assert pool.parity_fraction(probes) == 1.0
+
+    @pytest.mark.skipif(not serve.shm_available(), reason="shared memory unavailable")
+    @pytest.mark.parametrize("max_restarts", [0, 1])
+    def test_a_compile_refused_mid_run_never_serves_the_old_label(
+        self, small_fib, max_restarts
+    ):
+        # The announce reaches the publisher, whose recompile refuses:
+        # no image can carry the new generation, so no worker may keep
+        # serving the old one. An unsupervised pool raises; a
+        # supervised one answers from the publisher until each shard's
+        # budget runs out, then raises too.
+        address = 0b1010 << 28
+        with WorkerPool(
+            "prefix-dag", small_fib, workers=2, rebuild_every=1,
+            max_restarts=max_restarts, timeout=30.0, control_timeout=30.0,
+        ) as pool:
+            assert pool.transport == "shm"
+            op = UpdateOp(0b1010, 4, UNCOMPILABLE_LABEL)
+            if max_restarts:
+                assert pool.apply_update(op)
+            else:
+                with pytest.raises(WorkerError) as excinfo:
+                    pool.apply_update(op)
+                assert excinfo.value.op == "publish"
+            for _ in range(3):
+                try:
+                    label = pool.lookup(address)
+                except WorkerError:
+                    continue
+                assert label == UNCOMPILABLE_LABEL
+            assert pool.settle(timeout=10.0)
+            with pytest.raises(WorkerError):
+                pool.lookup(address)
+        assert serve.leaked_segments() == []
 
 
 class TestShardSpecs:
@@ -560,10 +650,9 @@ class TestPackedServing:
 
     def test_packed_dispatch_fallback(self):
         fib = build_fib(PAPER_EXAMPLE_ENTRIES)
-        server = serve.FibServer(
-            "binary-trie", fib, options={"compiled": False},
-            measure_staleness=False,
-        )
+        fib.add(0b1, 1, UNCOMPILABLE_LABEL)  # refuses to compile
+        server = serve.FibServer("binary-trie", fib, measure_staleness=False)
+        assert flat_program(server.representation) is None
         from array import array
 
         packed = array("q")
