@@ -21,7 +21,7 @@ prices the table, not this host-side index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from repro.utils.bits import IPV4_WIDTH, format_prefix, lg
 
@@ -42,9 +42,9 @@ class Neighbor:
             raise ValueError(f"neighbor label must be >= 1, got {self.label}")
 
 
-@dataclass(frozen=True)
-class Route:
-    """One FIB entry: ``prefix/length → label``."""
+class Route(NamedTuple):
+    """One FIB entry: ``prefix/length → label``, immutable, and a plain
+    ``(prefix, length, label)`` tuple, so builders unpack it directly."""
 
     prefix: int
     length: int
@@ -97,8 +97,13 @@ class Fib:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[Route]:
-        for (prefix, length), label in sorted(self._entries.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            yield Route(prefix, length, label)
+        """Every route, shortest first, then by prefix. A snapshot, so
+        the caller may edit the table while it walks the routes."""
+        routes = []
+        for length in sorted(self._by_length):
+            bucket = self._by_length[length]
+            routes.extend(Route(prefix, length, bucket[prefix]) for prefix in sorted(bucket))
+        return iter(routes)
 
     def __contains__(self, key: Tuple[int, int]) -> bool:
         return tuple(key) in self._entries

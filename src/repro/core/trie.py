@@ -268,8 +268,8 @@ class BinaryTrie:
         """Build a trie holding every route of ``fib``."""
         trie = cls(fib.width)
         with gc_paused():
-            for route in fib:
-                trie.insert(route.prefix, route.length, route.label)
+            for prefix, length, label in fib:
+                trie.insert(prefix, length, label)
         return trie
 
     def to_fib(self) -> Fib:

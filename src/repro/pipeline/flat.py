@@ -35,8 +35,11 @@ block, a cell ``< 0`` is the terminal ``~label`` (so ``TERMINAL = -1 =
                                                       at cells [base, base+2^s)
     terminals: -1 = ~0 (no route), -2 = ~1 (label 1), -4 = ~3 (label 3), …
 
-    walk: while cell >= 0: shift -= stride
-                           cell = cell_ptr[base + ((address >> shift) & (2^stride - 1))]
+    walk: cell = root_ptr[slot]
+          word = address << (64 - width + root_stride)    uint64, left-aligned,
+          while cell >= 0:                                root bits shifted out
+              cell = cell_ptr[base + (word >> (64 - stride))]   its top bits,
+              word <<= stride                                   then consumed
           label = ~cell
 
     both rows: int32 ('i') while max_cells << 6 fits, else int64 ('q')
@@ -67,14 +70,18 @@ off the lookup path, resetting the log. Compilation is therefore an
 acceleration with no correctness window: lookups always run against a
 program equivalent to the live structure.
 
-``lookup_batch`` runs the program two ways, fastest available first:
+Every batch entry point runs the program one of two ways, chosen once
+per batch:
 
-* **vectorized** — when NumPy is importable (and the address width fits
-  int64), the whole batch is resolved with gather operations: one fancy
-  index per level over the still-live addresses, then an object-table
-  gather decodes labels to Python ints/None in C;
-* **pointer-free Python loop** — the portable fallback: a handful of
-  bytecodes per level, no attribute loads, no object dereferences.
+* **vectorized** — when NumPy is importable, the address width fits
+  int64 and the batch holds more than :data:`_SMALL_BATCH` addresses,
+  the whole batch is resolved with gathers over the left-aligned words
+  above: one ``take`` per level over the still-live addresses, which
+  compact by index as their walks end; ``lookup_batch`` then decodes
+  labels to Python ints/None through an object-table gather in C;
+* **pointer-free Python loop** — small batches (where NumPy's fixed
+  cost per call outweighs the loop) and hosts without NumPy: a handful
+  of bytecodes per level, no attribute loads, no object dereferences.
 
 Programs support **bounded-cost in-place patching**
 (:meth:`FlatProgram.patch` / :meth:`~FlatProgram.patch_many`): a deep
@@ -139,13 +146,15 @@ ROWS = ("root_ptr", "cell_ptr")
 #: Largest address width the int64 vector path can shift safely.
 _NUMPY_MAX_WIDTH = 62
 
-#: Live-set size under which the vector walk hands the remaining
-#: addresses to the pure-Python loop: each further level costs ~15
-#: NumPy calls regardless of how few addresses are still live, so the
-#: deep tail of a batch is cheaper to finish scalar than to drag the
-#: gather machinery through (this caps the per-batch fixed cost, which
-#: is what a sharded deployment's split batches are most sensitive to).
-_VECTOR_TAIL_CUTOFF = 128
+#: Largest batch the pure-Python loop serves even when NumPy is there:
+#: the NumPy walk pays ~15 calls a level however few addresses it
+#: carries. Measured with ``lookup_batch_packed`` on prefix-dag over
+#: taz at scale 0.1 (root 8, an int64 ndarray batch as a shard gets
+#: one; 2 vCPUs, Python 3.11.7, NumPy 2.4.6): the NumPy walk costs
+#: ~30 us a call up to 128 addresses, the loop ~0.46 us an address,
+#: and they cross between 64 and 80 addresses on uniform and on Zipf
+#: traffic alike (64: 30.9 / 30.1 us, 80: 30.4 / 36.6 us).
+_SMALL_BATCH = 64
 
 #: Largest label the vector walk decodes through its object table (one
 #: entry per label value); past it the walk boxes the batch's labels
@@ -380,7 +389,8 @@ class FlatProgram:
 
     @property
     def vectorized(self) -> bool:
-        """True when batches will run through the NumPy gather path."""
+        """True when batches past :data:`_SMALL_BATCH` addresses run
+        through the NumPy gather path."""
         return self.vectorize and _np is not None and self.width <= _NUMPY_MAX_WIDTH
 
     def size_in_bits(self) -> int:
@@ -693,13 +703,13 @@ class FlatProgram:
         return label if label else None
 
     def lookup_batch(self, addresses: Sequence[int]) -> List[Optional[int]]:
-        """Batched LPM: vectorized gathers when NumPy is available, the
-        pointer-free Python loop otherwise."""
+        """Batched LPM: vectorized gathers for batches past
+        :data:`_SMALL_BATCH` when NumPy is available, the pointer-free
+        Python loop otherwise."""
         if not len(addresses):
             return []
-        if self.vectorized:
+        if self._vector_batch(addresses):
             return self._batch_vector(addresses)
-        check_addresses(addresses, self.width)
         return self._batch_python(addresses)
 
     def lookup_batch_packed(self, addresses: Sequence[int]) -> bytes:
@@ -709,18 +719,13 @@ class FlatProgram:
         forward label ids instead of boxing them into Python objects —
         the multi-process serving plane's workers. On the vector path
         this skips both the object-table gather and the ``tolist`` box
-        loop; the portable path packs the decoded labels.
+        loop; the portable path packs the loop's labels as it goes.
         """
         if not len(addresses):
             return b""
-        if self.vectorized:
-            np = _np
-            root_ptr, cell_ptr = self._ensure_views()
-            batch = self._to_vector(np, addresses)
-            return self._resolve_vector(np, batch, root_ptr, cell_ptr).tobytes()
-        check_addresses(addresses, self.width)
-        return array("q", [label or 0 for label in
-                           self._batch_python(addresses)]).tobytes()
+        if self._vector_batch(addresses):
+            return self._resolve_vector(addresses).tobytes()
+        return self._walk_python(addresses).tobytes()
 
     def lookup_batch_packed_into(self, addresses: Sequence[int], out) -> int:
         """Resolve a batch straight into a caller-owned buffer.
@@ -737,31 +742,19 @@ class FlatProgram:
         count = len(addresses)
         if not count:
             return 0
-        if self.vectorized:
-            np = _np
-            root_ptr, cell_ptr = self._ensure_views()
-            batch = self._to_vector(np, addresses)
-            dest = np.frombuffer(out, dtype=np.int64, count=count)
-            dest[:] = self._resolve_vector(np, batch, root_ptr, cell_ptr)
-            return count * 8
-        check_addresses(addresses, self.width)
-        dest = memoryview(out)[: count * 8].cast("q")
-        root_shift = self.root_shift
-        root_ptr = self.root_ptr
-        cell_ptr = self.cell_ptr
-        stride_mask = STRIDE_MASK
-        stride_bits = STRIDE_BITS
-        for position, address in enumerate(addresses):
-            encoded = root_ptr[address >> root_shift]
-            shift = root_shift
-            while encoded >= 0:
-                stride = encoded & stride_mask
-                shift -= stride
-                encoded = cell_ptr[(encoded >> stride_bits) + (
-                    (address >> shift) & ((1 << stride) - 1)
-                )]
-            dest[position] = ~encoded
+        if self._vector_batch(addresses):
+            self._resolve_vector(
+                addresses, _np.frombuffer(out, dtype=_np.int64, count=count)
+            )
+        else:
+            memoryview(out)[: count * 8].cast("q")[:] = self._walk_python(addresses)
         return count * 8
+
+    def _vector_batch(self, addresses: Sequence[int]) -> bool:
+        """True when this batch runs through the NumPy walk: NumPy is
+        there, the width fits, and the batch is past
+        :data:`_SMALL_BATCH`."""
+        return len(addresses) > _SMALL_BATCH and self.vectorized
 
     # ------------------------------------------------------ vectorized plane
 
@@ -795,16 +788,17 @@ class FlatProgram:
         return self._check_range(batch)
 
     def _check_range(self, batch):
-        """Range-check an int64 batch against the address width in C."""
-        lowest = batch.min()
-        if lowest < 0:
+        """Range-check an int64 batch against the address width in C:
+        one unsigned maximum, since a negative address reads as 2^63 or
+        more (the width is at most 62)."""
+        if int(batch.view(_np.uint64).max()) >> self.width:
+            lowest = batch.min()
+            if lowest < 0:
+                raise ValueError(
+                    f"address {int(lowest):#x} outside {self.width}-bit space"
+                )
             raise ValueError(
-                f"address {int(lowest):#x} outside {self.width}-bit space"
-            )
-        highest = batch.max()
-        if int(highest) >> self.width:
-            raise ValueError(
-                f"address {int(highest):#x} outside {self.width}-bit space"
+                f"address {int(batch.max()):#x} outside {self.width}-bit space"
             )
         return batch
 
@@ -831,66 +825,65 @@ class FlatProgram:
             decode[0] = None
         return decode
 
-    def _resolve_vector(self, np, batch, root_ptr, cell_ptr):
-        """Resolve an int64 address vector to an int64 label vector.
+    def _resolve_vector(self, addresses: Sequence[int], out=None):
+        """Resolve a batch to an int64 label vector (``out`` when given).
 
-        Gathers level by level over the still-live addresses; once the
-        live set shrinks under :data:`_VECTOR_TAIL_CUTOFF` the deep tail
-        is finished by the scalar walk (see the cutoff's rationale).
-        The root cells are the one widening: ``out`` starts as their
-        ``~cell`` in int64, the answer of every root terminal, and each
-        deeper terminal overwrites its live slot."""
-        encoded = root_ptr[batch >> self.root_shift]
-        out = encoded.astype(np.int64)
-        np.invert(out, out=out)
-        live = np.nonzero(encoded >= 0)[0]
-        if live.size:
-            enc_live = encoded[live]
-            addr = batch[live]
-            shift = np.full(live.size, self.root_shift, dtype=np.int64)
-            one = np.int64(1)
-            while True:
-                if live.size <= _VECTOR_TAIL_CUTOFF:
-                    self._finish_python(out, live, enc_live, addr, shift)
-                    break
-                stride = enc_live & STRIDE_MASK
-                shift -= stride
-                cell = (enc_live >> STRIDE_BITS) + ((addr >> shift) & ((one << stride) - one))
-                enc_live = cell_ptr[cell]
-                done = enc_live < 0
-                if done.all():
-                    out[live] = ~enc_live
-                    break
-                out[live[done]] = ~enc_live[done]
-                alive = ~done
-                live = live[alive]
-                enc_live = enc_live[alive]
-                addr = addr[alive]
-                shift = shift[alive]
-        return out
-
-    def _finish_python(self, out, live, enc_live, addr, shift) -> None:
-        """Resolve the vector walk's remaining live addresses with the
-        pointer-free scalar loop, writing labels straight into ``out``."""
-        cell_ptr = self.cell_ptr
-        stride_mask = STRIDE_MASK
-        stride_bits = STRIDE_BITS
-        for position, encoded, address, depth_shift in zip(
-            live.tolist(), enc_live.tolist(), addr.tolist(), shift.tolist()
-        ):
-            while encoded >= 0:
-                stride = encoded & stride_mask
-                depth_shift -= stride
-                encoded = cell_ptr[(encoded >> stride_bits) + (
-                    (address >> depth_shift) & ((1 << stride) - 1)
-                )]
-            out[position] = ~encoded
-
-    def _batch_vector(self, addresses: Sequence[int]) -> List[Optional[int]]:
+        Each address rides as one uint64 *word*, left-aligned with the
+        root bits shifted out, so a block of stride ``s`` reads its
+        child index off the word's top ``s`` bits and ``word <<= s``
+        consumes them: no per-address shift or mask vector exists. A
+        level is one gather (``take``) over the live addresses, one
+        write of their ``~cell`` into ``out`` (the answer wherever the
+        cell is terminal; a deeper cell overwrites it), and one
+        compaction of the three live vectors (positions, cells, words)
+        by index, never by boolean mask. When every root cell the batch
+        reads is a block, the first level runs on the whole batch
+        without a compaction and writes ``out`` in place, not by
+        scatter: so does every call on a root whose cells are all
+        blocks (taz's at root stride 8 are), and on 16,384 uniform
+        addresses over taz at scale 0.1 that cut the walk from ~41 to
+        ~31 ns an address. Cells widen to uint64 once a level:
+        mixing the uint64 word with a narrower or signed vector would
+        cast, or promote to float64.
+        """
         np = _np
         root_ptr, cell_ptr = self._ensure_views()
         batch = self._to_vector(np, addresses)
-        labels = self._resolve_vector(np, batch, root_ptr, cell_ptr)
+        root = root_ptr.take(batch >> self.root_shift)
+        blocks = root >= 0
+        align = 64 - self.root_shift
+        if blocks.all():
+            live = None
+            cell = root
+            word = batch.view(np.uint64) << align
+        else:
+            live = np.flatnonzero(blocks)
+            cell = root.take(live)
+            word = batch.view(np.uint64).take(live) << align
+        # Every read of the batch is above: ``out`` may share its buffer.
+        if out is None:
+            out = np.empty(len(batch), dtype=np.int64)
+        np.invert(root, out=out)
+        while live is None or live.size:
+            ref = cell.astype(np.uint64)
+            stride = ref & STRIDE_MASK
+            index = word >> (64 - stride)
+            word <<= stride
+            ref >>= STRIDE_BITS
+            index += ref
+            cell = cell_ptr.take(index.view(np.int64))
+            if live is None:
+                np.invert(cell, out=out)
+            else:
+                out[live] = np.invert(cell, dtype=np.int64)
+            keep = np.flatnonzero(cell >= 0)
+            live = keep if live is None else live.take(keep)
+            cell = cell.take(keep)
+            word = word.take(keep)
+        return out
+
+    def _batch_vector(self, addresses: Sequence[int]) -> List[Optional[int]]:
+        labels = self._resolve_vector(addresses)
         decode = self._decode_table()
         if decode is not None:
             return decode[labels].tolist()
@@ -900,15 +893,19 @@ class FlatProgram:
 
     # ----------------------------------------------------- pure-Python plane
 
-    def _batch_python(self, addresses: Sequence[int]) -> List[Optional[int]]:
-        """Portable batch walk: integer indexing only, locals hoisted."""
+    def _walk_python(self, addresses: Sequence[int]) -> array:
+        """Portable batch walk: range check, then integer indexing only,
+        locals hoisted; packed int64 labels (0 = no route)."""
+        if _np is not None and isinstance(addresses, _np.ndarray):
+            addresses = addresses.tolist()  # Python ints, not NumPy scalars
+        check_addresses(addresses, self.width)
         root_shift = self.root_shift
         root_ptr = self.root_ptr
         cell_ptr = self.cell_ptr
         stride_mask = STRIDE_MASK
         stride_bits = STRIDE_BITS
-        out: List[Optional[int]] = []
-        append = out.append
+        labels = array("q")
+        append = labels.append
         for address in addresses:
             encoded = root_ptr[address >> root_shift]
             shift = root_shift
@@ -918,9 +915,12 @@ class FlatProgram:
                 encoded = cell_ptr[(encoded >> stride_bits) + (
                     (address >> shift) & ((1 << stride) - 1)
                 )]
-            label = ~encoded
-            append(label if label else None)
-        return out
+            append(~encoded)
+        return labels
+
+    def _batch_python(self, addresses: Sequence[int]) -> List[Optional[int]]:
+        """:meth:`_walk_python` with labels boxed (0 -> None)."""
+        return [label if label else None for label in self._walk_python(addresses)]
 
     # ------------------------------------------------------------ simulation
 

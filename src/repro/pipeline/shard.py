@@ -78,10 +78,10 @@ def restrict_fib(
                 f"the {width}-bit space"
             )
     restricted = Fib(width)
-    for route in fib:
-        span_lo, span_hi = prefix_span(route.prefix, route.length, width)
+    for prefix, length, label in fib:
+        span_lo, span_hi = prefix_span(prefix, length, width)
         if any(span_lo < r_hi and r_lo < span_hi for r_lo, r_hi in ranges):
-            restricted.add(route.prefix, route.length, route.label)
+            restricted.add(prefix, length, label)
     _carry_neighbors(fib, restricted)
     return restricted
 
@@ -173,8 +173,7 @@ def shard_specs(
     if len(bounds) == 2:
         return [ShardSpec(0, bounds[0], bounds[1], fib.copy(), hot=hot)]
     fibs = [Fib(width) for _ in range(len(bounds) - 1)]
-    for route in fib:
-        prefix, length, label = route.prefix, route.length, route.label
+    for prefix, length, label in fib:
         span_lo = prefix << (width - length)
         span_hi = span_lo + (1 << (width - length))
         for index in route_shards(span_lo, span_hi, bounds, hot_flat):

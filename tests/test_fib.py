@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.fib import Fib, Neighbor, Route
+from repro.utils.bits import format_prefix
 
 
 class TestEditing:
@@ -117,6 +118,16 @@ class TestStatsAndCopy:
         lengths = [route.length for route in routes]
         assert lengths == sorted(lengths)
         assert all(isinstance(route, Route) for route in routes)
+
+    def test_routes_unpack_and_iterate_a_snapshot(self, paper_fib):
+        route = next(iter(paper_fib))
+        assert tuple(route) == (route.prefix, route.length, route.label)
+        assert str(route) == f"{format_prefix(route.prefix, route.length)} -> {route.label}"
+        with pytest.raises(AttributeError):
+            route.label = 9
+        for prefix, length, _ in paper_fib:
+            paper_fib.remove(prefix, length)
+        assert len(paper_fib) == 0
 
     def test_from_entries(self):
         fib = Fib.from_entries([(0, 0, 1), (0b1, 1, 2)])
