@@ -611,10 +611,10 @@ class ShardedFrontend:
         # Re-entrant: a respawn replays the update delta by publishing.
         self._lock = threading.RLock()
         # Lookups, merges and updates run on the caller's thread, but a
-        # pool has two more: its shm ring pump adds reply bytes to
-        # _bytes_rx, and its supervisor's respawn publish clears the
-        # flow cache and counts the restart. So counter folding and the
-        # flow cache take locks.
+        # pool has more: its reader threads' shm ring drains add reply
+        # bytes to _bytes_rx, and its supervisor's respawn publish
+        # clears the flow cache and counts the restart. So counter
+        # folding and the flow cache take locks.
         self._account_lock = threading.Lock()
         self._cache_lock = threading.Lock()
         self._lookups = 0

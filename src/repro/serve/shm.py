@@ -16,10 +16,14 @@ data path with ``multiprocessing.shared_memory``:
   record so payloads always stay contiguous (and therefore viewable
   zero-copy). Progress is a pair of monotonic int64 counters in the
   control area — ``produced`` written only by the producer, ``consumed``
-  only by the consumer — so neither side ever takes a lock. Polling
-  spins briefly and then backs off to micro-sleeps; every blocking wait
-  takes a liveness callback so a dead peer surfaces as
-  :class:`RingPeerDied`, never a hang.
+  only by the consumer — so neither side ever takes a lock. A consumer
+  never polls the ring: the producer rings a *doorbell* after each
+  commit, one small message on a channel the consumer blocks on (the
+  worker pool's control pipe), and the consumer drains every record
+  :meth:`~ShmRing.try_recv` finds. Only a producer facing a full ring
+  waits on the ring itself, spinning briefly and then backing off to
+  micro-sleeps; that wait takes a liveness callback so a dead consumer
+  surfaces as :class:`RingPeerDied`, never a hang.
 
 * :func:`publish_program` / :func:`attach_program` — the compiled
   :class:`~repro.pipeline.flat.FlatProgram` image (its two rows of
@@ -76,10 +80,11 @@ HEADER = struct.Struct("<qqqqqqqq")
 #: a full pipeline window of 2^14-address batches with room to spare.
 DEFAULT_RING_BYTES = 1 << 22
 
-#: Spins against the counter before the poll loop starts sleeping.
+#: Spins against the consumed counter before a producer waiting on a
+#: full ring starts sleeping.
 _SPIN_ROUNDS = 2000
 
-#: Backoff sleep bounds for the poll loops (seconds).
+#: Backoff sleep bounds of that wait (seconds).
 _SLEEP_MIN = 0.00005
 _SLEEP_MAX = 0.002
 
@@ -97,12 +102,9 @@ OP_ATTACHED = 8      #: reply: generation adopted (aux1 = attach ns)
 OP_ERROR = 9         #: reply: utf-8 traceback for the request's seq
 
 
-class RingClosed(RuntimeError):
-    """The ring's segment is gone (torn down under a poll)."""
-
-
 class RingPeerDied(RuntimeError):
-    """The other end of the ring died while we waited on it."""
+    """The consumer died, or stalled past the deadline, while the
+    producer waited on a full ring."""
 
 
 class RingOverflow(ValueError):
@@ -210,6 +212,11 @@ class ShmRing:
     @property
     def name(self) -> str:
         return self._segment.name
+
+    @property
+    def capacity(self) -> int:
+        """Payload bytes of the largest record the ring can carry."""
+        return (self._nslots - 1) * SLOT_BYTES
 
     def used_slots(self) -> int:
         """Slots currently occupied (produced minus consumed) — the
@@ -369,39 +376,10 @@ class ShmRing:
                 self._data[start:start + nbytes],
             )
 
-    def recv(
-        self,
-        *,
-        alive: Optional[Callable[[], bool]] = None,
-        timeout: Optional[float] = None,
-    ) -> Optional[Record]:
-        """Blocking :meth:`try_recv`: spin, then back off to sleeps.
-
-        Returns None on timeout; raises :class:`RingPeerDied` when
-        ``alive`` reports the producer gone *and* the ring is drained
-        (records published before the death are still delivered).
-        """
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        spins = 0
-        sleep = _SLEEP_MIN
-        while True:
-            record = self.try_recv()
-            if record is not None:
-                return record
-            spins += 1
-            if spins < _SPIN_ROUNDS:
-                continue
-            if alive is not None and not alive():
-                raise RingPeerDied("ring producer died")
-            if deadline is not None and time.perf_counter() > deadline:
-                return None
-            time.sleep(sleep)
-            sleep = min(sleep * 2, _SLEEP_MAX)
-
     def advance(self) -> None:
         """Release the record last delivered (its payload view dies).
-        A no-op after :meth:`close` — the pool's reply pump may lose the
-        race against a supervisor reaping the ring mid-sweep."""
+        A no-op after :meth:`close`, so a consumer that loses the race
+        against a supervisor reaping the ring mid-drain ends quietly."""
         if self._closed or not self._pending_slots:
             return
         self._consumed += self._pending_slots

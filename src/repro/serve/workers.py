@@ -24,9 +24,14 @@ frontend-published shared-memory segment that every worker *attaches*
 near-constant in worker count, and no lookup or update payload is ever
 pickled. Epoch swaps publish a fresh segment generation and walk the
 workers onto it through their request rings (``OP_ATTACH``), FIFO with
-the data they serve. The pipe remains connected but carries only the
-low-rate control plane: readiness, ``report``, ``shutdown`` — and its
-EOF is still how a worker death is detected. ``"pipe"`` is the wire
+the data they serve. The pipe remains connected and carries the
+control plane (readiness, ``report``, ``shutdown``; its EOF is still
+how a worker death is detected) and the rings' *doorbells*: a one-tuple
+the frontend sends after committing each request record, and the worker
+after each reply. Neither end polls a ring: an idle worker blocks on its
+pipe, and the frontend's reader thread for that worker blocks on the
+other end and, on a doorbell, drains the worker's response ring, whose
+one consumer it is. ``"pipe"`` is the wire
 protocol below. It serves only where shm cannot: on a host without
 POSIX shared memory (:func:`~repro.serve.shm.shm_available` is false),
 or when the whole FIB's compile is refused
@@ -90,6 +95,7 @@ flight.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import threading
 import time
@@ -137,7 +143,6 @@ from repro.serve.shm import (
     OP_POSITIONS,
     OP_PROBE,
     OP_PROBED,
-    RingClosed,
     RingOverflow,
     RingPeerDied,
     ShmRing,
@@ -179,8 +184,27 @@ _OP_NAMES = {
     OP_ATTACH: "attach",
 }
 
-#: Seconds the frontend's ring pump sleeps between idle sweeps.
-_READER_SLEEP = 0.0002
+#: The shm transport's wake-up: sent down a worker's pipe after each
+#: committed request record, and back after each committed reply.
+_DOORBELL = ("ring",)
+
+#: Seconds an idle shm worker blocks on its pipe between checks that
+#: the frontend lives: 20 wake-ups a second, 0.0–0.4% of a vCPU idle.
+_IDLE_WAIT = 0.05
+
+#: glibc ``mallopt(3)`` parameter numbers.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+#: The largest mmap threshold glibc accepts on a 64-bit host
+#: (``HEAP_MAX_SIZE / 2``); it refuses a larger one.
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+#: Free heap an shm worker keeps between batches, in largest records.
+#: The vector walk's temporaries peak at 5.6x a batch's payload bytes
+#: (tracemalloc, 65,536 and 524,288 uniform addresses over taz), so
+#: trimming starts only past every batch's working set.
+_HEAP_RECORDS = 8
 
 
 class WorkerError(RuntimeError):
@@ -430,20 +454,46 @@ def worker_main(
         conn.close()
 
 
+def _pin_heap(record_bytes: int) -> None:
+    """Keep this process's heap mapped between batches.
+
+    By default glibc maps each large NumPy temporary afresh and hands
+    freed heap back to the kernel, so every batch faulted the walk's
+    working set in again (608 minor faults a 65,536-address batch over
+    taz at scale 0.01). Setting either ``mallopt(3)`` threshold turns
+    off glibc's sliding ones, so both are set: arrays up to twice a
+    record's bytes (the walk's largest is one record's worth of words)
+    come from the heap, and freed heap is kept up to
+    :data:`_HEAP_RECORDS` records, past every batch's peak (0 faults a
+    batch). A no-op where the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, min(2 * record_bytes, _MMAP_THRESHOLD_MAX))
+    mallopt(_M_TRIM_THRESHOLD, min(_HEAP_RECORDS * record_bytes, 2**31 - 1))
+
+
 def shm_worker_main(conn, spec) -> None:
     """The shm-transport worker entry point: attach, then serve rings.
 
     The worker builds *nothing*: it attaches the frontend-published
-    program segment and its two rings (three ``mmap`` calls), acks
-    readiness over the pipe with its attach wall time, and serves
-    lookups straight out of the mapped image, resolving each batch in
-    place into its response ring (:meth:`ShmRing.send_into` +
+    program segment and its two rings (three ``mmap`` calls), pins its
+    heap (:func:`_pin_heap`), acks readiness over the pipe with its
+    attach wall time, and serves lookups straight out of the mapped
+    image, resolving each batch in place into its response ring
+    (:meth:`ShmRing.send_into` +
     :meth:`~repro.pipeline.flat.FlatProgram.lookup_batch_packed_into`).
     ``OP_ATTACH`` records arrive FIFO with the lookups, so a fresh
     generation is adopted exactly between batches, never under one.
-    The pipe carries only the low-rate control plane (``report``,
-    ``shutdown``), checked while the ring is idle; a frontend death
-    surfaces through the ring's liveness callback.
+    The pipe carries the control plane (``report``, ``shutdown``) and
+    one doorbell per request record: while the request ring is empty
+    the worker blocks on the pipe, whose timeout re-checks that the
+    frontend lives; while busy it reads one message a record, so
+    doorbells never pile up. After each reply it rings the frontend.
     """
     started = time.perf_counter()
     program = segment = None
@@ -459,6 +509,7 @@ def shm_worker_main(conn, spec) -> None:
         except OSError:
             pass
         return
+    _pin_heap(req.capacity)
     conn.send(("ok", 0, ("ready", attach_seconds, program.size_in_bits())))
     lo, hi = spec["range"]
     parent = multiprocessing.parent_process()
@@ -488,33 +539,34 @@ def shm_worker_main(conn, spec) -> None:
     )
     try:
         while True:
-            try:
-                record = req.recv(alive=alive, timeout=0.05)
-            except RingPeerDied:
+            record = req.try_recv()
+            # A doorbell follows each request record: block on the pipe
+            # for one while the ring is empty, and read one message a
+            # record while busy, so unread doorbells never pile up.
+            if conn.poll(_IDLE_WAIT if record is None else 0):
+                message = conn.recv()
+                if message[0] == "report":
+                    conn.send(("ok", message[1], {
+                        "size_bits": program.size_in_bits(),
+                        "generation": generation,
+                        "attach_seconds": attach_seconds,
+                        "obs": obs.snapshot() if obs.enabled else None,
+                        # The worker is the response ring's producer,
+                        # so its backpressure counters live here.
+                        "ring": {
+                            "pads": res.stat_pads,
+                            "spin_stalls": res.stat_spin_stalls,
+                            "sleep_stalls": res.stat_sleep_stalls,
+                            "overflows": res.stat_overflows,
+                            "bytes": res.stat_bytes,
+                            "occupancy": res.used_slots(),
+                        },
+                    }))
+                elif message[0] == "shutdown":
+                    return
+            elif record is None and not alive():
                 return
             if record is None:
-                # Idle: service the control pipe, then poll again.
-                if conn.poll(0):
-                    message = conn.recv()
-                    if message[0] == "report":
-                        conn.send(("ok", message[1], {
-                            "size_bits": program.size_in_bits(),
-                            "generation": generation,
-                            "attach_seconds": attach_seconds,
-                            "obs": obs.snapshot() if obs.enabled else None,
-                            # The worker is the response ring's producer,
-                            # so its backpressure counters live here.
-                            "ring": {
-                                "pads": res.stat_pads,
-                                "spin_stalls": res.stat_spin_stalls,
-                                "sleep_stalls": res.stat_sleep_stalls,
-                                "overflows": res.stat_overflows,
-                                "bytes": res.stat_bytes,
-                                "occupancy": res.used_slots(),
-                            },
-                        }))
-                    elif message[0] == "shutdown":
-                        return
                 continue
             op = record.op
             try:
@@ -591,6 +643,7 @@ def shm_worker_main(conn, spec) -> None:
                     return
             finally:
                 req.advance()
+            conn.send(_DOORBELL)  # the reply is in the ring
     except (EOFError, OSError, KeyboardInterrupt):
         pass  # frontend went away; nothing to answer to
     finally:
@@ -700,26 +753,47 @@ class _WorkerHandle:
             future = self.pending[self.seq] = Future()
             return self.seq, future
 
-    def start_reader(self) -> Future:
+    def start_reader(self, drain=None) -> Future:
         """Install the readiness-ack future (seq 0), then start the reply
-        pump; returns that future. Callers must keep this reference: a
-        fast child's ack can be popped off ``pending`` before they look."""
+        pump (``drain`` answers the shm worker's doorbells); returns that
+        future. Callers must keep this reference: a fast child's ack can
+        be popped off ``pending`` before they look."""
         ready = self.pending[0] = Future()
-        self.reader = threading.Thread(target=_reader_loop, args=(self,), daemon=True)
+        self.reader = threading.Thread(
+            target=_reader_loop, args=(self, drain), daemon=True
+        )
         self.reader.start()
         return ready
 
 
-def _reader_loop(handle: _WorkerHandle) -> None:
-    """Per-worker reply pump: resolve futures, turn EOF into failures."""
+def _pipe_send(handle: _WorkerHandle, message: tuple, op: str) -> None:
+    """Write one message down a worker's pipe (the caller holds
+    ``handle.send_lock``). A broken pipe fails that worker alone —
+    every future in flight — and raises a :class:`WorkerError`."""
+    try:
+        handle.conn.send(message)
+    except (OSError, ValueError) as error:
+        reason = f"worker {handle.index} pipe broke: {error}"
+        handle.fail(reason, op=op)
+        raise WorkerError(reason, worker_index=handle.index, op=op) from None
+
+
+def _reader_loop(handle: _WorkerHandle, drain=None) -> None:
+    """Per-worker reply pump: resolve futures, turn EOF into failures.
+    A doorbell (shm transport) calls ``drain(handle)``, which empties
+    the worker's response ring: this thread is its one consumer."""
     while True:
         try:
-            status, seq, payload = handle.conn.recv()
+            message = handle.conn.recv()
         except (EOFError, OSError, TypeError):
             # TypeError: close() reaped the connection under a blocking
             # recv (its handle is gone mid-read) — the same end as EOF.
             handle.fail(f"worker {handle.index} (pid {handle.process.pid}) died")
             return
+        if message == _DOORBELL:
+            drain(handle)
+            continue
+        status, seq, payload = message
         if seq is None:
             handle.fail(f"worker {handle.index} failed: {payload}")
             return
@@ -898,7 +972,6 @@ class WorkerPool(ShardedFrontend):
         self._program_segment = None
         self._segments: List[Any] = []   # frontend-owned program segments
         self._rings: List[ShmRing] = []  # frontend-owned rings (both ends')
-        self._ring_reader: Optional[threading.Thread] = None
         self._handles: List[_WorkerHandle] = []
         self._generation = 0
         self._publishes = 0
@@ -974,10 +1047,6 @@ class WorkerPool(ShardedFrontend):
             self._attach_seconds = max(h.attach_seconds for h in self._handles)
             self._publish_proxy = _PublishProxy(self)
             self._coordinator = EpochCoordinator([self._publish_proxy], rebuild_every)
-            self._ring_reader = threading.Thread(
-                target=self._shm_reader_loop, daemon=True
-            )
-            self._ring_reader.start()
         else:
             self._incremental = bool(acks[0][1])
             self._proxies = [_ProxyServer(self, h) for h in self._handles]
@@ -1066,7 +1135,7 @@ class WorkerPool(ShardedFrontend):
         handle = _WorkerHandle(index, routes, process, parent_conn, incarnation)
         handle.req_ring = req_ring
         handle.res_ring = res_ring
-        return handle, handle.start_reader()
+        return handle, handle.start_reader(self._drain_replies)
 
     def _spawn_pipe_worker(self, context, spec, incarnation: int):
         """Start one pipe-transport worker process from a shard spec
@@ -1157,17 +1226,21 @@ class WorkerPool(ShardedFrontend):
         if process.is_alive():
             process.terminate()
         process.join(join_timeout)
-        try:
-            handle.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        for ring in (handle.req_ring, handle.res_ring):
-            if ring is None:
-                continue
-            if ring in self._rings:
-                self._rings.remove(ring)
-            ring.close()  # owner side: unlinks the segment
-        handle.req_ring = handle.res_ring = None
+        # The reader reads EOF once the process is gone: let it finish
+        # a drain, and every producer its send, before the ends close.
+        handle.reader.join(join_timeout)
+        with handle.send_lock:
+            try:
+                handle.conn.close()
+            except OSError:  # pragma: no cover - already closed
+                pass
+            for ring in (handle.req_ring, handle.res_ring):
+                if ring is None:
+                    continue
+                if ring in self._rings:
+                    self._rings.remove(ring)
+                ring.close()  # owner side: unlinks the segment
+            handle.req_ring = handle.res_ring = None
 
     def _respawn(self, index: int, reason: str) -> None:
         """Replace one dead/hung shard with a fresh incarnation
@@ -1236,29 +1309,23 @@ class WorkerPool(ShardedFrontend):
         """Send one request down the worker's pipe; returns its reply
         future."""
         seq, future = handle.register(kind)
-        try:
-            with handle.send_lock:
-                handle.conn.send((kind,) + (seq,) + payload)
-        except (OSError, ValueError) as error:
-            reason = f"worker {handle.index} pipe broke: {error}"
-            handle.fail(reason, op=kind)
-            raise WorkerError(
-                reason, worker_index=handle.index, op=kind
-            ) from None
+        with handle.send_lock:
+            _pipe_send(handle, (kind, seq) + payload, kind)
         return future
 
     def _submit_ring(
         self, handle: _WorkerHandle, op: int, payload, generation: int = 0,
         aux1: int = 0,
     ) -> Future:
-        """Ring twin of :meth:`_submit`: register the reply future, then
-        write the record into the worker's request ring — blocking under
+        """Ring twin of :meth:`_submit`: register the reply future, write
+        the record into the worker's request ring — blocking under
         backpressure with the worker's liveness as the escape hatch, so
-        a dead consumer is a :class:`WorkerError`, never a hang."""
+        a dead consumer is a :class:`WorkerError`, never a hang — and
+        ring the worker's doorbell."""
         op_name = _OP_NAMES.get(op, str(op))
         seq, future = handle.register(op_name)
-        try:
-            with handle.send_lock:
+        with handle.send_lock:
+            try:
                 handle.req_ring.send(
                     op,
                     payload,
@@ -1268,26 +1335,27 @@ class WorkerPool(ShardedFrontend):
                     alive=lambda: not handle.dead and handle.process.is_alive(),
                     timeout=self._timeout,
                 )
-        except RingOverflow as error:
-            # The batch can never fit; the worker is fine — fail only
-            # this request.
-            with handle.lock:
-                handle.pending.pop(seq, None)
-            raise WorkerError(
-                str(error), worker_index=handle.index, op=op_name,
-                generation=generation or None,
-            ) from None
-        except RingPeerDied as error:
-            reason = f"worker {handle.index} ring stalled: {error}"
-            handle.fail(reason, op=op_name)
-            raise WorkerError(
-                reason, worker_index=handle.index, op=op_name,
-                generation=generation or None,
-            ) from None
-        except (RingClosed, ValueError, AttributeError):
-            # The ring was reaped under us (handle declared dead by the
-            # supervisor between our liveness check and the send).
-            raise handle.error(op=op_name) from None
+            except RingOverflow as error:
+                # The batch can never fit; the worker is fine — fail
+                # only this request.
+                with handle.lock:
+                    handle.pending.pop(seq, None)
+                raise WorkerError(
+                    str(error), worker_index=handle.index, op=op_name,
+                    generation=generation or None,
+                ) from None
+            except RingPeerDied as error:
+                reason = f"worker {handle.index} ring stalled: {error}"
+                handle.fail(reason, op=op_name)
+                raise WorkerError(
+                    reason, worker_index=handle.index, op=op_name,
+                    generation=generation or None,
+                ) from None
+            except (ValueError, AttributeError):
+                # The ring was reaped before we took the lock (handle
+                # declared dead by the supervisor after our register).
+                raise handle.error(op=op_name) from None
+            _pipe_send(handle, _DOORBELL, op_name)
         return future
 
     def _request(self, handle: _WorkerHandle, kind: str, packed) -> Future:
@@ -1313,15 +1381,8 @@ class WorkerPool(ShardedFrontend):
     def _send_update(self, handle: _WorkerHandle, op: UpdateOp) -> None:
         if handle.dead:
             raise handle.error(op="update")
-        try:
-            with handle.send_lock:
-                handle.conn.send(("update", op.prefix, op.length, op.label))
-        except (OSError, ValueError) as error:
-            reason = f"worker {handle.index} pipe broke: {error}"
-            handle.fail(reason, op="update")
-            raise WorkerError(
-                reason, worker_index=handle.index, op="update"
-            ) from None
+        with handle.send_lock:
+            _pipe_send(handle, ("update", op.prefix, op.length, op.label), "update")
 
     def _await(
         self,
@@ -1353,38 +1414,25 @@ class WorkerPool(ShardedFrontend):
                 op=op,
             ) from None
 
-    def _shm_reader_loop(self) -> None:
-        """The pool-wide reply pump of the shm transport: drain every
-        worker's response ring, resolving futures in the pipe
-        protocol's reply shapes so the merge path is transport-blind.
-        Worker death stays the pipe reader's to detect (EOF ->
-        :meth:`_WorkerHandle.fail`); this loop only ever sees records a
-        live worker published, and it stops when the pool closes."""
-        idle = 0
-        while not self._closed:
-            busy = False
-            for handle in self._handles:
-                ring = handle.res_ring
-                if ring is None or handle.dead:
-                    continue
-                while True:
-                    try:
-                        record = ring.try_recv()
-                    except (RingClosed, ValueError):  # pragma: no cover
-                        record = None  # torn down under us mid-close
-                    if record is None:
-                        break
-                    busy = True
-                    try:
-                        self._resolve_reply(handle, record)
-                    finally:
-                        ring.advance()
-            if busy:
-                idle = 0
-                continue
-            idle += 1
-            if idle > 50:
-                time.sleep(_READER_SLEEP)
+    def _drain_replies(self, handle: _WorkerHandle) -> None:
+        """Answer a worker's doorbell on its reader thread, the response
+        ring's one consumer: resolve a future per record the ring holds,
+        in the pipe protocol's reply shapes, so the merge path is
+        transport-blind. Worker death stays EOF's to detect."""
+        ring = handle.res_ring
+        if ring is None:
+            return
+        while True:
+            try:
+                record = ring.try_recv()
+            except ValueError:  # pragma: no cover - reaped mid-drain
+                return
+            if record is None:
+                return
+            try:
+                self._resolve_reply(handle, record)
+            finally:
+                ring.advance()
 
     def _resolve_reply(self, handle: _WorkerHandle, record) -> None:
         """Complete one in-flight future from a ring record, copying the
@@ -1472,7 +1520,7 @@ class WorkerPool(ShardedFrontend):
                 received += len(positions)
             received += len(payload[0])
             answered.append((shard, positions, payload[0], payload[1]))
-        if self._transport == "pipe":  # shm replies were counted by the ring pump
+        if self._transport == "pipe":  # shm replies were counted by the drain
             with self._account_lock:
                 self._bytes_rx += received
         return answered
@@ -2018,9 +2066,6 @@ class WorkerPool(ShardedFrontend):
             # holds it, and stop() joins the supervisor thread — after
             # this no new respawn can start.
             self._supervisor.stop()
-        if self._ring_reader is not None:
-            self._ring_reader.join(2.0)  # sees _closed within one sweep
-            self._ring_reader = None
         with self._lock:
             for handle in self._handles:
                 if not handle.dead:

@@ -11,6 +11,7 @@ quantitative story (MTTR, availability) lives in
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 
 import pytest
@@ -266,6 +267,41 @@ class TestSupervisedRecovery:
         )
         assert report.worker_restarts >= 1
         assert report.final_parity == 1.0
+        assert serve.leaked_segments() == []
+
+    def test_a_doorbell_down_a_broken_pipe_fails_only_that_worker(
+        self, small_fib
+    ):
+        # A worker can die between the frontend's commit of a request
+        # record and the doorbell that follows it. That write then meets
+        # a broken pipe, which must fail that worker alone, through the
+        # path supervision recovers from, and never escape as an OSError.
+        with serving_over("shm"):
+            pool = WorkerPool(
+                "prefix-dag", small_fib, workers=2,
+                max_restarts=1, timeout=30.0,
+            )
+        victim = pool._handles[1]
+        live = victim.conn
+        try:
+            assert pool.transport == "shm"
+            broken, peer = multiprocessing.Pipe()
+            peer.close()
+            victim.conn = broken  # its reader keeps the live end
+            rng = random.Random(8)
+            addresses = [rng.getrandbits(32) for _ in range(64)]
+            expected = [small_fib.lookup(address) for address in addresses]
+            assert pool.lookup_batch(addresses) == expected
+            assert victim.dead and "pipe broke" in victim.reason
+            assert not pool._handles[0].dead
+            assert pool.settle(timeout=30.0)
+            assert pool.lookup_batch(addresses) == expected
+            report = pool.report(scenario="unit")
+            assert report.worker_restarts == 1
+            assert report.failed_lookups == 0
+        finally:
+            pool.close()
+            live.close()
         assert serve.leaked_segments() == []
 
     @pytest.mark.parametrize("scenario", serve.scenario_names())

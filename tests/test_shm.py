@@ -12,6 +12,8 @@ from __future__ import annotations
 import os
 import random
 import secrets
+import time
+from array import array
 from multiprocessing import shared_memory
 
 import pytest
@@ -19,6 +21,7 @@ import pytest
 from tests.conftest import random_fib, serving_over
 from repro import serve
 from repro.core.trie import BinaryTrie
+from repro.datasets import build_profile_fib, profile
 from repro.datasets.updates import UpdateOp
 from repro.pipeline.flat import FlatCompileError, compile_binary
 from repro.serve.shm import (
@@ -138,9 +141,6 @@ class TestRing:
     def test_oversized_record_raises_overflow(self, ring):
         with pytest.raises(RingOverflow, match="raise ring_bytes"):
             ring.send(OP_LOOKUP, bytes(1 << 13))
-
-    def test_recv_timeout_returns_none(self, ring):
-        assert ring.recv(timeout=0.05) is None
 
     def test_ring_close_unlinks(self):
         ring = ShmRing.create(1 << 12)
@@ -333,3 +333,60 @@ class TestPoolLifecycle:
             pool.close()
             pool.close()  # reaping stays idempotent
         assert leaked_segments() == []
+
+
+def proc_stat(pid: int):
+    """``(minor faults, utime + stime in clock ticks)`` of one process:
+    fields 10, 14 and 15 of ``/proc/<pid>/stat``."""
+    with open(f"/proc/{pid}/stat") as stat:
+        # Split after the command name, which may hold spaces: the
+        # first field left is field 3 (state).
+        fields = stat.read().rsplit(")", 1)[1].split()
+    return int(fields[7]), int(fields[11]) + int(fields[12])
+
+
+needs_proc = pytest.mark.skipif(
+    not os.path.isfile(f"/proc/{os.getpid()}/stat"), reason="no /proc on this host"
+)
+
+
+@needs_proc
+class TestWorkerCosts:
+    """What an shm worker costs the host between and around batches."""
+
+    def test_a_warm_worker_takes_no_page_faults_a_batch(self):
+        # The walk's temporaries must stay in the worker's heap: a batch
+        # that maps them afresh faults ~600 pages in (65,536 addresses
+        # over taz at 0.01).
+        fib = build_profile_fib(profile("taz"), scale=0.01, seed=1)
+        rng = random.Random(5)
+        batches = [
+            array("q", (rng.getrandbits(32) for _ in range(65536)))
+            for _ in range(4)
+        ]
+        with WorkerPool("prefix-dag", fib, workers=1) as pool:
+            assert pool.transport == "shm"
+            pid = pool._handles[0].process.pid
+            for index in range(10):
+                pool.lookup_batch_packed(batches[index % 4])
+            before, _ = proc_stat(pid)
+            for index in range(40):
+                pool.lookup_batch_packed(batches[index % 4])
+            after, _ = proc_stat(pid)
+        assert (after - before) / 40 < 8
+
+    def test_an_idle_pool_sleeps(self, small_fib):
+        # No traffic: the frontend's reader blocks on the worker's pipe
+        # and the worker on the frontend's, so neither side spins.
+        with WorkerPool("prefix-dag", small_fib, workers=1) as pool:
+            assert pool.transport == "shm"
+            pid = pool._handles[0].process.pid
+            ticks = os.sysconf("SC_CLK_TCK")
+            _, worker_before = proc_stat(pid)
+            cpu_before, wall_before = time.process_time(), time.perf_counter()
+            time.sleep(3.0)
+            _, worker_after = proc_stat(pid)
+            cpu_after, wall_after = time.process_time(), time.perf_counter()
+        wall = wall_after - wall_before
+        assert (cpu_after - cpu_before) / wall < 0.01
+        assert (worker_after - worker_before) / ticks / wall < 0.01

@@ -13,6 +13,7 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import random
+import sys
 import threading
 import time
 import types
@@ -481,6 +482,34 @@ class TestPipelinedReplay:
         assert 1 < counts["peak"] <= serve.DEFAULT_WINDOW
         assert report.batches == sum(1 for e in events if e.is_lookup)
         assert 0 < report.lookup_seconds <= report.wall_seconds
+
+    @pytest.mark.skipif(not serve.shm_available(), reason="shared memory unavailable")
+    def test_every_reply_lands_on_its_doorbell_under_contention(self, small_fib):
+        # More workers than a 2-vCPU host's cores, and a switch interval
+        # short enough to preempt a thread between a ring commit and its
+        # doorbell: a lost wake-up would strand a reply (or an attach
+        # ack) in its ring until the 20 s deadline failed the run.
+        events = pack_events(
+            serve.build_events(
+                serve.scenario("bgp-churn"), small_fib,
+                lookups=4096, updates=64, seed=13, batch_size=32,
+            )
+        )
+        probes = serve.parity_probes(small_fib, 300, seed=13)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            report = serve.serve_plane_scenario(
+                "prefix-dag", small_fib, events, scenario="bgp-churn",
+                workers=4, parity_probes=probes, rebuild_every=8,
+                timeout=20.0, control_timeout=20.0,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.transport == "shm"
+        assert report.publishes > 0
+        assert report.final_parity == 1.0
+        assert report.batches == sum(1 for e in events if e.is_lookup)
 
     def test_replay_lands_every_batch_in_flight_when_it_raises(self, small_fib):
         events = pack_events(
